@@ -11,20 +11,20 @@ pumps tens of times the threshold.
 
 import numpy as np
 
-from cascaded_fwm import SystemParams, compute_thresholds, min_over_frequency
+from cascaded_fwm import SystemParams, compute_thresholds, min_over_frequencies
 
 params = SystemParams(gamma_a=0.03, gamma_b=0.03, gamma_c=0.03,
                       k1=1.0, k2=0.4, k3=0.4)
 th = compute_thresholds(params)
-representatives = (("A", "s1-i1"), ("B", "p1+s1"), ("C", "i2-p1"))
+# One inequality per symmetry class: A, B, C.
+representatives = ("s1-i1", "p1+s1", "i2-p1")
 
 # ---- lower branch: violation fades as the pump grows ------------------------
 print("lower branch (pump in units of eps_th):")
 print("  ratio     min V_A    min V_B    min V_C")
 for ratio in np.geomspace(1.05, 30.0, 9):
     system = params.with_epsilon(ratio * th.eps_th)
-    row = [min_over_frequency(system, "lower", label).value
-           for _, label in representatives]
+    row = [res.value for res in min_over_frequencies(system, "lower", representatives)]
     print(f"  {ratio:7.3f}  {row[0]:9.5f}  {row[1]:9.5f}  {row[2]:9.5f}")
 
 # ---- upper branch: entanglement survives strong pumping ---------------------
@@ -32,8 +32,7 @@ print("\nupper branch (pump in units of eps_th_prime):")
 print("  ratio     min V_A    min V_B    min V_C")
 for ratio in (1.1, 2.2, 8.0, 20.0):
     system = params.with_epsilon(ratio * th.eps_th_prime)
-    row = [min_over_frequency(system, "upper", label).value
-           for _, label in representatives]
+    row = [res.value for res in min_over_frequencies(system, "upper", representatives)]
     print(f"  {ratio:7.3f}  {row[0]:9.5f}  {row[1]:9.5f}  {row[2]:9.5f}")
 
 print("\nall three classes stay below 4 on the upper branch at 20x the")

@@ -60,6 +60,7 @@ from .spectra import (
     QUADRATURE_LABELS,
     QuadratureSpectrum,
     integrated_spectrum,
+    output_spectra,
     output_spectrum,
     output_spectrum_at,
     quadrature_basis_matrix,
@@ -86,6 +87,7 @@ from .vlf import (
     class_members,
     evaluate_inequality,
     inequality_by_label,
+    min_over_frequencies,
     min_over_frequency,
     optimize_gains,
     sweep_frequency,
@@ -140,8 +142,10 @@ __all__ = [
     "integrated_spectrum",
     "jacobian_blocks",
     "mc_stationary_covariance",
+    "min_over_frequencies",
     "min_over_frequency",
     "optimize_gains",
+    "output_spectra",
     "output_spectrum",
     "output_spectrum_at",
     "quadrature_basis_matrix",

@@ -42,13 +42,13 @@ from .params import (
     compute_thresholds,
     resolve_epsilon,
 )
-from .spectra import QUADRATURE_LABELS, integrated_spectrum, output_spectrum_at
+from .spectra import QUADRATURE_LABELS, integrated_spectrum, output_spectra
 from .steady_state import analytic_steady_states
 from .vlf import (
     INEQUALITIES,
     build_branch_model,
     inequality_by_label,
-    min_over_frequency,
+    min_over_frequencies,
     sweep_frequency,
 )
 
@@ -121,10 +121,6 @@ class _Entries:
 
     def take(self, key: str):
         return self._pairs.pop(key, None)
-
-    def context(self, key: str) -> str:
-        entry = self._pairs.get(key)
-        return f"line {entry[0]}" if entry else key
 
 
 def _parse_lines(text: str) -> dict:
@@ -308,17 +304,25 @@ def load_config(path: str) -> RunConfig:
 
 
 def _write_text_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
+    """Write ``text`` to ``path`` through a uniquely named sibling file.
+
+    The temporary file is created exclusively, so concurrent writers of
+    the same ``path`` never share one, and with mode 0o666 so the final
+    file gets the same permission bits (minus the umask) as a plain
+    ``open`` would give it.
+    """
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.replace(tmp, path)
     except BaseException:
         try:
             os.remove(tmp)
         except OSError:
             pass
         raise
-    os.replace(tmp, path)
 
 
 def _with_suffix(path: str, suffix: str) -> str:
@@ -400,9 +404,7 @@ def cmd_spectrum(config: RunConfig) -> None:
     for branch, suffix in _resolve_branches(system, config.branch):
         model = build_branch_model(system, branch)
         lines = [header]
-        for omega_norm in grid:
-            spectrum = output_spectrum_at(model, omega_norm * system.gamma_a)
-            v = spectrum.v_out
+        for omega_norm, v in zip(grid, output_spectra(model, grid * system.gamma_a)):
             cells = [_fmt(omega_norm)] + [_fmt(v[i, j]) for i, j in pairs]
             lines.append(",".join(cells))
         path = _with_suffix(out, suffix)
@@ -465,15 +467,11 @@ def cmd_pump_sweep(config: RunConfig) -> None:
     lines = ["eps_ratio,V_A,V_B,V_C"]
     for ratio in ratios:
         system = config.params.with_epsilon(float(ratio) * reference)
-        model = build_branch_model(system, config.branch)
-        cells = [_fmt(ratio)]
-        for label in representatives:
-            result = min_over_frequency(
-                system, config.branch, label,
-                omega_range=(config.omega_min, config.omega_max),
-                scale=config.omega_scale, model=model)
-            cells.append(_fmt(result.value))
-        lines.append(",".join(cells))
+        results = min_over_frequencies(
+            system, config.branch, representatives,
+            omega_range=(config.omega_min, config.omega_max),
+            scale=config.omega_scale)
+        lines.append(",".join([_fmt(ratio)] + [_fmt(r.value) for r in results]))
     out = config.out or "pump_sweep.csv"
     _write_text_atomic(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")

@@ -18,6 +18,10 @@ with G the diagonal matrix of mode damping rates (each repeated for X and
 Y).  ``integrated_spectrum`` closes the loop back to the stationary
 covariance: (1/2pi) Integral S d omega over the real line equals the
 Lyapunov solution, which the tests use as a cross-module identity.
+
+``output_spectra`` evaluates a whole frequency grid with stacked solves;
+the single-frequency functions are its one-point views, so both routes
+share one implementation and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .errors import BasisConsistencyError, NumericalError, StabilityError
+from .errors import BasisConsistencyError, NumericalError, ParameterError, StabilityError
 from .linearization import FluctuationModel, stability
 from .params import MODE_LABELS, SystemParams
 
@@ -40,12 +44,21 @@ QUADRATURE_LABELS = tuple(f"X{m}" for m in MODE_LABELS) + tuple(
 
 _RESIDUE_BUDGET = 1e-9
 _SOLVE_BUDGET = 1e-8
+# Frequencies per stacked solve in ``output_spectra``: bounds the complex
+# temporaries of a long grid without giving up the batched LAPACK calls.
+_GRID_CHUNK = 64
+
+_EYE6 = np.eye(6)
+_T = np.block([[_EYE6, _EYE6], [-1j * _EYE6, 1j * _EYE6]])
+_T.flags.writeable = False
 
 
 def quadrature_basis_matrix() -> np.ndarray:
-    """The 12x12 block transform T mapping (alpha, alpha*) to (X, Y)."""
-    eye = np.eye(6)
-    return np.block([[eye, eye], [-1j * eye, 1j * eye]])
+    """The 12x12 block transform T mapping (alpha, alpha*) to (X, Y).
+
+    Returns the read-only module constant.
+    """
+    return _T
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,81 @@ class QuadratureSpectrum:
     v_out: np.ndarray
 
 
+def _spectral_stack(model: FluctuationModel, omegas: np.ndarray) -> np.ndarray:
+    """S(omega) for every entry of the 1-D array ``omegas``, shape (n, N, N).
+
+    Each of the two solves is one stacked LAPACK call; the residual guard
+    of ``spectral_matrix`` is applied to every frequency separately and
+    names the first one that fails it.
+    """
+    m = model.m
+    shift = (1j * omegas)[:, None, None] * np.eye(m.shape[0])
+    lhs = m + shift
+    x = np.linalg.solve(lhs, model.d)
+    residual = np.abs(lhs @ x - model.d).max(axis=(1, 2))
+    scale = 1.0 + float(np.abs(model.d).max())
+    failed = residual > _SOLVE_BUDGET * scale * (1.0 + np.abs(x).max(axis=(1, 2)))
+    if failed.any():
+        k = int(failed.argmax())
+        raise NumericalError(
+            f"ill-conditioned spectral solve at omega={float(omegas[k])!r}: "
+            f"residual {residual[k]:.3e}")
+    return np.linalg.solve(m - shift, x.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def _quadrature_stack(s: np.ndarray, omegas=None) -> np.ndarray:
+    """Real symmetric part of T s T^T for a stack s of shape (n, 12, 12).
+
+    The Hermitian-residue guard of ``quadrature_transform`` is applied to
+    every matrix separately; when ``omegas`` is given, the error names the
+    first frequency that fails it.
+    """
+    v = _T @ s @ _T.T
+    scale = 1.0 + np.abs(v).max(axis=(1, 2))
+    residue = np.abs(v - v.conj().transpose(0, 2, 1)).max(axis=(1, 2)) / 2.0
+    failed = residue > _RESIDUE_BUDGET * scale
+    if failed.any():
+        k = int(failed.argmax())
+        where = "" if omegas is None else f" at omega={float(omegas[k])!r}"
+        raise BasisConsistencyError(
+            f"quadrature spectrum not Hermitian{where}: residue "
+            f"{residue[k]:.3e} exceeds {_RESIDUE_BUDGET:.0e} * {scale[k]:.3e}"
+        )
+    if logger.isEnabledFor(logging.DEBUG):
+        k = int(np.argmax(residue / scale))
+        logger.debug("quadrature transform residue %.3e (scale %.3e)",
+                     residue[k], scale[k])
+    sym = (v + v.transpose(0, 2, 1)) / 2.0
+    return sym.real.copy()
+
+
+def _input_output(v_intra: np.ndarray, params: SystemParams) -> np.ndarray:
+    """v_out = I + 2 G^(1/2) V G^(1/2) for one matrix or a stack."""
+    gains = np.sqrt(np.tile(params.damping_rates(), 2))
+    return np.eye(12) + 2.0 * gains[:, None] * v_intra * gains[None, :]
+
+
+def output_spectra(model: FluctuationModel, omegas) -> np.ndarray:
+    """Output quadrature spectra v_out over a grid of absolute omega.
+
+    Returns an array of shape (n, 12, 12) whose k-th entry equals
+    ``output_spectrum_at(model, omegas[k]).v_out`` exactly: the same
+    solves, guards and transforms, evaluated in stacks of at most 64
+    frequencies.  Each guard is applied per frequency and names the first
+    frequency that fails it; when both guards fail inside one stack, the
+    solve guard is reported.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 1:
+        raise ParameterError(f"omegas must be 1-D, got shape {omegas.shape}")
+    v_out = np.empty((omegas.size, 12, 12))
+    for start in range(0, omegas.size, _GRID_CHUNK):
+        chunk = omegas[start:start + _GRID_CHUNK]
+        v_intra = _quadrature_stack(_spectral_stack(model, chunk), chunk)
+        v_out[start:start + chunk.size] = _input_output(v_intra, model.params)
+    return v_out
+
+
 def spectral_matrix(model: FluctuationModel, omega: float) -> np.ndarray:
     """Two-sided spectral matrix S(omega) of the stacked fluctuations.
 
@@ -76,17 +164,7 @@ def spectral_matrix(model: FluctuationModel, omega: float) -> np.ndarray:
     usually reported; solve quality is guarded by a residual check instead
     of a stability gate.
     """
-    m = model.m
-    eye = np.eye(m.shape[0])
-    lhs = m + 1j * omega * eye
-    x = np.linalg.solve(lhs, model.d)
-    residual = float(np.max(np.abs(lhs @ x - model.d)))
-    scale = 1.0 + float(np.max(np.abs(model.d)))
-    if residual > _SOLVE_BUDGET * scale * (1.0 + float(np.max(np.abs(x)))):
-        raise NumericalError(
-            f"ill-conditioned spectral solve at omega={omega!r}: "
-            f"residual {residual:.3e}")
-    return np.linalg.solve(m - 1j * omega * eye, x.T).T
+    return _spectral_stack(model, np.array([omega], dtype=float))[0]
 
 
 def quadrature_transform(s: np.ndarray) -> np.ndarray:
@@ -98,29 +176,15 @@ def quadrature_transform(s: np.ndarray) -> np.ndarray:
     (imaginary antisymmetric) component carries cross-quadrature phase
     information that never enters a variance and is dropped by convention.
     """
-    t = quadrature_basis_matrix()
-    v = t @ np.asarray(s, dtype=complex) @ t.T
-    scale = 1.0 + float(np.max(np.abs(v)))
-    hermitian_residue = float(np.max(np.abs(v - v.conj().T))) / 2.0
-    if hermitian_residue > _RESIDUE_BUDGET * scale:
-        raise BasisConsistencyError(
-            f"quadrature spectrum not Hermitian: residue {hermitian_residue:.3e} "
-            f"exceeds {_RESIDUE_BUDGET:.0e} * {scale:.3e}"
-        )
-    logger.debug("quadrature transform residue %.3e (scale %.3e)",
-                 hermitian_residue, scale)
-    sym = (v + v.T) / 2.0
-    return sym.real.copy()
+    return _quadrature_stack(np.asarray(s, dtype=complex)[None])[0]
 
 
 def output_spectrum(v_intra: np.ndarray, params: SystemParams, omega: float) -> QuadratureSpectrum:
     """Input-output transformed spectrum, vacuum (shot noise) at identity."""
-    gains = np.sqrt(np.tile(params.damping_rates(), 2))
-    v_out = np.eye(12) + 2.0 * gains[:, None] * np.asarray(v_intra) * gains[None, :]
     return QuadratureSpectrum(
         omega=float(omega),
         omega_norm=float(omega) / params.gamma_a,
-        v_out=v_out,
+        v_out=_input_output(np.asarray(v_intra), params),
     )
 
 

@@ -29,7 +29,13 @@ import numpy as np
 from .errors import ParameterError, PhysicalityError
 from .linearization import FluctuationModel, build_fluctuation_model
 from .params import MODE_LABELS, SystemParams
-from .spectra import QuadratureSpectrum, output_spectrum, quadrature_transform, spectral_matrix
+from .spectra import (
+    QuadratureSpectrum,
+    output_spectra,
+    output_spectrum,
+    quadrature_transform,
+    spectral_matrix,
+)
 from .steady_state import Branch, state_for_branch
 
 _PSD_TOLERANCE = -1e-9
@@ -144,24 +150,19 @@ def evaluate_inequality(ineq: VlfInequality, spectrum: QuadratureSpectrum,
 
 
 def _require_physical(v: np.ndarray):
-    min_eig = float(np.min(np.linalg.eigvalsh((v + v.T) / 2.0)))
-    if min_eig < _PSD_TOLERANCE:
+    """Raise PhysicalityError unless every matrix of the stack v is PSD."""
+    min_eig = np.linalg.eigvalsh((v + v.transpose(0, 2, 1)) / 2.0).min(axis=1)
+    failed = min_eig < _PSD_TOLERANCE
+    if failed.any():
         raise PhysicalityError(
             f"output spectrum is not positive semidefinite "
-            f"(min eigenvalue {min_eig:.3e})"
+            f"(min eigenvalue {min_eig[failed.argmax()]:.3e})"
         )
 
 
-def optimize_gains(ineq: VlfInequality, spectrum: QuadratureSpectrum) -> VlfResult:
-    """Minimize the inequality value over its four free gains.
-
-    The Y variance is convex quadratic in the gains, so the optimum solves
-    (E^T V E) g = -E^T V b0 with E the embedding of the free positions.
-    ``lstsq`` provides the minimum-norm solution when the normal matrix is
-    singular to within 1e-12 relative.
-    """
+def _gain_solve(ineq: VlfInequality, spectrum: QuadratureSpectrum) -> VlfResult:
+    # The optimum of optimize_gains on a spectrum already checked physical.
     v = spectrum.v_out
-    _require_physical(v)
     free = 6 + np.array(ineq.free_modes)
     b0 = np.zeros(12)
     b0[6:] = ineq.y_fixed
@@ -178,6 +179,19 @@ def optimize_gains(ineq: VlfInequality, spectrum: QuadratureSpectrum) -> VlfResu
         gains=gains,
         free_modes=ineq.free_modes,
     )
+
+
+def optimize_gains(ineq: VlfInequality, spectrum: QuadratureSpectrum) -> VlfResult:
+    """Minimize the inequality value over its four free gains.
+
+    The Y variance is convex quadratic in the gains, so the optimum solves
+    (E^T V E) g = -E^T V b0 with E the embedding of the free positions.
+    ``lstsq`` provides the minimum-norm solution when the normal matrix is
+    singular to within 1e-12 relative.  The spectrum must be positive
+    semidefinite to within 1e-9.
+    """
+    _require_physical(spectrum.v_out[None])
+    return _gain_solve(ineq, spectrum)
 
 
 def _resolve_inequalities(inequalities):
@@ -214,6 +228,20 @@ def _spectrum_at(model: FluctuationModel, omega_norm: float) -> QuadratureSpectr
     return output_spectrum(v_intra, model.params, omega)
 
 
+def _grid_spectra(model: FluctuationModel, omega_norms) -> list:
+    """Checked output spectra on a grid of omega / gamma_a.
+
+    One stacked evaluation and one physicality check per spectrum; entry k
+    equals ``_spectrum_at(model, omega_norms[k])`` exactly.
+    """
+    gamma_a = model.params.gamma_a
+    omegas = np.asarray(omega_norms, dtype=float) * gamma_a
+    v_out = output_spectra(model, omegas)
+    _require_physical(v_out)
+    return [QuadratureSpectrum(omega=float(w), omega_norm=float(w) / gamma_a, v_out=v)
+            for w, v in zip(omegas, v_out)]
+
+
 def sweep_frequency(
     params: SystemParams,
     branch: Branch | str,
@@ -233,12 +261,8 @@ def sweep_frequency(
         omega_grid = np.geomspace(0.01, 100.0, 400)
     if model is None:
         model = build_branch_model(params, branch, zero_diffusion)
-    results = []
-    for omega_norm in np.asarray(omega_grid, dtype=float):
-        spectrum = _spectrum_at(model, omega_norm)
-        for ineq in ineqs:
-            results.append(optimize_gains(ineq, spectrum))
-    return results
+    return [_gain_solve(ineq, spectrum)
+            for spectrum in _grid_spectra(model, omega_grid) for ineq in ineqs]
 
 
 def _golden_section(f, lo, hi, xtol):
@@ -259,25 +283,42 @@ def _golden_section(f, lo, hi, xtol):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def min_over_frequency(
+def _refine_minimum(model: FluctuationModel, ineq: VlfInequality, grid: np.ndarray,
+                    values: np.ndarray, xtol: float) -> VlfResult:
+    # Golden section on the bracket around the best coarse point, evaluated
+    # one frequency at a time on the single-spectrum path.
+    def value_at(omega_norm):
+        return optimize_gains(ineq, _spectrum_at(model, omega_norm)).value
+
+    best = int(np.argmin(values))
+    left = grid[max(best - 1, 0)]
+    right = grid[min(best + 1, grid.size - 1)]
+    w_ref, v_ref = _golden_section(value_at, float(left), float(right), xtol)
+    w_min = w_ref if v_ref <= values[best] else float(grid[best])
+    return optimize_gains(ineq, _spectrum_at(model, w_min))
+
+
+def min_over_frequencies(
     params: SystemParams,
     branch: Branch | str,
-    inequality,
+    inequalities=None,
     omega_range=(0.01, 100.0),
     coarse_points: int = 64,
     scale: str = "log",
     xtol: float = 1e-6,
     zero_diffusion: bool = False,
     model: FluctuationModel | None = None,
-) -> VlfResult:
-    """Global minimum of one optimized inequality over a frequency window.
+) -> list:
+    """Global minimum of each optimized inequality over a frequency window.
 
-    Scans a coarse grid, then refines the best bracket by golden section to
-    ``xtol`` in omega / gamma_a.  A minimum on the window edge is refined
-    within the outermost cell and can land on the edge itself.
+    Scans one coarse grid shared by all inequalities (all inequalities by
+    default), then refines each inequality's best bracket by golden
+    section to ``xtol`` in omega / gamma_a.  A minimum on the window edge
+    is refined within the outermost cell and can land on the edge itself.
+    Returns one VlfResult per inequality, in the order given; each equals
+    what ``min_over_frequency`` returns for that inequality alone.
     """
-    ineq = (inequality if isinstance(inequality, VlfInequality)
-            else inequality_by_label(inequality))
+    ineqs = _resolve_inequalities(inequalities)
     lo, hi = float(omega_range[0]), float(omega_range[1])
     if not (0.0 < lo < hi):
         raise ParameterError(f"invalid omega_range {omega_range!r}")
@@ -291,14 +332,28 @@ def min_over_frequency(
         grid = np.linspace(lo, hi, coarse_points)
     else:
         raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
+    coarse = _grid_spectra(model, grid)
+    results = []
+    for ineq in ineqs:
+        values = np.array([_gain_solve(ineq, spectrum).value for spectrum in coarse])
+        results.append(_refine_minimum(model, ineq, grid, values, xtol))
+    return results
 
-    def value_at(omega_norm):
-        return optimize_gains(ineq, _spectrum_at(model, omega_norm)).value
 
-    values = np.array([value_at(w) for w in grid])
-    best = int(np.argmin(values))
-    left = grid[max(best - 1, 0)]
-    right = grid[min(best + 1, coarse_points - 1)]
-    w_ref, v_ref = _golden_section(value_at, float(left), float(right), xtol)
-    w_min = w_ref if v_ref <= values[best] else float(grid[best])
-    return optimize_gains(ineq, _spectrum_at(model, w_min))
+def min_over_frequency(
+    params: SystemParams,
+    branch: Branch | str,
+    inequality,
+    omega_range=(0.01, 100.0),
+    coarse_points: int = 64,
+    scale: str = "log",
+    xtol: float = 1e-6,
+    zero_diffusion: bool = False,
+    model: FluctuationModel | None = None,
+) -> VlfResult:
+    """Global minimum of one optimized inequality over a frequency window.
+
+    The one-inequality case of ``min_over_frequencies``.
+    """
+    return min_over_frequencies(params, branch, (inequality,), omega_range, coarse_points,
+                                scale, xtol, zero_diffusion, model)[0]

@@ -1,8 +1,21 @@
+import gzip
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cascaded_fwm import ConfigError
-from cascaded_fwm.cli import figure_config, load_config, main, parse_config
+from cascaded_fwm.cli import (
+    _write_text_atomic,
+    figure_config,
+    load_config,
+    main,
+    parse_config,
+)
+
+# Reference figure CSVs written by bench/capture_reference.py; read only.
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 BASE = """\
 gamma_a = 0.03
@@ -290,3 +303,29 @@ def test_figure_configs_parse():
 def test_missing_config_exit_code(tmp_path, capsys):
     assert main(["thresholds", str(tmp_path / "nope.conf")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("figure", ["fig8", "fig9"])
+def test_pump_sweep_figures_byte_identical(figure, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce", figure]) == 0
+    capsys.readouterr()
+    with gzip.open(REFERENCE_DIR / f"{figure}.csv.gz", "rb") as fh:
+        expected = fh.read()
+    assert (tmp_path / f"{figure}.csv").read_bytes() == expected
+
+
+def test_atomic_write_leaves_foreign_temp_file_alone(tmp_path):
+    out = tmp_path / "out.csv"
+    foreign = tmp_path / "out.csv.tmp"
+    foreign.write_text("another run's partial output")
+    old_umask = os.umask(0o022)
+    try:
+        _write_text_atomic(str(out), "a,b\r\n1,2\n")
+    finally:
+        os.umask(old_umask)
+    assert out.read_bytes() == b"a,b\r\n1,2\n"
+    assert foreign.read_text() == "another run's partial output"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+    if os.name == "posix":
+        assert out.stat().st_mode & 0o777 == 0o644

@@ -5,10 +5,14 @@ from cascaded_fwm import (
     QUADRATURE_LABELS,
     SWAP_PERMUTATION,
     FluctuationModel,
+    NumericalError,
+    ParameterError,
     StabilityError,
     SystemParams,
+    analytic_steady_states,
     build_fluctuation_model,
     integrated_spectrum,
+    output_spectra,
     output_spectrum,
     output_spectrum_at,
     quadrature_basis_matrix,
@@ -17,7 +21,10 @@ from cascaded_fwm import (
     state_for_branch,
     stationary_covariance,
 )
-from helpers import pumped, toy_model
+from helpers import pumped, random_params, toy_model
+
+REGIMES = ("NoThreshold", "BelowThreshold", "BetweenThresholds",
+           "AboveUpperThreshold")
 
 
 def test_scalar_lorentzian():
@@ -162,3 +169,64 @@ def test_integrated_spectrum_zero_diffusion():
     zero = FluctuationModel(params=params, steady_state=model.steady_state,
                             m=model.m, d=np.zeros((12, 12)))
     assert np.max(np.abs(integrated_spectrum(zero))) < 1e-15
+
+
+def test_quadrature_basis_matrix_is_read_only():
+    with pytest.raises(ValueError):
+        quadrature_basis_matrix()[0, 0] = 2.0
+
+
+def test_output_spectra_equal_single_frequency_path():
+    # Every regime and every analytic branch it has: the stacked grid must
+    # reproduce the one-frequency chain bit for bit.
+    rng = np.random.default_rng(2024)
+    branches_seen = set()
+    for regime in REGIMES:
+        params = random_params(rng, regime=regime)
+        for state in analytic_steady_states(params):
+            branches_seen.add(state.branch.value)
+            model = build_fluctuation_model(params, state)
+            omegas = np.geomspace(0.01, 100.0, 64) * params.gamma_a
+            stacked = output_spectra(model, omegas)
+            assert stacked.shape == (64, 12, 12)
+            for omega, v_out in zip(omegas, stacked):
+                assert np.array_equal(v_out, output_spectrum_at(model, omega).v_out)
+    assert branches_seen == {"trivial", "lower", "upper"}
+
+
+def test_output_spectra_chunks_agree_across_boundaries():
+    params = pumped(0.4, 1.2)
+    model = build_fluctuation_model(params, state_for_branch(params, "lower"))
+    omegas = np.geomspace(0.01, 100.0, 150) * params.gamma_a
+    whole = output_spectra(model, omegas)
+    assert np.array_equal(whole[70:], output_spectra(model, omegas[70:]))
+    assert output_spectra(model, omegas[:0]).shape == (0, 12, 12)
+
+
+def test_output_spectra_names_the_ill_conditioned_frequency():
+    # A drift matrix with eigenvalues spread over 14 decades fails the
+    # solve-residual guard at low frequency and passes it at high.
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((12, 12))
+    model = toy_model(a @ np.diag(np.logspace(0, 14, 12)) @ np.linalg.inv(a),
+                      np.eye(12))
+    omegas = [1e18, 1e15, 1e12, 1e9, 1e3, 1.0, 0.0]
+    first_bad = None
+    for k, omega in enumerate(omegas):
+        try:
+            spectral_matrix(model, omega)
+        except NumericalError as exc:
+            first_bad, message = k, str(exc)
+            break
+    assert first_bad is not None and first_bad > 0
+    assert f"omega={omegas[first_bad]!r}" in message
+    with pytest.raises(NumericalError) as stacked:
+        output_spectra(model, omegas)
+    assert str(stacked.value) == message
+
+
+def test_output_spectra_rejects_non_vector_grid():
+    params = pumped(0.4, 1.2)
+    model = build_fluctuation_model(params, state_for_branch(params, "lower"))
+    with pytest.raises(ParameterError, match="1-D"):
+        output_spectra(model, np.ones((2, 2)))

@@ -11,13 +11,15 @@ from cascaded_fwm import (
     VlfInequality,
     build_branch_model,
     class_members,
+    compute_thresholds,
     evaluate_inequality,
     inequality_by_label,
+    min_over_frequencies,
     min_over_frequency,
     optimize_gains,
     sweep_frequency,
 )
-from helpers import pumped
+from helpers import pumped, toy_model
 
 # An independent transcription of the coefficient table, kept separate
 # from the module, so a slip in either place breaks the comparison.
@@ -189,3 +191,51 @@ def test_min_over_frequency_validation():
         min_over_frequency(params, "lower", "s1-i1", coarse_points=2)
     with pytest.raises(ParameterError, match="scale"):
         min_over_frequency(params, "lower", "s1-i1", scale="sqrt")
+
+
+def test_unphysical_stack_rejected():
+    # Negative diffusion drives the X block of every output spectrum far
+    # below zero; the stacked sweeps must refuse it like optimize_gains.
+    bad = toy_model(0.03 * np.eye(12), -10.0 * np.eye(12))
+    with pytest.raises(PhysicalityError, match="positive semidefinite"):
+        sweep_frequency(bad.params, "trivial", omega_grid=[0.5, 2.0], model=bad)
+    with pytest.raises(PhysicalityError, match="positive semidefinite"):
+        min_over_frequencies(bad.params, "trivial", model=bad)
+
+
+def test_sweep_matches_single_frequency_chain():
+    params = pumped(0.4, 2.2, reference="eps_th_prime")
+    grid = np.geomspace(0.01, 100.0, 16)
+    for branch in ("lower", "upper"):
+        model = build_branch_model(params, branch)
+        results = sweep_frequency(params, branch, omega_grid=grid, model=model)
+        expected = [optimize_gains(ineq, _spectrum_for(model, w))
+                    for w in grid for ineq in INEQUALITIES]
+        for res, ref in zip(results, expected, strict=True):
+            assert (res.label, res.omega, res.omega_norm, res.value) == \
+                (ref.label, ref.omega, ref.omega_norm, ref.value)
+            assert np.array_equal(res.gains, ref.gains)
+
+
+@pytest.mark.parametrize("figure", ["fig8", "fig9"])
+def test_shared_scan_matches_per_inequality_minimum(figure):
+    from cascaded_fwm.cli import figure_config
+
+    config = figure_config(figure)
+    labels = ["s1-i1", "p1+s1", "i2-p1"]
+    th = compute_thresholds(config.params)
+    reference = th.eps_th if config.epsilon_mode == "rel_eps_th" else th.eps_th_prime
+    for ratio in np.geomspace(1.05, config.epsilon_ratio, 21)[[0, 10, 20]]:
+        system = config.params.with_epsilon(float(ratio) * reference)
+        shared = min_over_frequencies(system, config.branch, labels)
+        for label, res in zip(labels, shared, strict=True):
+            alone = min_over_frequency(system, config.branch, label)
+            assert (res.label, res.omega, res.omega_norm, res.value) == \
+                (alone.label, alone.omega, alone.omega_norm, alone.value)
+            assert np.array_equal(res.gains, alone.gains)
+
+
+def test_min_over_frequencies_defaults_to_every_inequality():
+    params = pumped(0.4, 1.2)
+    results = min_over_frequencies(params, "lower", coarse_points=8, xtol=1e-3)
+    assert [res.label for res in results] == list(EXPECTED)
