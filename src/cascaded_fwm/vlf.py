@@ -22,6 +22,7 @@ singular.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,7 @@ import numpy as np
 from .errors import ParameterError, PhysicalityError
 from .linearization import FluctuationModel, build_fluctuation_model
 from .params import MODE_LABELS, SystemParams
-from .spectra import (
-    QuadratureSpectrum,
-    output_spectra,
-    output_spectrum,
-    quadrature_transform,
-    spectral_matrix,
-)
+from .spectra import QuadratureSpectrum, output_spectra
 from .steady_state import Branch, state_for_branch
 
 _PSD_TOLERANCE = -1e-9
@@ -122,13 +117,30 @@ class VlfResult:
         return self.value < 4.0
 
 
-def _stacked_vectors(ineq: VlfInequality, gains: np.ndarray):
-    a = np.zeros(12)
-    a[:6] = ineq.x_coeffs
-    b = np.zeros(12)
-    b[6:] = ineq.y_fixed
-    b[6 + np.array(ineq.free_modes)] = gains
-    return a, b
+class _GainProblem:
+    """One inequality with the constant vectors of its gain problem.
+
+    ``free`` indexes the free Y gains in the stacked 12-vector, ``a`` is
+    the X combination and ``b0`` the Y combination with every gain zero.
+    Built once per inequality and call, then used for every spectrum.
+    """
+
+    __slots__ = ("ineq", "free", "block", "a", "b0")
+
+    def __init__(self, ineq: VlfInequality):
+        self.ineq = ineq
+        self.free = 6 + np.array(ineq.free_modes)
+        self.block = np.ix_(self.free, self.free)
+        self.a = np.zeros(12)
+        self.a[:6] = ineq.x_coeffs
+        self.b0 = np.zeros(12)
+        self.b0[6:] = ineq.y_fixed
+
+    def value(self, v: np.ndarray, gains: np.ndarray) -> float:
+        """V(a . q) + V(b . q), with the gains in the free slots of b0."""
+        b = self.b0.copy()
+        b[self.free] = gains
+        return float(self.a @ v @ self.a + b @ v @ b)
 
 
 def evaluate_inequality(ineq: VlfInequality, spectrum: QuadratureSpectrum,
@@ -144,9 +156,7 @@ def evaluate_inequality(ineq: VlfInequality, spectrum: QuadratureSpectrum,
         raise ParameterError(
             f"{ineq.label}: expected {len(ineq.free_modes)} gains, got {gains.shape}"
         )
-    v = spectrum.v_out
-    a, b = _stacked_vectors(ineq, gains)
-    return float(a @ v @ a + b @ v @ b)
+    return _GainProblem(ineq).value(spectrum.v_out, gains)
 
 
 def _require_physical(v: np.ndarray):
@@ -160,22 +170,18 @@ def _require_physical(v: np.ndarray):
         )
 
 
-def _gain_solve(ineq: VlfInequality, spectrum: QuadratureSpectrum) -> VlfResult:
+def _gain_solve(problem: _GainProblem, spectrum: QuadratureSpectrum) -> VlfResult:
     # The optimum of optimize_gains on a spectrum already checked physical.
     v = spectrum.v_out
-    free = 6 + np.array(ineq.free_modes)
-    b0 = np.zeros(12)
-    b0[6:] = ineq.y_fixed
-    normal = v[np.ix_(free, free)]
-    rhs = -(v @ b0)[free]
-    gains, *_ = np.linalg.lstsq(normal, rhs, rcond=_SINGULAR_RCOND)
-    value = evaluate_inequality(ineq, spectrum, gains)
+    rhs = -(v @ problem.b0)[problem.free]
+    gains = np.linalg.lstsq(v[problem.block], rhs, rcond=_SINGULAR_RCOND)[0]
+    ineq = problem.ineq
     return VlfResult(
         label=ineq.label,
         symmetry_class=ineq.symmetry_class,
         omega=spectrum.omega,
         omega_norm=spectrum.omega_norm,
-        value=value,
+        value=problem.value(v, gains),
         gains=gains,
         free_modes=ineq.free_modes,
     )
@@ -191,7 +197,7 @@ def optimize_gains(ineq: VlfInequality, spectrum: QuadratureSpectrum) -> VlfResu
     semidefinite to within 1e-9.
     """
     _require_physical(spectrum.v_out[None])
-    return _gain_solve(ineq, spectrum)
+    return _gain_solve(_GainProblem(ineq), spectrum)
 
 
 def _resolve_inequalities(inequalities):
@@ -222,17 +228,11 @@ def build_branch_model(params: SystemParams, branch: Branch | str,
     return model
 
 
-def _spectrum_at(model: FluctuationModel, omega_norm: float) -> QuadratureSpectrum:
-    omega = omega_norm * model.params.gamma_a
-    v_intra = quadrature_transform(spectral_matrix(model, omega))
-    return output_spectrum(v_intra, model.params, omega)
-
-
 def _grid_spectra(model: FluctuationModel, omega_norms) -> list:
     """Checked output spectra on a grid of omega / gamma_a.
 
     One stacked evaluation and one physicality check per spectrum; entry k
-    equals ``_spectrum_at(model, omega_norms[k])`` exactly.
+    equals ``output_spectrum_at(model, omega_norms[k] * gamma_a)`` exactly.
     """
     gamma_a = model.params.gamma_a
     omegas = np.asarray(omega_norms, dtype=float) * gamma_a
@@ -256,46 +256,72 @@ def sweep_frequency(
     declaration order of INEQUALITIES.  ``omega_grid`` defaults to 400
     logarithmic points on [0.01, 100].
     """
-    ineqs = _resolve_inequalities(inequalities)
+    problems = [_GainProblem(ineq) for ineq in _resolve_inequalities(inequalities)]
     if omega_grid is None:
         omega_grid = np.geomspace(0.01, 100.0, 400)
     if model is None:
         model = build_branch_model(params, branch, zero_diffusion)
-    return [_gain_solve(ineq, spectrum)
-            for spectrum in _grid_spectra(model, omega_grid) for ineq in ineqs]
+    return [_gain_solve(problem, spectrum)
+            for spectrum in _grid_spectra(model, omega_grid) for problem in problems]
 
 
-def _golden_section(f, lo, hi, xtol):
-    # Standard golden-section descent; one function evaluation per step.
+def _golden_section(lo, hi, xtol):
+    """Golden-section descent on [lo, hi] as a generator.
+
+    Yields each abscissa, receives the function value there, and returns
+    ``(x, f)`` at the better of the two interior points.  The search ends
+    once the bracket is within ``xtol`` or stops shrinking, which it does
+    when it is a few ulps wide.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while (hi - lo) > xtol:
+    fc = yield c
+    fd = yield d
+    width = math.inf
+    while xtol < hi - lo < width:
+        width = hi - lo
         if fc <= fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
-            fc = f(c)
+            fc = yield c
         else:
             lo, c, fc = c, d, fd
             d = lo + invphi * (hi - lo)
-            fd = f(d)
+            fd = yield d
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _refine_minimum(model: FluctuationModel, ineq: VlfInequality, grid: np.ndarray,
-                    values: np.ndarray, xtol: float) -> VlfResult:
-    # Golden section on the bracket around the best coarse point, evaluated
-    # one frequency at a time on the single-spectrum path.
-    def value_at(omega_norm):
-        return optimize_gains(ineq, _spectrum_at(model, omega_norm)).value
+def _refine_minima(model: FluctuationModel, problems: list, grid: np.ndarray,
+                   coarse: list, xtol: float) -> list:
+    """Golden-section refine of every inequality's best coarse bracket.
 
-    best = int(np.argmin(values))
-    left = grid[max(best - 1, 0)]
-    right = grid[min(best + 1, grid.size - 1)]
-    w_ref, v_ref = _golden_section(value_at, float(left), float(right), xtol)
-    w_min = w_ref if v_ref <= values[best] else float(grid[best])
-    return optimize_gains(ineq, _spectrum_at(model, w_min))
+    ``coarse[k]`` holds the VlfResults of ``problems[k]`` on ``grid``.  The
+    searches run in lockstep: each step evaluates the pending abscissa of
+    every running search with one stacked spectral call, so every search
+    sees exactly the values it would see alone.  Each returns the result
+    already computed at its winning point.
+    """
+    minima, running = [], []
+    for k, results in enumerate(coarse):
+        best = int(np.argmin([res.value for res in results]))
+        minima.append(results[best])
+        search = _golden_section(float(grid[max(best - 1, 0)]),
+                                 float(grid[min(best + 1, grid.size - 1)]), xtol)
+        running.append((k, search, next(search), {}))
+    while running:
+        spectra = _grid_spectra(model, [omega_norm for _, _, omega_norm, _ in running])
+        still_running = []
+        for (k, search, omega_norm, seen), spectrum in zip(running, spectra):
+            seen[omega_norm] = res = _gain_solve(problems[k], spectrum)
+            try:
+                still_running.append((k, search, search.send(res.value), seen))
+            except StopIteration as stop:
+                w_ref, v_ref = stop.value
+                if v_ref <= minima[k].value:
+                    minima[k] = seen[w_ref]
+        running = still_running
+    return minima
 
 
 def min_over_frequencies(
@@ -313,17 +339,21 @@ def min_over_frequencies(
 
     Scans one coarse grid shared by all inequalities (all inequalities by
     default), then refines each inequality's best bracket by golden
-    section to ``xtol`` in omega / gamma_a.  A minimum on the window edge
+    section to ``xtol`` in omega / gamma_a, all brackets in lockstep with
+    one stacked spectral evaluation per step.  A minimum on the window edge
     is refined within the outermost cell and can land on the edge itself.
     Returns one VlfResult per inequality, in the order given; each equals
     what ``min_over_frequency`` returns for that inequality alone.
     """
-    ineqs = _resolve_inequalities(inequalities)
+    problems = [_GainProblem(ineq) for ineq in _resolve_inequalities(inequalities)]
     lo, hi = float(omega_range[0]), float(omega_range[1])
     if not (0.0 < lo < hi):
         raise ParameterError(f"invalid omega_range {omega_range!r}")
-    if coarse_points < 3:
-        raise ParameterError("coarse_points must be at least 3")
+    if not isinstance(coarse_points, numbers.Integral) or coarse_points < 3:
+        raise ParameterError(
+            f"coarse_points must be an integer of at least 3, got {coarse_points!r}")
+    if not (math.isfinite(xtol) and xtol > 0.0):
+        raise ParameterError(f"xtol must be finite and > 0, got {xtol!r}")
     if model is None:
         model = build_branch_model(params, branch, zero_diffusion)
     if scale == "log":
@@ -332,12 +362,10 @@ def min_over_frequencies(
         grid = np.linspace(lo, hi, coarse_points)
     else:
         raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
-    coarse = _grid_spectra(model, grid)
-    results = []
-    for ineq in ineqs:
-        values = np.array([_gain_solve(ineq, spectrum).value for spectrum in coarse])
-        results.append(_refine_minimum(model, ineq, grid, values, xtol))
-    return results
+    spectra = _grid_spectra(model, grid)
+    coarse = [[_gain_solve(problem, spectrum) for spectrum in spectra]
+              for problem in problems]
+    return _refine_minima(model, problems, grid, coarse, xtol)
 
 
 def min_over_frequency(

@@ -5,9 +5,11 @@ threshold-coincidence manifold (k1 = 2 k2, equal dampings), k2 = 0.4 gives
 the split thresholds with eps_th_prime = 2 eps_th.
 """
 
+import math
+
 import numpy as np
 
-from cascaded_fwm import SystemParams, compute_thresholds
+from cascaded_fwm import SystemParams, compute_thresholds, optimize_gains, output_spectrum_at
 
 GAMMA = 0.03
 
@@ -59,3 +61,50 @@ def toy_model(m, d, k2=0.4):
     return FluctuationModel(params=params, steady_state=ss,
                             m=np.asarray(m, dtype=float),
                             d=np.asarray(d, dtype=float))
+
+
+def spectrum_at(model, omega_norm):
+    """Checked output spectrum at omega / gamma_a on the single-point chain."""
+    return output_spectrum_at(model, omega_norm * model.params.gamma_a)
+
+
+def golden_section(f, lo, hi, xtol):
+    """Callback golden-section descent; one function evaluation per step."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while (hi - lo) > xtol:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def sequential_minimum(model, ineq, grid, xtol=1e-6):
+    """Reference for min_over_frequencies: one witness, one point at a time.
+
+    Scans ``grid`` (omega / gamma_a), refines the bracket around the best
+    coarse point by golden section, and optimizes the gains again at the
+    winner, every evaluation on the single-point chain.  Returns the
+    VlfResult and the number of golden-section evaluations.
+    """
+    evaluations = []
+
+    def value_at(omega_norm):
+        evaluations.append(omega_norm)
+        return optimize_gains(ineq, spectrum_at(model, omega_norm)).value
+
+    grid = np.asarray(grid, dtype=float)
+    values = np.array([optimize_gains(ineq, spectrum_at(model, w)).value for w in grid])
+    best = int(np.argmin(values))
+    left = grid[max(best - 1, 0)]
+    right = grid[min(best + 1, grid.size - 1)]
+    w_ref, v_ref = golden_section(value_at, float(left), float(right), xtol)
+    w_min = w_ref if v_ref <= values[best] else float(grid[best])
+    return optimize_gains(ineq, spectrum_at(model, w_min)), len(evaluations)

@@ -36,8 +36,8 @@ from cascaded_fwm import (
     sweep_frequency,
 )
 from cascaded_fwm.cli import main
-from cascaded_fwm.vlf import _spectrum_at, build_branch_model
-from helpers import make_params, pumped, random_params
+from cascaded_fwm.vlf import build_branch_model
+from helpers import make_params, pumped, random_params, spectrum_at
 from test_linearization import finite_difference_drift_matrix
 
 
@@ -193,7 +193,7 @@ def test_criterion_09_shot_noise_limit(capsys):
     for k2, ratio in ((0.5, 1.5), (0.4, 1.2)):
         params = pumped(k2, ratio)
         model = build_branch_model(params, "lower")
-        spectrum = _spectrum_at(model, 1e3)
+        spectrum = spectrum_at(model, 1e3)
         for ineq in INEQUALITIES:
             value = optimize_gains(ineq, spectrum).value
             worst = max(worst, abs(value - 4.0))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cascaded_fwm import (
     PhysicalityError,
     QuadratureSpectrum,
     VlfInequality,
+    analytic_steady_states,
     build_branch_model,
     class_members,
     compute_thresholds,
@@ -19,7 +22,15 @@ from cascaded_fwm import (
     optimize_gains,
     sweep_frequency,
 )
-from helpers import pumped, toy_model
+from cascaded_fwm.vlf import _gain_solve, _GainProblem, _golden_section
+from helpers import (
+    golden_section,
+    pumped,
+    random_params,
+    sequential_minimum,
+    spectrum_at,
+    toy_model,
+)
 
 # An independent transcription of the coefficient table, kept separate
 # from the module, so a slip in either place breaks the comparison.
@@ -95,21 +106,23 @@ def test_shot_noise_saturates_the_bound():
         assert np.max(np.abs(result.gains)) == 0.0
 
 
+def test_list_coefficients_accepted():
+    ineq = VlfInequality("s1-i1", "A", [0, 0, -1, 1, 0, 0], [0, 0, 1, 1, 0, 0],
+                         [0, 1, 4, 5])
+    assert evaluate_inequality(ineq, identity_spectrum(), np.zeros(4)) == 4.0
+    assert optimize_gains(ineq, identity_spectrum()).value == 4.0
+
+
 def test_gain_count_checked():
     with pytest.raises(ParameterError, match="expected 4 gains"):
         evaluate_inequality(INEQUALITIES[0], identity_spectrum(), np.zeros(3))
-
-
-def _spectrum_for(model, omega_norm):
-    from cascaded_fwm.vlf import _spectrum_at
-    return _spectrum_at(model, omega_norm)
 
 
 def test_optimized_gains_are_a_minimum():
     params = pumped(0.5, 1.5)
     model = build_branch_model(params, "lower")
     for omega_norm in (0.03, 0.4, 3.0):
-        spectrum = _spectrum_for(model, omega_norm)
+        spectrum = spectrum_at(model, omega_norm)
         for ineq in INEQUALITIES:
             res = optimize_gains(ineq, spectrum)
             for k in range(4):
@@ -124,7 +137,7 @@ def test_optimization_never_hurts():
     params = pumped(0.4, 1.2)
     model = build_branch_model(params, "lower")
     for omega_norm in (0.05, 1.0, 20.0):
-        spectrum = _spectrum_for(model, omega_norm)
+        spectrum = spectrum_at(model, omega_norm)
         for ineq in INEQUALITIES:
             zero_gain = evaluate_inequality(ineq, spectrum, np.zeros(4))
             assert optimize_gains(ineq, spectrum).value <= zero_gain + 1e-12
@@ -189,6 +202,8 @@ def test_min_over_frequency_validation():
         min_over_frequency(params, "lower", "s1-i1", omega_range=(1.0, 0.5))
     with pytest.raises(ParameterError, match="coarse_points"):
         min_over_frequency(params, "lower", "s1-i1", coarse_points=2)
+    with pytest.raises(ParameterError, match="coarse_points"):
+        min_over_frequency(params, "lower", "s1-i1", coarse_points=64.0)
     with pytest.raises(ParameterError, match="scale"):
         min_over_frequency(params, "lower", "s1-i1", scale="sqrt")
 
@@ -209,7 +224,7 @@ def test_sweep_matches_single_frequency_chain():
     for branch in ("lower", "upper"):
         model = build_branch_model(params, branch)
         results = sweep_frequency(params, branch, omega_grid=grid, model=model)
-        expected = [optimize_gains(ineq, _spectrum_for(model, w))
+        expected = [optimize_gains(ineq, spectrum_at(model, w))
                     for w in grid for ineq in INEQUALITIES]
         for res, ref in zip(results, expected, strict=True):
             assert (res.label, res.omega, res.omega_norm, res.value) == \
@@ -239,3 +254,129 @@ def test_min_over_frequencies_defaults_to_every_inequality():
     params = pumped(0.4, 1.2)
     results = min_over_frequencies(params, "lower", coarse_points=8, xtol=1e-3)
     assert [res.label for res in results] == list(EXPECTED)
+
+
+def test_xtol_must_be_finite_and_positive():
+    params = pumped(0.4, 1.2)
+    # nan and inf first: without the check they skip the refine and fail
+    # this test at once, where -1.0 and 0.0 would never return.
+    for xtol in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ParameterError, match="xtol"):
+            min_over_frequency(params, "lower", "s1-i1", xtol=xtol)
+
+
+def run_search(search, f, max_steps):
+    """Drive a golden-section generator; return (x, f(x), abscissae)."""
+    abscissae = [next(search)]
+    for _ in range(max_steps):
+        try:
+            abscissae.append(search.send(f(abscissae[-1])))
+        except StopIteration as stop:
+            return (*stop.value, abscissae)
+    raise AssertionError(f"golden section still running after {max_steps} steps")
+
+
+def test_golden_section_stops_when_the_bracket_stops_shrinking():
+    # 1e-17 is below one ulp of the bracket ends: the bracket can never
+    # get that narrow, so only the shrink test can end the search.
+    x, fx, abscissae = run_search(_golden_section(0.2, 0.4, 1e-17),
+                                  lambda w: (w - 0.3) ** 2, max_steps=1000)
+    assert 0.2 <= x <= 0.4 and abs(x - 0.3) < 1e-15
+    assert fx == (x - 0.3) ** 2
+    assert len(abscissae) < 200
+
+
+def test_golden_section_generator_keeps_the_callback_sequence():
+    def f(w):
+        return math.cos(3.0 * w) + 0.1 * w
+
+    for lo, hi, xtol in ((0.2, 0.4, 1e-6), (0.01, 100.0, 1e-6), (1.0, 2.0, 1e-3)):
+        calls = []
+        expected = golden_section(lambda w: calls.append(w) or f(w), lo, hi, xtol)
+        x, fx, abscissae = run_search(_golden_section(lo, hi, xtol), f, max_steps=1000)
+        assert abscissae == calls
+        assert (x, fx) == expected
+
+
+def test_gain_solve_value_is_evaluate_inequality_at_its_gains():
+    params = pumped(0.4, 2.2, reference="eps_th_prime")
+    for branch in ("lower", "upper"):
+        model = build_branch_model(params, branch)
+        for omega_norm in (0.01, 0.3, 7.0, 100.0):
+            spectrum = spectrum_at(model, omega_norm)
+            for ineq in INEQUALITIES:
+                res = _gain_solve(_GainProblem(ineq), spectrum)
+                assert res.value == evaluate_inequality(ineq, spectrum, res.gains)
+
+
+def assert_matches_sequential(model, omega_range=(0.01, 100.0), coarse_points=64,
+                              scale="log", xtol=1e-6):
+    """min_over_frequencies equals the one-witness sequential reference.
+
+    Returns the reference's golden-section evaluation count per witness.
+    """
+    lo, hi = omega_range
+    grid = (np.geomspace if scale == "log" else np.linspace)(lo, hi, coarse_points)
+    results = min_over_frequencies(model.params, None, omega_range=omega_range,
+                                   coarse_points=coarse_points, scale=scale,
+                                   xtol=xtol, model=model)
+    counts = []
+    for ineq, res in zip(INEQUALITIES, results, strict=True):
+        ref, count = sequential_minimum(model, ineq, grid, xtol)
+        assert (res.label, res.omega, res.omega_norm, res.value) == \
+            (ref.label, ref.omega, ref.omega_norm, ref.value)
+        assert np.array_equal(res.gains, ref.gains)
+        counts.append(count)
+    return counts
+
+
+@pytest.mark.parametrize("figure", ["fig8", "fig9"])
+def test_lockstep_refine_matches_sequential_reference_on_pump_sweeps(figure):
+    from cascaded_fwm.cli import figure_config
+
+    config = figure_config(figure)
+    th = compute_thresholds(config.params)
+    reference = th.eps_th if config.epsilon_mode == "rel_eps_th" else th.eps_th_prime
+    for ratio in np.geomspace(1.05, config.epsilon_ratio, 21)[[0, 10, 20]]:
+        system = config.params.with_epsilon(float(ratio) * reference)
+        assert_matches_sequential(build_branch_model(system, config.branch))
+
+
+def test_lockstep_refine_matches_sequential_reference_in_every_regime():
+    rng = np.random.default_rng(7)
+    branches_seen = set()
+    for regime in ("NoThreshold", "BelowThreshold", "BetweenThresholds",
+                   "AboveUpperThreshold"):
+        params = random_params(rng, regime=regime)
+        for state in analytic_steady_states(params):
+            branches_seen.add(state.branch.value)
+            assert_matches_sequential(build_branch_model(params, state.branch),
+                                      coarse_points=16)
+    assert branches_seen == {"trivial", "lower", "upper"}
+
+
+def test_lockstep_refine_matches_sequential_reference_on_a_linear_grid():
+    model = build_branch_model(pumped(0.4, 1.2), "lower")
+    assert_matches_sequential(model, omega_range=(0.05, 20.0), coarse_points=24,
+                              scale="linear")
+
+
+def test_lockstep_refine_matches_sequential_reference_at_a_window_edge():
+    # Above 5 gamma_a the witnesses of this point only rise with omega, so
+    # every minimum sits in the outermost cell at the left edge.
+    model = build_branch_model(pumped(0.4, 1.2), "lower")
+    grid = np.geomspace(5.0, 100.0, 12)
+    for ineq in INEQUALITIES:
+        values = [res.value for res in
+                  sweep_frequency(model.params, None, (ineq,), grid, model=model)]
+        assert int(np.argmin(values)) == 0
+    assert_matches_sequential(model, omega_range=(5.0, 100.0), coarse_points=12)
+
+
+def test_lockstep_refine_with_searches_of_different_lengths():
+    # On a log grid a bracket is as wide as its cells, so a minimum at 0.01
+    # converges in fewer steps than one near 2 gamma_a and its search drops
+    # out of the lockstep first.
+    model = build_branch_model(pumped(0.4, 1.2), "lower")
+    counts = assert_matches_sequential(model)
+    assert len(set(counts)) > 1
