@@ -113,17 +113,8 @@ class RunConfig:
         return np.linspace(self.omega_min, self.omega_max, self.omega_points)
 
 
-class _Entries:
-    """Raw key=value pairs with their line numbers, consumed one by one."""
-
-    def __init__(self, pairs: dict):
-        self._pairs = pairs
-
-    def take(self, key: str):
-        return self._pairs.pop(key, None)
-
-
 def _parse_lines(text: str) -> dict:
+    """Raw key=value pairs as {key: (line number, value)}."""
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -145,8 +136,8 @@ def _parse_lines(text: str) -> dict:
     return pairs
 
 
-def _require(entries: _Entries, key: str):
-    entry = entries.take(key)
+def _require(entries: dict, key: str):
+    entry = entries.pop(key, None)
     if entry is None:
         raise ConfigError(f"missing required key {key!r}")
     return entry
@@ -195,7 +186,7 @@ def parse_config(text: str) -> RunConfig:
     defaults (branch=auto, log grid 0.01-100 with 400 points, all
     inequalities, seed 12345).
     """
-    entries = _Entries(_parse_lines(text))
+    entries = _parse_lines(text)
 
     rates = {key: _as_positive_float(key, _require(entries, key))
              for key in ("gamma_a", "gamma_b", "gamma_c", "k1", "k2", "k3")}
@@ -207,8 +198,8 @@ def parse_config(text: str) -> RunConfig:
     params = SystemParams(**rates)
 
     mode = _as_choice("epsilon_mode", _require(entries, "epsilon_mode"), _EPSILON_MODES)
-    ratio_entry = entries.take("epsilon_ratio")
-    abs_entry = entries.take("epsilon_abs")
+    ratio_entry = entries.pop("epsilon_ratio", None)
+    abs_entry = entries.pop("epsilon_abs", None)
     if mode == "absolute":
         if abs_entry is None:
             raise ConfigError("epsilon_mode=absolute requires epsilon_abs")
@@ -230,18 +221,18 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {ratio_entry[0]}: epsilon_ratio must be >= 0")
         epsilon_abs = None
 
-    branch_entry = entries.take("branch")
+    branch_entry = entries.pop("branch", None)
     branch = ("auto" if branch_entry is None
               else _as_choice("branch", branch_entry, _BRANCH_CHOICES))
 
-    scale_entry = entries.take("omega_scale")
+    scale_entry = entries.pop("omega_scale", None)
     omega_scale = ("log" if scale_entry is None
                    else _as_choice("omega_scale", scale_entry, _SCALE_CHOICES))
-    min_entry = entries.take("omega_min")
+    min_entry = entries.pop("omega_min", None)
     omega_min = 0.01 if min_entry is None else _as_float("omega_min", min_entry)
-    max_entry = entries.take("omega_max")
+    max_entry = entries.pop("omega_max", None)
     omega_max = 100.0 if max_entry is None else _as_float("omega_max", max_entry)
-    pts_entry = entries.take("omega_points")
+    pts_entry = entries.pop("omega_points", None)
     omega_points = 400 if pts_entry is None else _as_int("omega_points", pts_entry)
     if omega_points < 2:
         raise ConfigError(f"line {pts_entry[0]}: omega_points must be >= 2")
@@ -253,7 +244,7 @@ def parse_config(text: str) -> RunConfig:
     if not omega_min < omega_max:
         raise ConfigError("omega_min must be smaller than omega_max")
 
-    ineq_entry = entries.take("inequalities")
+    ineq_entry = entries.pop("inequalities", None)
     if ineq_entry is None or ineq_entry[1] == "all":
         inequalities = tuple(i.label for i in INEQUALITIES)
     else:
@@ -270,12 +261,12 @@ def parse_config(text: str) -> RunConfig:
             labels.append(label)
         inequalities = tuple(labels)
 
-    seed_entry = entries.take("seed")
+    seed_entry = entries.pop("seed", None)
     seed = 12345 if seed_entry is None else _as_int("seed", seed_entry)
     if seed < 0:
         raise ConfigError(f"line {seed_entry[0]}: seed must be >= 0")
 
-    out_entry = entries.take("out")
+    out_entry = entries.pop("out", None)
     out = out_entry[1] if out_entry else None
 
     return RunConfig(

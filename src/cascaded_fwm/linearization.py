@@ -12,16 +12,13 @@ conjugation block structure
 
     M = [[m1, m2], [m2*, m1*]],    D = [[d, 0], [0, d*]].
 
-``build_drift_matrix`` differentiates the drift analytically; it also
-rebuilds the textbook symmetric-working-point expressions for m1 and m2 and
-logs any entry where the two disagree (the Jacobian wins).  ``d`` comes
+``build_drift_matrix`` differentiates the drift analytically.  ``d`` comes
 straight from the second-derivative terms of the Fokker-Planck equation;
 it is symmetric but in general indefinite, which is why B may be complex.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +27,6 @@ from scipy.linalg import solve_continuous_lyapunov
 from .errors import NumericalError, StabilityError, StaleSteadyStateError
 from .params import Mode, SystemParams
 from .steady_state import SteadyState, drift
-
-logger = logging.getLogger(__name__)
 
 P2, P1, I1, S1, I2, S2 = (int(m) for m in Mode)
 
@@ -125,38 +120,6 @@ def jacobian_blocks(params: SystemParams, alpha: np.ndarray):
     return m1, m2
 
 
-def reference_drift_blocks(params: SystemParams, ss: SteadyState):
-    """m1, m2 re-derived independently for a symmetric working point.
-
-    Assumes real amplitudes with A_p1 = A_p2 = A_a, A_i1 = A_s1 = A_b,
-    A_i2 = A_s2 = A_c and k2 = k3.  Used only to cross-check the general
-    Jacobian, never as the primary construction.
-    """
-    aa, ab, ac = ss.a_a, ss.a_b, ss.a_c
-    ga, gb, gc = params.gamma_a, params.gamma_b, params.gamma_c
-    k1, k2 = params.k1, params.k2
-    kab = k1 * aa * ab
-    kac = k2 * aa * ac
-    kcb = k2 * aa * ab
-    m1 = np.array([
-        [ga, 0.0, kab, kab - kac, kcb, 0.0],
-        [0.0, ga, kab - kac, kab, 0.0, kcb],
-        [-kab, -kab + kac, gb, 0.0, k2 * aa**2, 0.0],
-        [-kab + kac, -kab, 0.0, gb, 0.0, k2 * aa**2],
-        [-kcb, 0.0, -k2 * aa**2, 0.0, gc, 0.0],
-        [0.0, -kcb, 0.0, -k2 * aa**2, 0.0, gc],
-    ])
-    m2 = np.array([
-        [0.0, k1 * ab**2, kac, 0.0, 0.0, -kcb],
-        [k1 * ab**2, 0.0, 0.0, kac, -kcb, 0.0],
-        [kac, 0.0, 0.0, -k1 * aa**2, 0.0, 0.0],
-        [0.0, kac, -k1 * aa**2, 0.0, 0.0, 0.0],
-        [0.0, -kcb, 0.0, 0.0, 0.0, 0.0],
-        [-kcb, 0.0, 0.0, 0.0, 0.0, 0.0],
-    ])
-    return m1, m2
-
-
 def _require_stationary(params: SystemParams, ss: SteadyState):
     residual = float(np.max(np.abs(drift(params, ss.alpha()))))
     if residual > _STALE_RESIDUAL:
@@ -170,22 +133,11 @@ def _require_stationary(params: SystemParams, ss: SteadyState):
 def build_drift_matrix(params: SystemParams, ss: SteadyState) -> np.ndarray:
     """12x12 fluctuation drift matrix M at a stationary point.
 
-    Derived from the analytic Jacobian of the drift; the independent
-    symmetric-point expressions are recomputed alongside and any
-    disagreement is logged (the Jacobian governs).  Real at real
+    Derived from the analytic Jacobian of the drift.  Real at real
     amplitudes, returned as float64 then.
     """
     _require_stationary(params, ss)
     m1, m2 = jacobian_blocks(params, ss.alpha())
-
-    ref1, ref2 = reference_drift_blocks(params, ss)
-    scale = 1.0 + max(np.max(np.abs(m1)), np.max(np.abs(m2)))
-    dev = max(np.max(np.abs(m1 - ref1)), np.max(np.abs(m2 - ref2)))
-    if dev > 1e-12 * scale:
-        logger.warning(
-            "reference drift blocks disagree with the Jacobian by %.3e "
-            "(max entry); using the Jacobian", dev,
-        )
 
     m = np.block([[m1, m2], [np.conj(m2), np.conj(m1)]])
     if np.max(np.abs(m.imag)) == 0.0:

@@ -24,10 +24,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ParameterError, StabilityError, StepSizeError
-from .linearization import FluctuationModel, stability
+from .linearization import FluctuationModel, StabilityReport, stability
 
 _FACTOR_BUDGET = 1e-10
 _STEP_LIMIT = 0.1  # dt * max|eig(M)| must stay below this
+_CHUNK = 256  # steps per block of normals drawn from each path's stream
 
 
 def takagi(matrix: np.ndarray, rtol: float = 1e-12):
@@ -109,7 +110,21 @@ class TrajectoryEnsemble:
     count: int
 
 
-def _check_step(model: FluctuationModel, dt: float) -> None:
+def _default_step(report: StabilityReport) -> float:
+    return 0.01 / float(np.max(np.abs(report.eigenvalues.real)))
+
+
+def default_step(model: FluctuationModel) -> float:
+    """Default Euler-Maruyama step, 0.01 / max|Re eig(M)|."""
+    return _default_step(stability(model.m))
+
+
+def _checked_step(model: FluctuationModel, dt: float | None):
+    """The one stability report of a simulation and its checked step.
+
+    Requires a decisively decaying drift and dt * max|eig(M)| < 0.1;
+    ``dt=None`` takes the default step.
+    """
     report = stability(model.m)
     if not report.stable or report.indeterminate:
         raise StabilityError(
@@ -117,22 +132,43 @@ def _check_step(model: FluctuationModel, dt: float) -> None:
             f"(margin {report.margin:.3e})",
             margin=report.margin,
         )
+    if dt is None:
+        dt = _default_step(report)
     fastest = float(np.max(np.abs(report.eigenvalues)))
     if dt <= 0.0 or dt * fastest >= _STEP_LIMIT:
         raise StepSizeError(
             f"dt = {dt!r} too large: need dt * max|eig(M)| < {_STEP_LIMIT} "
             f"(max|eig| = {fastest:.3e})"
         )
-
-
-def default_step(model: FluctuationModel) -> float:
-    """Default Euler-Maruyama step, 0.01 / max|Re eig(M)|."""
-    report = stability(model.m)
-    return 0.01 / float(np.max(np.abs(report.eigenvalues.real)))
+    return report, dt
 
 
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(path_index)])
+
+
+def _euler_maruyama(model: FluctuationModel, dt: float, steps: int,
+                    seed: int, x: np.ndarray):
+    """Yield the states after each step, _CHUNK steps at a time.
+
+    ``x`` holds the start state of every path, shape (n_paths, dim).  Path
+    p draws its real normal increments from its own (seed, p) stream, one
+    chunk at a time, which gives the same values as drawing them at once.
+    Each yielded array has shape (n_paths, block, dim).
+    """
+    b = factor_diffusion(model.d).b
+    n_paths, dim = x.shape
+    decay = np.eye(dim) - dt * model.m
+    sqrt_dt = np.sqrt(dt)
+    rngs = [_path_rng(seed, p) for p in range(n_paths)]
+    for start in range(0, steps, _CHUNK):
+        block = min(_CHUNK, steps - start)
+        increments = np.stack([rng.standard_normal((block, dim)) for rng in rngs])
+        states = np.empty((n_paths, block, dim), dtype=complex)
+        for t in range(block):
+            x = x @ decay.T + sqrt_dt * (increments[:, t, :] @ b.T)
+            states[:, t, :] = x
+        yield states
 
 
 def simulate_ou(
@@ -141,7 +177,6 @@ def simulate_ou(
     n_paths: int,
     seed: int,
     dt: float | None = None,
-    noise: NoiseFactor | None = None,
     initial: np.ndarray | None = None,
 ) -> TrajectoryEnsemble:
     """Euler-Maruyama ensemble of the linear Langevin system.
@@ -151,30 +186,19 @@ def simulate_ou(
     drift matrix and dt * max|eig(M)| < 0.1; the default step is
     0.01 / max|Re eig(M)|.
     """
-    if dt is None:
-        dt = default_step(model)
-    _check_step(model, dt)
+    _, dt = _checked_step(model, dt)
     if steps < 1 or n_paths < 1:
         raise ParameterError("steps and n_paths must be >= 1")
-    if noise is None:
-        noise = factor_diffusion(model.d)
-    b = noise.b
     dim = model.m.shape[0]
-
     x = np.zeros((n_paths, dim), dtype=complex)
     if initial is not None:
         x[:] = np.asarray(initial, dtype=complex)
     paths = np.empty((n_paths, steps + 1, dim), dtype=complex)
     paths[:, 0, :] = x
-
-    decay = np.eye(dim) - dt * model.m
-    sqrt_dt = np.sqrt(dt)
-    increments = np.empty((n_paths, steps, dim))
-    for p in range(n_paths):
-        increments[p] = _path_rng(seed, p).standard_normal((steps, dim))
-    for t in range(steps):
-        x = x @ decay.T + sqrt_dt * (increments[:, t, :] @ b.T)
-        paths[:, t + 1, :] = x
+    done = 1
+    for states in _euler_maruyama(model, dt, steps, seed, x):
+        paths[:, done:done + states.shape[1], :] = states
+        done += states.shape[1]
     return TrajectoryEnsemble(paths=paths, dt=float(dt), seed=int(seed),
                               count=int(n_paths))
 
@@ -265,59 +289,29 @@ def estimate_spectrum(
     )
 
 
-def mc_stationary_covariance(
-    model: FluctuationModel,
-    n_paths: int = 64,
-    seed: int = 0,
-    dt: float | None = None,
-    burn_in_time: float | None = None,
-    average_time: float | None = None,
-    noise: NoiseFactor | None = None,
-    chunk: int = 2048,
-):
+def mc_stationary_covariance(model: FluctuationModel, n_paths: int = 64, seed: int = 0):
     """Monte-Carlo estimate of the stationary moments <delta delta^T>.
 
-    Streams the integration in chunks (nothing is stored per step), taking
-    per-path time averages after a burn-in of several relaxation times.
-    Returns (sigma_hat, stderr) where ``stderr`` combines real and
-    imaginary scatter of the per-path averages.
+    Integrates at the default step and takes per-path time averages over
+    50 relaxation times after a burn-in of 8; no path is stored.  Returns
+    (sigma_hat, stderr) where ``stderr`` combines real and imaginary
+    scatter of the per-path averages, so it needs at least two paths.
     """
-    if dt is None:
-        dt = default_step(model)
-    _check_step(model, dt)
-    report = stability(model.m)
+    report, dt = _checked_step(model, None)
+    if n_paths < 2:
+        raise ParameterError("need at least two paths for error estimates")
     relax_time = 1.0 / report.margin
-    if burn_in_time is None:
-        burn_in_time = 8.0 * relax_time
-    if average_time is None:
-        average_time = 50.0 * relax_time
-    burn_steps = int(np.ceil(burn_in_time / dt))
-    avg_steps = int(np.ceil(average_time / dt))
-    if noise is None:
-        noise = factor_diffusion(model.d)
-    b = noise.b
+    burn_steps = int(np.ceil(8.0 * relax_time / dt))
+    avg_steps = int(np.ceil(50.0 * relax_time / dt))
     dim = model.m.shape[0]
-    decay = np.eye(dim) - dt * model.m
-    sqrt_dt = np.sqrt(dt)
-
-    rngs = [_path_rng(seed, p) for p in range(n_paths)]
     x = np.zeros((n_paths, dim), dtype=complex)
     sums = np.zeros((n_paths, dim, dim), dtype=complex)
-    counted = 0
     done = 0
-    total = burn_steps + avg_steps
-    while done < total:
-        block = min(chunk, total - done)
-        increments = np.stack(
-            [rng.standard_normal((block, dim)) for rng in rngs]
-        )
-        for t in range(block):
-            x = x @ decay.T + sqrt_dt * (increments[:, t, :] @ b.T)
-            if done + t + 1 > burn_steps:
-                sums += x[:, :, None] * x[:, None, :]
-                counted += 1
-        done += block
-    per_path = sums / counted
+    for states in _euler_maruyama(model, dt, burn_steps + avg_steps, seed, x):
+        kept = states[:, max(burn_steps - done, 0):, :]
+        sums += kept.transpose(0, 2, 1) @ kept
+        done += states.shape[1]
+    per_path = sums / avg_steps
     sigma_hat = per_path.mean(axis=0)
     var = per_path.real.var(axis=0, ddof=1) + per_path.imag.var(axis=0, ddof=1)
     stderr = np.sqrt(var / n_paths)

@@ -9,7 +9,15 @@ import math
 
 import numpy as np
 
-from cascaded_fwm import SystemParams, compute_thresholds, optimize_gains, output_spectrum_at
+from cascaded_fwm import (
+    SystemParams,
+    compute_thresholds,
+    default_step,
+    factor_diffusion,
+    optimize_gains,
+    output_spectrum_at,
+    stability,
+)
 
 GAMMA = 0.03
 
@@ -108,3 +116,101 @@ def sequential_minimum(model, ineq, grid, xtol=1e-6):
     w_ref, v_ref = golden_section(value_at, float(left), float(right), xtol)
     w_min = w_ref if v_ref <= values[best] else float(grid[best])
     return optimize_gains(ineq, spectrum_at(model, w_min)), len(evaluations)
+
+
+def reference_drift_blocks(params, ss):
+    """m1, m2 re-derived independently for a symmetric working point.
+
+    Assumes real amplitudes with A_p1 = A_p2 = A_a, A_i1 = A_s1 = A_b,
+    A_i2 = A_s2 = A_c and k2 = k3.  A test oracle for the general
+    Jacobian, never the primary construction.
+    """
+    aa, ab, ac = ss.a_a, ss.a_b, ss.a_c
+    ga, gb, gc = params.gamma_a, params.gamma_b, params.gamma_c
+    k1, k2 = params.k1, params.k2
+    kab = k1 * aa * ab
+    kac = k2 * aa * ac
+    kcb = k2 * aa * ab
+    m1 = np.array([
+        [ga, 0.0, kab, kab - kac, kcb, 0.0],
+        [0.0, ga, kab - kac, kab, 0.0, kcb],
+        [-kab, -kab + kac, gb, 0.0, k2 * aa**2, 0.0],
+        [-kab + kac, -kab, 0.0, gb, 0.0, k2 * aa**2],
+        [-kcb, 0.0, -k2 * aa**2, 0.0, gc, 0.0],
+        [0.0, -kcb, 0.0, -k2 * aa**2, 0.0, gc],
+    ])
+    m2 = np.array([
+        [0.0, k1 * ab**2, kac, 0.0, 0.0, -kcb],
+        [k1 * ab**2, 0.0, 0.0, kac, -kcb, 0.0],
+        [kac, 0.0, 0.0, -k1 * aa**2, 0.0, 0.0],
+        [0.0, kac, -k1 * aa**2, 0.0, 0.0, 0.0],
+        [0.0, -kcb, 0.0, 0.0, 0.0, 0.0],
+        [-kcb, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    return m1, m2
+
+
+def reference_simulate_ou(model, steps, n_paths, seed, dt=None, initial=None):
+    """Reference for simulate_ou: every normal drawn up front, one loop.
+
+    Returns the path array, shape (n_paths, steps + 1, dim).
+    """
+    if dt is None:
+        dt = default_step(model)
+    b = factor_diffusion(model.d).b
+    dim = model.m.shape[0]
+
+    x = np.zeros((n_paths, dim), dtype=complex)
+    if initial is not None:
+        x[:] = np.asarray(initial, dtype=complex)
+    paths = np.empty((n_paths, steps + 1, dim), dtype=complex)
+    paths[:, 0, :] = x
+
+    decay = np.eye(dim) - dt * model.m
+    sqrt_dt = np.sqrt(dt)
+    increments = np.empty((n_paths, steps, dim))
+    for p in range(n_paths):
+        increments[p] = np.random.default_rng([seed, p]).standard_normal((steps, dim))
+    for t in range(steps):
+        x = x @ decay.T + sqrt_dt * (increments[:, t, :] @ b.T)
+        paths[:, t + 1, :] = x
+    return paths
+
+
+def reference_mc_covariance(model, n_paths, seed, chunk=2048):
+    """Reference for mc_stationary_covariance: one outer product per step.
+
+    Same step, burn-in (8 relaxation times) and average (50) as the
+    package, with the normals drawn in blocks of ``chunk`` steps.
+    """
+    dt = default_step(model)
+    relax_time = 1.0 / stability(model.m).margin
+    burn_steps = int(np.ceil(8.0 * relax_time / dt))
+    avg_steps = int(np.ceil(50.0 * relax_time / dt))
+    b = factor_diffusion(model.d).b
+    dim = model.m.shape[0]
+    decay = np.eye(dim) - dt * model.m
+    sqrt_dt = np.sqrt(dt)
+
+    rngs = [np.random.default_rng([seed, p]) for p in range(n_paths)]
+    x = np.zeros((n_paths, dim), dtype=complex)
+    sums = np.zeros((n_paths, dim, dim), dtype=complex)
+    counted = 0
+    done = 0
+    total = burn_steps + avg_steps
+    while done < total:
+        block = min(chunk, total - done)
+        increments = np.stack(
+            [rng.standard_normal((block, dim)) for rng in rngs]
+        )
+        for t in range(block):
+            x = x @ decay.T + sqrt_dt * (increments[:, t, :] @ b.T)
+            if done + t + 1 > burn_steps:
+                sums += x[:, :, None] * x[:, None, :]
+                counted += 1
+        done += block
+    per_path = sums / counted
+    sigma_hat = per_path.mean(axis=0)
+    var = per_path.real.var(axis=0, ddof=1) + per_path.imag.var(axis=0, ddof=1)
+    stderr = np.sqrt(var / n_paths)
+    return sigma_hat, stderr

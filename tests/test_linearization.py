@@ -16,8 +16,7 @@ from cascaded_fwm import (
     state_for_branch,
     stationary_covariance,
 )
-from cascaded_fwm.linearization import reference_drift_blocks
-from helpers import make_params, pumped, random_params
+from helpers import make_params, pumped, random_params, reference_drift_blocks
 
 
 def finite_difference_drift_matrix(params, alpha, h=1e-7):

@@ -18,11 +18,13 @@ from cascaded_fwm import (
     mc_stationary_covariance,
     simulate_ou,
     spectral_matrix,
+    stability,
     state_for_branch,
     stationary_covariance,
     takagi,
 )
-from helpers import pumped, toy_model
+from cascaded_fwm.monte_carlo import _CHUNK
+from helpers import pumped, reference_mc_covariance, reference_simulate_ou, toy_model
 
 
 def check_takagi(a, sigma, u):
@@ -180,3 +182,50 @@ def test_simulation_input_validation():
     model = below_threshold_model()
     with pytest.raises(ParameterError, match=">= 1"):
         simulate_ou(model, steps=0, n_paths=1, seed=0)
+
+
+def test_simulate_ou_matches_sequential_reference():
+    model = below_threshold_model()
+    steps = 3 * _CHUNK + 37
+    initial = np.linspace(-1.0, 1.0, 12) + 0.5j
+    for start in (None, initial):
+        ens = simulate_ou(model, steps=steps, n_paths=3, seed=21, initial=start)
+        ref = reference_simulate_ou(model, steps, n_paths=3, seed=21, initial=start)
+        assert np.array_equal(ens.paths, ref)
+
+
+def fast_relaxing_model():
+    # Margin 1 and max|eig| about 3: the default step is ~1/300, so the
+    # burn-in takes ~2400 steps and the average ~15000.
+    m = np.array([[1.0, 0.0, 0.0],
+                  [0.4, 2.0, 0.0],
+                  [0.0, 0.7, 3.0]])
+    d = np.array([[2.0, 0.3, 0.0],
+                  [0.3, -1.0, 0.5],
+                  [0.0, 0.5, 1.5]])
+    return toy_model(m, d)
+
+
+def test_mc_covariance_matches_sequential_reference():
+    model = fast_relaxing_model()
+    relax_time = 1.0 / stability(model.m).margin
+    burn_steps = int(np.ceil(8.0 * relax_time / default_step(model)))
+    assert burn_steps % _CHUNK != 0  # the burn-in ends inside a chunk
+    sigma_hat, stderr = mc_stationary_covariance(model, n_paths=8, seed=5)
+    ref_sigma, ref_stderr = reference_mc_covariance(model, n_paths=8, seed=5)
+    for got, ref in ((sigma_hat, ref_sigma), (stderr, ref_stderr)):
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_mc_covariance_without_diffusion_is_exactly_zero():
+    model = toy_model(np.diag([1.0, 2.0]), np.zeros((2, 2)))
+    sigma_hat, stderr = mc_stationary_covariance(model, n_paths=4, seed=0)
+    assert np.array_equal(sigma_hat, np.zeros((2, 2)))
+    assert np.array_equal(stderr, np.zeros((2, 2)))
+
+
+def test_mc_covariance_needs_two_paths():
+    model = toy_model([[1.0]], [[2.0]])
+    for n_paths in (0, 1):
+        with pytest.raises(ParameterError, match="two paths"):
+            mc_stationary_covariance(model, n_paths=n_paths, seed=0)
