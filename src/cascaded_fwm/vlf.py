@@ -26,6 +26,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ParameterError, PhysicalityError
 from .linearization import FluctuationModel, build_fluctuation_model
@@ -125,22 +126,27 @@ class _GainProblem:
     Built once per inequality and call, then used for every spectrum.
     """
 
-    __slots__ = ("ineq", "free", "block", "a", "b0")
+    __slots__ = ("ineq", "free", "a", "b0")
 
     def __init__(self, ineq: VlfInequality):
         self.ineq = ineq
         self.free = 6 + np.array(ineq.free_modes)
-        self.block = np.ix_(self.free, self.free)
         self.a = np.zeros(12)
         self.a[:6] = ineq.x_coeffs
         self.b0 = np.zeros(12)
         self.b0[6:] = ineq.y_fixed
 
-    def value(self, v: np.ndarray, gains: np.ndarray) -> float:
-        """V(a . q) + V(b . q), with the gains in the free slots of b0."""
-        b = self.b0.copy()
-        b[self.free] = gains
-        return float(self.a @ v @ self.a + b @ v @ b)
+
+def _values(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V(a_k . q) + V(b_k . q) on spectrum v_k for every row k.
+
+    ``a`` and ``b`` have shape (K, 12) and ``v`` (K, 12, 12).  Each row
+    runs the same vector-matrix product and dot product as
+    ``a_k @ v_k @ a_k + b_k @ v_k @ b_k``, so it equals that value bit for
+    bit.
+    """
+    return (np.vecdot((a[:, None, :] @ v)[:, 0, :], a)
+            + np.vecdot((b[:, None, :] @ v)[:, 0, :], b))
 
 
 def evaluate_inequality(ineq: VlfInequality, spectrum: QuadratureSpectrum,
@@ -156,11 +162,19 @@ def evaluate_inequality(ineq: VlfInequality, spectrum: QuadratureSpectrum,
         raise ParameterError(
             f"{ineq.label}: expected {len(ineq.free_modes)} gains, got {gains.shape}"
         )
-    return _GainProblem(ineq).value(spectrum.v_out, gains)
+    problem = _GainProblem(ineq)
+    b = problem.b0.copy()
+    b[problem.free] = gains
+    return float(_values(problem.a[None], b[None], np.asarray(spectrum.v_out)[None])[0])
 
 
 def _require_physical(v: np.ndarray):
-    """Raise PhysicalityError unless every matrix of the stack v is PSD."""
+    """Raise PhysicalityError unless every matrix of the stack v is finite and PSD."""
+    finite = np.isfinite(v).all(axis=(1, 2))
+    if not finite.all():
+        raise PhysicalityError(
+            f"output spectrum is not finite (entry {int(finite.argmin())} of the stack)"
+        )
     min_eig = np.linalg.eigvalsh((v + v.transpose(0, 2, 1)) / 2.0).min(axis=1)
     failed = min_eig < _PSD_TOLERANCE
     if failed.any():
@@ -170,21 +184,45 @@ def _require_physical(v: np.ndarray):
         )
 
 
-def _gain_solve(problem: _GainProblem, spectrum: QuadratureSpectrum) -> VlfResult:
-    # The optimum of optimize_gains on a spectrum already checked physical.
-    v = spectrum.v_out
-    rhs = -(v @ problem.b0)[problem.free]
-    gains = np.linalg.lstsq(v[problem.block], rhs, rcond=_SINGULAR_RCOND)[0]
-    ineq = problem.ineq
-    return VlfResult(
-        label=ineq.label,
-        symmetry_class=ineq.symmetry_class,
-        omega=spectrum.omega,
-        omega_norm=spectrum.omega_norm,
-        value=problem.value(v, gains),
-        gains=gains,
-        free_modes=ineq.free_modes,
-    )
+def _raise_lstsq_error(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _gain_solves(problems: list, spectra: list) -> list:
+    """optimize_gains for every row, on spectra already checked physical.
+
+    Row k solves ``problems[k]`` on ``spectra[k]``; rows may mix
+    inequalities.  ``np.linalg.lstsq`` only checks that its inputs are 2-D
+    and then calls the gufunc ``_umath_linalg.lstsq``; calling that once on
+    the whole stack runs the same ``dgelsd`` per slice with the same rcond,
+    so every gain and value is bitwise what the per-slice ``lstsq`` gives.
+    """
+    if not problems:
+        return []
+    v = np.array([spectrum.v_out for spectrum in spectra])
+    rows = np.arange(len(problems))[:, None]
+    free = np.array([problem.free for problem in problems])
+    b = np.array([problem.b0 for problem in problems])
+    rhs = -(v @ b[:, :, None])[rows, free, 0]
+    blocks = v[rows[:, :, None], free[:, :, None], free[:, None, :]]
+    with np.errstate(call=_raise_lstsq_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        gains = _umath_linalg.lstsq(blocks, rhs[:, :, None], _SINGULAR_RCOND,
+                                    signature="ddd->ddid")[0][:, :, 0]
+    b[rows, free] = gains
+    values = _values(np.array([problem.a for problem in problems]), b, v)
+    return [
+        VlfResult(
+            label=problem.ineq.label,
+            symmetry_class=problem.ineq.symmetry_class,
+            omega=spectrum.omega,
+            omega_norm=spectrum.omega_norm,
+            value=float(value),
+            gains=row_gains,
+            free_modes=problem.ineq.free_modes,
+        )
+        for problem, spectrum, value, row_gains in zip(problems, spectra, values, gains)
+    ]
 
 
 def optimize_gains(ineq: VlfInequality, spectrum: QuadratureSpectrum) -> VlfResult:
@@ -193,11 +231,11 @@ def optimize_gains(ineq: VlfInequality, spectrum: QuadratureSpectrum) -> VlfResu
     The Y variance is convex quadratic in the gains, so the optimum solves
     (E^T V E) g = -E^T V b0 with E the embedding of the free positions.
     ``lstsq`` provides the minimum-norm solution when the normal matrix is
-    singular to within 1e-12 relative.  The spectrum must be positive
-    semidefinite to within 1e-9.
+    singular to within 1e-12 relative.  The spectrum must be finite and
+    positive semidefinite to within 1e-9.
     """
     _require_physical(spectrum.v_out[None])
-    return _gain_solve(_GainProblem(ineq), spectrum)
+    return _gain_solves([_GainProblem(ineq)], [spectrum])[0]
 
 
 def _resolve_inequalities(inequalities):
@@ -261,8 +299,9 @@ def sweep_frequency(
         omega_grid = np.geomspace(0.01, 100.0, 400)
     if model is None:
         model = build_branch_model(params, branch, zero_diffusion)
-    return [_gain_solve(problem, spectrum)
-            for spectrum in _grid_spectra(model, omega_grid) for problem in problems]
+    spectra = _grid_spectra(model, omega_grid)
+    return _gain_solves(problems * len(spectra),
+                        [spectrum for spectrum in spectra for _ in problems])
 
 
 def _golden_section(lo, hi, xtol):
@@ -311,9 +350,10 @@ def _refine_minima(model: FluctuationModel, problems: list, grid: np.ndarray,
         running.append((k, search, next(search), {}))
     while running:
         spectra = _grid_spectra(model, [omega_norm for _, _, omega_norm, _ in running])
+        results = _gain_solves([problems[k] for k, _, _, _ in running], spectra)
         still_running = []
-        for (k, search, omega_norm, seen), spectrum in zip(running, spectra):
-            seen[omega_norm] = res = _gain_solve(problems[k], spectrum)
+        for (k, search, omega_norm, seen), res in zip(running, results):
+            seen[omega_norm] = res
             try:
                 still_running.append((k, search, search.send(res.value), seen))
             except StopIteration as stop:
@@ -363,8 +403,9 @@ def min_over_frequencies(
     else:
         raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
     spectra = _grid_spectra(model, grid)
-    coarse = [[_gain_solve(problem, spectrum) for spectrum in spectra]
-              for problem in problems]
+    results = _gain_solves([problem for problem in problems for _ in spectra],
+                           spectra * len(problems))
+    coarse = [results[k * grid.size:(k + 1) * grid.size] for k in range(len(problems))]
     return _refine_minima(model, problems, grid, coarse, xtol)
 
 

@@ -118,6 +118,25 @@ def sequential_minimum(model, ineq, grid, xtol=1e-6):
     return optimize_gains(ineq, spectrum_at(model, w_min)), len(evaluations)
 
 
+def reference_gain_solve(ineq, v):
+    """Test oracle for the stacked gain solves: one inequality, one spectrum.
+
+    The per-slice arithmetic of the gain optimization before the solves
+    were stacked: public ``np.linalg.lstsq`` on the free block, then
+    ``a @ v @ a + b @ v @ b``.  Returns the gains and the value.
+    """
+    free = 6 + np.array(ineq.free_modes)
+    a = np.zeros(12)
+    a[:6] = ineq.x_coeffs
+    b0 = np.zeros(12)
+    b0[6:] = ineq.y_fixed
+    rhs = -(v @ b0)[free]
+    gains = np.linalg.lstsq(v[np.ix_(free, free)], rhs, rcond=1e-12)[0]
+    b = b0.copy()
+    b[free] = gains
+    return gains, float(a @ v @ a + b @ v @ b)
+
+
 def reference_drift_blocks(params, ss):
     """m1, m2 re-derived independently for a symmetric working point.
 

@@ -305,8 +305,8 @@ def test_missing_config_exit_code(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("figure", ["fig8", "fig9"])
-def test_pump_sweep_figures_byte_identical(figure, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("figure", [f"fig{n}" for n in range(2, 10)])
+def test_reproduce_figures_byte_identical(figure, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["reproduce", figure]) == 0
     capsys.readouterr()

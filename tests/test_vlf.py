@@ -20,17 +20,21 @@ from cascaded_fwm import (
     min_over_frequencies,
     min_over_frequency,
     optimize_gains,
+    output_spectra,
     sweep_frequency,
 )
-from cascaded_fwm.vlf import _gain_solve, _GainProblem, _golden_section
+from cascaded_fwm.vlf import _gain_solves, _GainProblem, _golden_section, _require_physical
 from helpers import (
     golden_section,
     pumped,
     random_params,
+    reference_gain_solve,
     sequential_minimum,
     spectrum_at,
     toy_model,
 )
+
+REGIMES = ("NoThreshold", "BelowThreshold", "BetweenThresholds", "AboveUpperThreshold")
 
 # An independent transcription of the coefficient table, kept separate
 # from the module, so a slip in either place breaks the comparison.
@@ -162,12 +166,50 @@ def test_zero_diffusion_null():
     assert all(res.value == 4.0 for res in results)
 
 
+def test_zero_diffusion_null_in_every_regime():
+    rng = np.random.default_rng(5)
+    for regime in REGIMES:
+        params = random_params(rng, regime=regime)
+        for state in analytic_steady_states(params):
+            results = sweep_frequency(params, state.branch,
+                                      omega_grid=np.geomspace(0.01, 100.0, 16),
+                                      zero_diffusion=True)
+            assert all(res.value == 4.0 for res in results)
+            assert all(np.all(res.gains == 0.0) for res in results)
+
+
 def test_unphysical_spectrum_rejected():
     v = np.eye(12)
     v[0, 0] = -1e-6
     bad = QuadratureSpectrum(omega=0.03, omega_norm=1.0, v_out=v)
     with pytest.raises(PhysicalityError, match="positive semidefinite"):
         optimize_gains(INEQUALITIES[0], bad)
+
+
+@pytest.mark.parametrize("where", [(0, 0), (6, 6)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_spectrum_rejected(where, bad):
+    # (0, 0) sits in the X block, (6, 6) in the free Y block of the first
+    # inequality, where eigvalsh would fail instead.
+    v = np.eye(12)
+    v[where] = bad
+    spectrum = QuadratureSpectrum(omega=1.0, omega_norm=1.0, v_out=v)
+    with pytest.raises(PhysicalityError, match="not finite"):
+        optimize_gains(INEQUALITIES[0], spectrum)
+
+
+def test_non_finite_stack_entry_named_before_psd_check():
+    # A NaN off the diagonal of a free block passes eigvalsh as a NaN
+    # eigenvalue, and lstsq on that block does not return.
+    not_psd = np.eye(12)
+    not_psd[0, 0] = -1e-6
+    not_finite = np.eye(12)
+    not_finite[8, 9] = np.nan
+    stack = np.stack([np.eye(12), not_psd, not_finite])
+    with pytest.raises(PhysicalityError, match=r"not finite \(entry 2 of the stack\)"):
+        _require_physical(stack)
+    with pytest.raises(PhysicalityError, match="positive semidefinite"):
+        _require_physical(stack[:2])
 
 
 def test_sweep_ordering_and_metadata():
@@ -305,8 +347,65 @@ def test_gain_solve_value_is_evaluate_inequality_at_its_gains():
         for omega_norm in (0.01, 0.3, 7.0, 100.0):
             spectrum = spectrum_at(model, omega_norm)
             for ineq in INEQUALITIES:
-                res = _gain_solve(_GainProblem(ineq), spectrum)
+                res = _gain_solves([_GainProblem(ineq)], [spectrum])[0]
                 assert res.value == evaluate_inequality(ineq, spectrum, res.gains)
+
+
+def assert_matches_gain_oracle(problems, spectra):
+    results = _gain_solves(problems, spectra)
+    assert len(results) == len(problems)
+    for problem, spectrum, res in zip(problems, spectra, results, strict=True):
+        gains, value = reference_gain_solve(problem.ineq, spectrum.v_out)
+        assert np.array_equal(res.gains, gains)
+        assert res.value == value
+        assert (res.label, res.omega, res.omega_norm) == \
+            (problem.ineq.label, spectrum.omega, spectrum.omega_norm)
+
+
+def test_gain_solves_match_per_slice_oracle_in_every_regime():
+    rng = np.random.default_rng(3)
+    grid = np.geomspace(0.01, 100.0, 64)
+    branches_seen = set()
+    for regime in REGIMES:
+        params = random_params(rng, regime=regime)
+        for state in analytic_steady_states(params):
+            branches_seen.add(state.branch.value)
+            model = build_branch_model(params, state.branch)
+            results = sweep_frequency(params, state.branch, omega_grid=grid, model=model)
+            v_out = output_spectra(model, grid * params.gamma_a)
+            for k, res in enumerate(results):
+                gains, value = reference_gain_solve(INEQUALITIES[k % 5], v_out[k // 5])
+                assert np.array_equal(res.gains, gains)
+                assert res.value == value
+    assert branches_seen == {"trivial", "lower", "upper"}
+
+
+def test_gain_solves_match_per_slice_oracle_on_low_rank_spectra():
+    # PSD spectra of every rank from 1 to 12 and scales up to 1e16: below
+    # rank 4 every free block is singular and lstsq takes its minimum-norm
+    # solution.
+    rng = np.random.default_rng(11)
+    problems, spectra = [], []
+    for k in range(240):
+        factor = rng.standard_normal((12, 1 + k % 12)) * 10.0 ** rng.uniform(-8.0, 8.0)
+        spectra.append(QuadratureSpectrum(omega=float(k), omega_norm=float(k),
+                                          v_out=factor @ factor.T))
+        problems.append(_GainProblem(INEQUALITIES[k % 5]))
+    assert_matches_gain_oracle(problems, spectra)
+
+
+def test_gain_solves_match_per_slice_oracle_on_a_mixed_stack():
+    # As one lockstep refine step builds it: each row is a different
+    # witness at its own pending omega.
+    model = build_branch_model(pumped(0.4, 1.2), "lower")
+    omega_norms = [0.013, 0.4, 0.41, 2.0, 37.0, 0.4]
+    spectra = [spectrum_at(model, w) for w in omega_norms]
+    problems = [_GainProblem(INEQUALITIES[k]) for k in (2, 0, 4, 1, 3, 2)]
+    assert_matches_gain_oracle(problems, spectra)
+    for problem, spectrum in zip(problems, spectra):
+        gains, value = reference_gain_solve(problem.ineq, spectrum.v_out)
+        res = optimize_gains(problem.ineq, spectrum)
+        assert np.array_equal(res.gains, gains) and res.value == value
 
 
 def assert_matches_sequential(model, omega_range=(0.01, 100.0), coarse_points=64,
