@@ -89,6 +89,7 @@ from .vlf import (
     inequality_by_label,
     min_over_frequencies,
     min_over_frequency,
+    minima_over_models,
     optimize_gains,
     sweep_frequency,
 )
@@ -144,6 +145,7 @@ __all__ = [
     "mc_stationary_covariance",
     "min_over_frequencies",
     "min_over_frequency",
+    "minima_over_models",
     "optimize_gains",
     "output_spectra",
     "output_spectrum",

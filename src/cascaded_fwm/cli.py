@@ -48,7 +48,7 @@ from .vlf import (
     INEQUALITIES,
     build_branch_model,
     inequality_by_label,
-    min_over_frequencies,
+    minima_over_models,
     sweep_frequency,
 )
 
@@ -455,13 +455,16 @@ def cmd_pump_sweep(config: RunConfig) -> None:
                  else thresholds.eps_th_prime)
     ratios = np.geomspace(_PUMP_SWEEP_START, config.epsilon_ratio,
                           _PUMP_SWEEP_POINTS)
+    # One lockstep search over every pump point; the models are built one
+    # at a time as the search scans them.
+    models = (build_branch_model(config.params.with_epsilon(float(ratio) * reference),
+                                 config.branch)
+              for ratio in ratios)
+    minima = minima_over_models(models, representatives,
+                                omega_range=(config.omega_min, config.omega_max),
+                                scale=config.omega_scale)
     lines = ["eps_ratio,V_A,V_B,V_C"]
-    for ratio in ratios:
-        system = config.params.with_epsilon(float(ratio) * reference)
-        results = min_over_frequencies(
-            system, config.branch, representatives,
-            omega_range=(config.omega_min, config.omega_max),
-            scale=config.omega_scale)
+    for ratio, results in zip(ratios, minima):
         lines.append(",".join([_fmt(ratio)] + [_fmt(r.value) for r in results]))
     out = config.out or "pump_sweep.csv"
     _write_text_atomic(out, "\n".join(lines) + "\n")

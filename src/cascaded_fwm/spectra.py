@@ -76,19 +76,21 @@ class QuadratureSpectrum:
     v_out: np.ndarray
 
 
-def _spectral_stack(model: FluctuationModel, omegas: np.ndarray) -> np.ndarray:
+def _spectral_stack(m: np.ndarray, d: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """S(omega) for every entry of the 1-D array ``omegas``, shape (n, N, N).
 
-    Each of the two solves is one stacked LAPACK call; the residual guard
-    of ``spectral_matrix`` is applied to every frequency separately and
-    names the first one that fails it.
+    ``m`` and ``d`` are one (N, N) matrix each, or a stack of n with one
+    drift and diffusion matrix per frequency.  Each of the two solves is
+    one stacked LAPACK call, which solves slice by slice; the residual
+    guard of ``spectral_matrix`` is applied to every frequency separately,
+    with the budget scaled by its own 1 + max|D|, and names the first one
+    that fails it.
     """
-    m = model.m
-    shift = (1j * omegas)[:, None, None] * np.eye(m.shape[0])
+    shift = (1j * omegas)[:, None, None] * np.eye(m.shape[-1])
     lhs = m + shift
-    x = np.linalg.solve(lhs, model.d)
-    residual = np.abs(lhs @ x - model.d).max(axis=(1, 2))
-    scale = 1.0 + float(np.abs(model.d).max())
+    x = np.linalg.solve(lhs, d)
+    residual = np.abs(lhs @ x - d).max(axis=(1, 2))
+    scale = 1.0 + np.abs(d).max(axis=(-2, -1))
     failed = residual > _SOLVE_BUDGET * scale * (1.0 + np.abs(x).max(axis=(1, 2)))
     if failed.any():
         k = int(failed.argmax())
@@ -124,10 +126,34 @@ def _quadrature_stack(s: np.ndarray, omegas=None) -> np.ndarray:
     return sym.real.copy()
 
 
-def _input_output(v_intra: np.ndarray, params: SystemParams) -> np.ndarray:
-    """v_out = I + 2 G^(1/2) V G^(1/2) for one matrix or a stack."""
-    gains = np.sqrt(np.tile(params.damping_rates(), 2))
-    return np.eye(12) + 2.0 * gains[:, None] * v_intra * gains[None, :]
+def _input_output(v_intra: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """v_out = I + 2 G^(1/2) V G^(1/2) for one matrix or a stack.
+
+    ``rates`` holds the six mode damping rates, once or once per matrix.
+    """
+    gains = np.sqrt(np.tile(rates, 2))
+    return np.eye(12) + 2.0 * gains[..., :, None] * v_intra * gains[..., None, :]
+
+
+def _output_stack(m: np.ndarray, d: np.ndarray, rates: np.ndarray,
+                  omegas: np.ndarray) -> np.ndarray:
+    """v_out row by row: row k on drift m[k], diffusion d[k], rates[k] at omegas[k].
+
+    ``m`` and ``d`` have shape (n, 12, 12), ``rates`` (n, 6) and ``omegas``
+    (n,); rows may come from different models.  Every row runs the
+    per-slice solves, guards and transforms of ``output_spectra``, in
+    stacks of at most 64 rows, so it equals that model's own evaluation at
+    that frequency bit for bit.  A guard names the first row that fails
+    it; when both guards fail inside one stack, the solve guard is
+    reported.
+    """
+    v_out = np.empty((omegas.size, 12, 12))
+    for start in range(0, omegas.size, _GRID_CHUNK):
+        rows = slice(start, start + _GRID_CHUNK)
+        chunk = omegas[rows]
+        v_intra = _quadrature_stack(_spectral_stack(m[rows], d[rows], chunk), chunk)
+        v_out[rows] = _input_output(v_intra, rates[rows])
+    return v_out
 
 
 def output_spectra(model: FluctuationModel, omegas) -> np.ndarray:
@@ -143,12 +169,10 @@ def output_spectra(model: FluctuationModel, omegas) -> np.ndarray:
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1:
         raise ParameterError(f"omegas must be 1-D, got shape {omegas.shape}")
-    v_out = np.empty((omegas.size, 12, 12))
-    for start in range(0, omegas.size, _GRID_CHUNK):
-        chunk = omegas[start:start + _GRID_CHUNK]
-        v_intra = _quadrature_stack(_spectral_stack(model, chunk), chunk)
-        v_out[start:start + chunk.size] = _input_output(v_intra, model.params)
-    return v_out
+    n = omegas.size
+    return _output_stack(np.broadcast_to(model.m, (n, 12, 12)),
+                         np.broadcast_to(model.d, (n, 12, 12)),
+                         np.broadcast_to(model.params.damping_rates(), (n, 6)), omegas)
 
 
 def spectral_matrix(model: FluctuationModel, omega: float) -> np.ndarray:
@@ -164,7 +188,7 @@ def spectral_matrix(model: FluctuationModel, omega: float) -> np.ndarray:
     usually reported; solve quality is guarded by a residual check instead
     of a stability gate.
     """
-    return _spectral_stack(model, np.array([omega], dtype=float))[0]
+    return _spectral_stack(model.m, model.d, np.array([omega], dtype=float))[0]
 
 
 def quadrature_transform(s: np.ndarray) -> np.ndarray:
@@ -184,7 +208,7 @@ def output_spectrum(v_intra: np.ndarray, params: SystemParams, omega: float) -> 
     return QuadratureSpectrum(
         omega=float(omega),
         omega_norm=float(omega) / params.gamma_a,
-        v_out=_input_output(np.asarray(v_intra), params),
+        v_out=_input_output(np.asarray(v_intra), params.damping_rates()),
     )
 
 

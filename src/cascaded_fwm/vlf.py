@@ -31,7 +31,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .errors import ParameterError, PhysicalityError
 from .linearization import FluctuationModel, build_fluctuation_model
 from .params import MODE_LABELS, SystemParams
-from .spectra import QuadratureSpectrum, output_spectra
+from .spectra import QuadratureSpectrum, _output_stack
 from .steady_state import Branch, state_for_branch
 
 _PSD_TOLERANCE = -1e-9
@@ -266,18 +266,34 @@ def build_branch_model(params: SystemParams, branch: Branch | str,
     return model
 
 
-def _grid_spectra(model: FluctuationModel, omega_norms) -> list:
-    """Checked output spectra on a grid of omega / gamma_a.
+def _model_rows(models) -> tuple:
+    """Drift, diffusion, damping rates and gamma_a of each model, stacked.
 
-    One stacked evaluation and one physicality check per spectrum; entry k
-    equals ``output_spectrum_at(model, omega_norms[k] * gamma_a)`` exactly.
+    Row k holds ``models[k]``; ``_grid_spectra`` broadcasts a single row
+    over a whole grid.
     """
-    gamma_a = model.params.gamma_a
-    omegas = np.asarray(omega_norms, dtype=float) * gamma_a
-    v_out = output_spectra(model, omegas)
+    return (np.array([model.m for model in models]),
+            np.array([model.d for model in models]),
+            np.array([model.params.damping_rates() for model in models]),
+            np.array([model.params.gamma_a for model in models]))
+
+
+def _grid_spectra(rows: tuple, omega_norms) -> list:
+    """Checked output spectra, row k at omega_norms[k] of its own model.
+
+    ``rows`` comes from ``_model_rows``, with one row per entry of
+    ``omega_norms`` or one row for all of them.  One stacked evaluation and
+    one physicality check per spectrum; entry k equals
+    ``output_spectrum_at(model_k, omega_norms[k] * gamma_a)`` exactly.
+    """
+    omega_norms = np.asarray(omega_norms, dtype=float)
+    n = omega_norms.size
+    m, d, rates, gamma_a = (np.broadcast_to(a, (n, *a.shape[1:])) for a in rows)
+    omegas = omega_norms * gamma_a
+    v_out = _output_stack(m, d, rates, omegas)
     _require_physical(v_out)
-    return [QuadratureSpectrum(omega=float(w), omega_norm=float(w) / gamma_a, v_out=v)
-            for w, v in zip(omegas, v_out)]
+    return [QuadratureSpectrum(omega=w, omega_norm=w / g, v_out=v)
+            for w, g, v in zip(omegas.tolist(), gamma_a.tolist(), v_out)]
 
 
 def sweep_frequency(
@@ -299,7 +315,7 @@ def sweep_frequency(
         omega_grid = np.geomspace(0.01, 100.0, 400)
     if model is None:
         model = build_branch_model(params, branch, zero_diffusion)
-    spectra = _grid_spectra(model, omega_grid)
+    spectra = _grid_spectra(_model_rows([model]), omega_grid)
     return _gain_solves(problems * len(spectra),
                         [spectrum for spectrum in spectra for _ in problems])
 
@@ -331,25 +347,28 @@ def _golden_section(lo, hi, xtol):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _refine_minima(model: FluctuationModel, problems: list, grid: np.ndarray,
+def _refine_minima(models: list, problems: list, grid: np.ndarray,
                    coarse: list, xtol: float) -> list:
-    """Golden-section refine of every inequality's best coarse bracket.
+    """Golden-section refine of every search's best coarse bracket.
 
-    ``coarse[k]`` holds the VlfResults of ``problems[k]`` on ``grid``.  The
-    searches run in lockstep: each step evaluates the pending abscissa of
-    every running search with one stacked spectral call, so every search
-    sees exactly the values it would see alone.  Each returns the result
-    already computed at its winning point.
+    Search k minimizes ``problems[k]`` on ``models[k]``, and ``coarse[k]``
+    holds the index on ``grid`` and the VlfResult of its best coarse
+    point.  The searches run in lockstep: each step evaluates the pending
+    abscissa of every running search with one stacked spectral call, so
+    every search sees exactly the values it would see alone.  Each returns
+    the result already computed at its winning point.
     """
+    rows = _model_rows(models)
     minima, running = [], []
-    for k, results in enumerate(coarse):
-        best = int(np.argmin([res.value for res in results]))
-        minima.append(results[best])
+    for k, (best, result) in enumerate(coarse):
+        minima.append(result)
         search = _golden_section(float(grid[max(best - 1, 0)]),
                                  float(grid[min(best + 1, grid.size - 1)]), xtol)
         running.append((k, search, next(search), {}))
     while running:
-        spectra = _grid_spectra(model, [omega_norm for _, _, omega_norm, _ in running])
+        index = np.array([k for k, _, _, _ in running])
+        spectra = _grid_spectra(tuple(a[index] for a in rows),
+                                [omega_norm for _, _, omega_norm, _ in running])
         results = _gain_solves([problems[k] for k, _, _, _ in running], spectra)
         still_running = []
         for (k, search, omega_norm, seen), res in zip(running, results):
@@ -362,6 +381,59 @@ def _refine_minima(model: FluctuationModel, problems: list, grid: np.ndarray,
                     minima[k] = seen[w_ref]
         running = still_running
     return minima
+
+
+def minima_over_models(
+    models,
+    inequalities=None,
+    omega_range=(0.01, 100.0),
+    coarse_points: int = 64,
+    scale: str = "log",
+    xtol: float = 1e-6,
+) -> list:
+    """Global minimum of each optimized inequality over a frequency window, per model.
+
+    Scans one coarse grid per model, shared by all inequalities (all
+    inequalities by default), and keeps each inequality's best coarse
+    point.  Then it refines every (model, inequality) bracket by golden
+    section to ``xtol`` in omega / gamma_a, all of them in one lockstep
+    with one stacked spectral evaluation per step.  A minimum on the
+    window edge is refined within the outermost cell and can land on the
+    edge itself.  ``models`` is any iterable of FluctuationModels, taken
+    one at a time after the arguments are checked.  Returns one list per
+    model with one VlfResult per inequality, in the order given; each
+    equals what ``min_over_frequency`` returns for that model and
+    inequality alone.
+    """
+    problems = [_GainProblem(ineq) for ineq in _resolve_inequalities(inequalities)]
+    lo, hi = float(omega_range[0]), float(omega_range[1])
+    if not (0.0 < lo < hi):
+        raise ParameterError(f"invalid omega_range {omega_range!r}")
+    if not isinstance(coarse_points, numbers.Integral) or coarse_points < 3:
+        raise ParameterError(
+            f"coarse_points must be an integer of at least 3, got {coarse_points!r}")
+    if not (math.isfinite(xtol) and xtol > 0.0):
+        raise ParameterError(f"xtol must be finite and > 0, got {xtol!r}")
+    if scale == "log":
+        grid = np.geomspace(lo, hi, coarse_points)
+    elif scale == "linear":
+        grid = np.linspace(lo, hi, coarse_points)
+    else:
+        raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
+    scanned, coarse = [], []
+    for model in models:
+        spectra = _grid_spectra(_model_rows([model]), grid)
+        results = _gain_solves([problem for problem in problems for _ in spectra],
+                               spectra * len(problems))
+        scanned.append(model)
+        for k in range(len(problems)):
+            scan = results[k * grid.size:(k + 1) * grid.size]
+            best = int(np.argmin([res.value for res in scan]))
+            coarse.append((best, scan[best]))
+    n = len(problems)
+    minima = _refine_minima([model for model in scanned for _ in problems],
+                            problems * len(scanned), grid, coarse, xtol)
+    return [minima[i * n:(i + 1) * n] for i in range(len(scanned))]
 
 
 def min_over_frequencies(
@@ -377,36 +449,17 @@ def min_over_frequencies(
 ) -> list:
     """Global minimum of each optimized inequality over a frequency window.
 
-    Scans one coarse grid shared by all inequalities (all inequalities by
-    default), then refines each inequality's best bracket by golden
-    section to ``xtol`` in omega / gamma_a, all brackets in lockstep with
-    one stacked spectral evaluation per step.  A minimum on the window edge
-    is refined within the outermost cell and can land on the edge itself.
-    Returns one VlfResult per inequality, in the order given; each equals
-    what ``min_over_frequency`` returns for that inequality alone.
+    The one-model case of ``minima_over_models``: one coarse grid shared by
+    all inequalities (all inequalities by default), then a lockstep golden
+    section refine of each inequality's best bracket.  The model is built
+    from ``params`` and ``branch`` unless given.  Returns one VlfResult per
+    inequality, in the order given; each equals what
+    ``min_over_frequency`` returns for that inequality alone.
     """
-    problems = [_GainProblem(ineq) for ineq in _resolve_inequalities(inequalities)]
-    lo, hi = float(omega_range[0]), float(omega_range[1])
-    if not (0.0 < lo < hi):
-        raise ParameterError(f"invalid omega_range {omega_range!r}")
-    if not isinstance(coarse_points, numbers.Integral) or coarse_points < 3:
-        raise ParameterError(
-            f"coarse_points must be an integer of at least 3, got {coarse_points!r}")
-    if not (math.isfinite(xtol) and xtol > 0.0):
-        raise ParameterError(f"xtol must be finite and > 0, got {xtol!r}")
     if model is None:
         model = build_branch_model(params, branch, zero_diffusion)
-    if scale == "log":
-        grid = np.geomspace(lo, hi, coarse_points)
-    elif scale == "linear":
-        grid = np.linspace(lo, hi, coarse_points)
-    else:
-        raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
-    spectra = _grid_spectra(model, grid)
-    results = _gain_solves([problem for problem in problems for _ in spectra],
-                           spectra * len(problems))
-    coarse = [results[k * grid.size:(k + 1) * grid.size] for k in range(len(problems))]
-    return _refine_minima(model, problems, grid, coarse, xtol)
+    return minima_over_models([model], inequalities, omega_range, coarse_points,
+                              scale, xtol)[0]
 
 
 def min_over_frequency(

@@ -21,6 +21,7 @@ from cascaded_fwm import (
     state_for_branch,
     stationary_covariance,
 )
+from cascaded_fwm.spectra import _output_stack
 from helpers import pumped, random_params, toy_model
 
 REGIMES = ("NoThreshold", "BelowThreshold", "BetweenThresholds",
@@ -230,3 +231,58 @@ def test_output_spectra_rejects_non_vector_grid():
     model = build_fluctuation_model(params, state_for_branch(params, "lower"))
     with pytest.raises(ParameterError, match="1-D"):
         output_spectra(model, np.ones((2, 2)))
+
+
+def mixed_rows(rng):
+    """Models from every regime and branch, and 70 rows spread over them.
+
+    Returns the models and, per row, the model index and omega; the rows
+    interleave the models and their damping rates differ.
+    """
+    models = []
+    for regime in REGIMES:
+        params = random_params(rng, regime=regime)
+        models.extend(build_fluctuation_model(params, state)
+                      for state in analytic_steady_states(params))
+    index = rng.integers(len(models), size=70)
+    omegas = np.array([10.0 ** rng.uniform(-2.0, 2.0) * models[k].params.gamma_a
+                       for k in index])
+    return models, index, omegas
+
+
+def stack_rows(models, index):
+    return (np.array([models[k].m for k in index]),
+            np.array([models[k].d for k in index]),
+            np.array([models[k].params.damping_rates() for k in index]))
+
+
+def test_output_stack_rows_equal_each_model_alone():
+    # More than 64 rows, so the stack crosses a chunk boundary.
+    models, index, omegas = mixed_rows(np.random.default_rng(99))
+    assert len({models[k].params.gamma_b for k in index}) > 1
+    assert len({models[k].steady_state.branch for k in index}) == 3
+    v_out = _output_stack(*stack_rows(models, index), omegas)
+    assert v_out.shape == (70, 12, 12)
+    for k, omega, row in zip(index, omegas, v_out):
+        assert np.array_equal(row, output_spectra(models[k], [omega])[0])
+
+
+def test_output_stack_names_an_ill_conditioned_row_as_it_would_alone():
+    # The toy drift of test_output_spectra_names_the_ill_conditioned_frequency
+    # fails the solve guard at 1.0; between well-conditioned rows of other
+    # models it must fail with the same message.  Its neighbour's diffusion
+    # is 1e12, so a budget scaled by the whole stack's max|D| would pass it.
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((12, 12))
+    bad = toy_model(a @ np.diag(np.logspace(0, 14, 12)) @ np.linalg.inv(a), np.eye(12))
+    loud = toy_model(0.5 * np.eye(12), 1e12 * np.eye(12))
+    with pytest.raises(NumericalError) as alone:
+        output_spectra(bad, [1.0])
+    output_spectra(loud, [1.0])
+    models, index, omegas = mixed_rows(np.random.default_rng(5))
+    models.extend((bad, loud))
+    index = np.insert(index, 40, [len(models) - 2, len(models) - 1])
+    omegas = np.insert(omegas, 40, [1.0, 1.0])
+    with pytest.raises(NumericalError) as stacked:
+        _output_stack(*stack_rows(models, index), omegas)
+    assert str(stacked.value) == str(alone.value)

@@ -19,6 +19,7 @@ from cascaded_fwm import (
     inequality_by_label,
     min_over_frequencies,
     min_over_frequency,
+    minima_over_models,
     optimize_gains,
     output_spectra,
     sweep_frequency,
@@ -479,3 +480,67 @@ def test_lockstep_refine_with_searches_of_different_lengths():
     model = build_branch_model(pumped(0.4, 1.2), "lower")
     counts = assert_matches_sequential(model)
     assert len(set(counts)) > 1
+
+
+def assert_same_result(res, ref):
+    assert (res.label, res.omega, res.omega_norm, res.value) == \
+        (ref.label, ref.omega, ref.omega_norm, ref.value)
+    assert np.array_equal(res.gains, ref.gains)
+
+
+@pytest.mark.parametrize("figure", ["fig8", "fig9"])
+def test_minima_over_models_matches_per_model_search_at_every_pump_point(figure):
+    from cascaded_fwm.cli import figure_config
+
+    config = figure_config(figure)
+    labels = ["s1-i1", "p1+s1", "i2-p1"]
+    th = compute_thresholds(config.params)
+    reference = th.eps_th if config.epsilon_mode == "rel_eps_th" else th.eps_th_prime
+    models = [build_branch_model(config.params.with_epsilon(float(ratio) * reference),
+                                 config.branch)
+              for ratio in np.geomspace(1.05, config.epsilon_ratio, 21)]
+    batched = minima_over_models(models, labels)
+    assert len(batched) == 21
+    for model, results in zip(models, batched, strict=True):
+        alone = min_over_frequencies(model.params, config.branch, labels, model=model)
+        for res, ref in zip(results, alone, strict=True):
+            assert_same_result(res, ref)
+
+
+def test_minima_over_models_matches_sequential_reference_on_a_mixed_batch():
+    # The models of the per-model regime test above, now in one lockstep:
+    # every regime and branch, and searches that end after different
+    # numbers of steps, so rows drop out of the stack unevenly.
+    rng = np.random.default_rng(7)
+    models = []
+    for regime in REGIMES:
+        params = random_params(rng, regime=regime)
+        models.extend(build_branch_model(params, state.branch)
+                      for state in analytic_steady_states(params))
+    assert {model.steady_state.branch.value for model in models} == \
+        {"trivial", "lower", "upper"}
+    grid = np.geomspace(0.01, 100.0, 16)
+    batched = minima_over_models(iter(models), coarse_points=16)
+    counts = set()
+    for model, results in zip(models, batched, strict=True):
+        for ineq, res in zip(INEQUALITIES, results, strict=True):
+            ref, count = sequential_minimum(model, ineq, grid)
+            assert_same_result(res, ref)
+            counts.add(count)
+    assert len(counts) > 1
+
+
+def test_minima_over_models_validation():
+    model = build_branch_model(pumped(0.4, 1.2), "lower")
+    for xtol in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ParameterError, match="xtol"):
+            minima_over_models([model], xtol=xtol)
+    for coarse_points in (2, 64.0):
+        with pytest.raises(ParameterError, match="coarse_points"):
+            minima_over_models([model], coarse_points=coarse_points)
+    with pytest.raises(ParameterError, match="scale"):
+        minima_over_models([model], scale="sqrt")
+    with pytest.raises(ParameterError, match="xtol"):
+        minima_over_models([], xtol=0.0)
+    assert minima_over_models([]) == []
+    assert minima_over_models([model, model], inequalities=[]) == [[], []]
