@@ -13,7 +13,11 @@ a representation feature, and every comparison made here depends on B only
 through B B^T.
 
 Paths own deterministic random streams derived from (seed, path index), so
-ensembles are reproducible and embarrassingly parallel in structure.
+ensembles are reproducible and embarrassingly parallel in structure.  The
+stepper works in chunks of 256 steps: it draws each path's normals for the
+chunk, forms the chunk's whole noise in one product, and then runs the
+sequential steps in place over that array, so each step is one small
+matrix product and one add.
 """
 
 from __future__ import annotations
@@ -151,24 +155,47 @@ def _euler_maruyama(model: FluctuationModel, dt: float, steps: int,
                     seed: int, x: np.ndarray):
     """Yield the states after each step, _CHUNK steps at a time.
 
-    ``x`` holds the start state of every path, shape (n_paths, dim).  Path
-    p draws its real normal increments from its own (seed, p) stream, one
-    chunk at a time, which gives the same values as drawing them at once.
-    Each yielded array has shape (n_paths, block, dim).
+    ``x`` holds the start state of every path, shape (n_paths, dim); it is
+    not written to.  Per chunk of ``block`` steps:
+
+    * path p draws its real normals from its own (seed, p) stream into row
+      p of one reused (n_paths, block, dim) buffer, which gives the same
+      values as drawing the whole path at once;
+    * one stacked product forms the chunk's noise sqrt(dt) (dW_t @ B^T) in
+      a fresh (block, n_paths, dim) array, one (n_paths, dim) slice per
+      step;
+    * step t overwrites its own slice in place with
+      x (I - dt M)^T + noise_t and becomes the next x, so the array ends
+      up holding the states.
+
+    The yielded array is that one, viewed as (n_paths, block, dim); no
+    buffer is shared between yields.  Every state, for any n_paths, is
+    bitwise what the per-step ``x @ decay.T + sqrt_dt * (dW_t @ b.T)``
+    gives: each product has the operand shapes and layouts of the per-step
+    one, which matters for one path, where numpy sends a (1, dim) product
+    through a vector kernel.
     """
     b = factor_diffusion(model.d).b
     n_paths, dim = x.shape
-    decay = np.eye(dim) - dt * model.m
+    # C-ordered like the complex copy numpy casts from a real decay.T; a
+    # transposed layout rounds differently in the one-path vector kernel.
+    decay_t = np.ascontiguousarray((np.eye(dim) - dt * model.m).T, dtype=complex)
     sqrt_dt = np.sqrt(dt)
     rngs = [_path_rng(seed, p) for p in range(n_paths)]
+    normals = np.empty((n_paths, min(_CHUNK, steps), dim))
+    tmp = np.empty((n_paths, dim), dtype=complex)
     for start in range(0, steps, _CHUNK):
         block = min(_CHUNK, steps - start)
-        increments = np.stack([rng.standard_normal((block, dim)) for rng in rngs])
-        states = np.empty((n_paths, block, dim), dtype=complex)
-        for t in range(block):
-            x = x @ decay.T + sqrt_dt * (increments[:, t, :] @ b.T)
-            states[:, t, :] = x
-        yield states
+        increments = normals[:, :block, :]
+        for p, rng in enumerate(rngs):
+            rng.standard_normal(out=increments[p])
+        states = increments.transpose(1, 0, 2) @ b.T
+        states *= sqrt_dt
+        for row in states:
+            np.matmul(x, decay_t, out=tmp)
+            np.add(tmp, row, out=row)
+            x = row
+        yield states.transpose(1, 0, 2)
 
 
 def simulate_ou(

@@ -169,14 +169,18 @@ def evaluate_inequality(ineq: VlfInequality, spectrum: QuadratureSpectrum,
 
 
 def _require_physical(v: np.ndarray):
-    """Raise PhysicalityError unless every matrix of the stack v is finite and PSD."""
+    """Raise PhysicalityError unless every matrix of the stack v is finite and PSD.
+
+    Entry k may dip below zero by 1e-9 * (1 + max|v_k|): rounding in a
+    spectrum with entries of 1e8 alone reaches ~1e-8.
+    """
     finite = np.isfinite(v).all(axis=(1, 2))
     if not finite.all():
         raise PhysicalityError(
             f"output spectrum is not finite (entry {int(finite.argmin())} of the stack)"
         )
     min_eig = np.linalg.eigvalsh((v + v.transpose(0, 2, 1)) / 2.0).min(axis=1)
-    failed = min_eig < _PSD_TOLERANCE
+    failed = min_eig < _PSD_TOLERANCE * (1.0 + np.abs(v).max(axis=(1, 2)))
     if failed.any():
         raise PhysicalityError(
             f"output spectrum is not positive semidefinite "
@@ -232,7 +236,7 @@ def optimize_gains(ineq: VlfInequality, spectrum: QuadratureSpectrum) -> VlfResu
     (E^T V E) g = -E^T V b0 with E the embedding of the free positions.
     ``lstsq`` provides the minimum-norm solution when the normal matrix is
     singular to within 1e-12 relative.  The spectrum must be finite and
-    positive semidefinite to within 1e-9.
+    positive semidefinite to within 1e-9 * (1 + max|v_out|).
     """
     _require_physical(spectrum.v_out[None])
     return _gain_solves([_GainProblem(ineq)], [spectrum])[0]

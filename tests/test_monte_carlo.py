@@ -23,7 +23,7 @@ from cascaded_fwm import (
     stationary_covariance,
     takagi,
 )
-from cascaded_fwm.monte_carlo import _CHUNK
+from cascaded_fwm.monte_carlo import _CHUNK, _euler_maruyama
 from helpers import pumped, reference_mc_covariance, reference_simulate_ou, toy_model
 
 
@@ -192,6 +192,34 @@ def test_simulate_ou_matches_sequential_reference():
         ens = simulate_ou(model, steps=steps, n_paths=3, seed=21, initial=start)
         ref = reference_simulate_ou(model, steps, n_paths=3, seed=21, initial=start)
         assert np.array_equal(ens.paths, ref)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 3, 8, 64])
+def test_simulate_ou_matches_sequential_reference_at_any_path_count(n_paths):
+    # At one path numpy sends each per-step (1, dim) product through a
+    # vector kernel; the stepper keeps the reference's operand layouts, so
+    # it is exact there too.
+    model = below_threshold_model()
+    steps = 3 * _CHUNK + 37
+    initial = np.linspace(-1.0, 1.0, 12) * (0.3 - 0.2j)
+    for start in (None, initial):
+        ens = simulate_ou(model, steps=steps, n_paths=n_paths, seed=4, initial=start)
+        ref = reference_simulate_ou(model, steps, n_paths=n_paths, seed=4, initial=start)
+        assert np.array_equal(ens.paths, ref)
+
+
+def test_yielded_chunks_stay_valid_until_the_stepper_ends():
+    # Every chunk is kept until the generator is exhausted, so a buffer
+    # reused across yields, or a start state written to, would show here.
+    model = below_threshold_model()
+    steps = 3 * _CHUNK + 37
+    start = np.tile(np.linspace(-1.0, 1.0, 12) + 0.5j, (4, 1))
+    kept = start.copy()
+    chunks = list(_euler_maruyama(model, default_step(model), steps, 13, start))
+    assert [c.shape for c in chunks] == [(4, _CHUNK, 12)] * 3 + [(4, 37, 12)]
+    ref = reference_simulate_ou(model, steps, n_paths=4, seed=13, initial=kept[0])
+    assert np.array_equal(np.concatenate(chunks, axis=1), ref[:, 1:, :])
+    assert np.array_equal(start, kept)
 
 
 def fast_relaxing_model():

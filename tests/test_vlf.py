@@ -213,6 +213,36 @@ def test_non_finite_stack_entry_named_before_psd_check():
         _require_physical(stack[:2])
 
 
+def test_large_spectrum_passes_on_rounding_alone():
+    # v_out reaches ~1e8 at low omega here, and rounding alone puts its
+    # smallest eigenvalue at about -9e-9, below an absolute -1e-9 budget.
+    rng = np.random.default_rng(17)
+    for regime in ("NoThreshold", "BelowThreshold", "BetweenThresholds"):
+        params = random_params(rng, regime=regime)
+    results = min_over_frequencies(params, "lower", coarse_points=16)
+    assert len(results) == len(INEQUALITIES)
+    assert all(np.isfinite(res.value) for res in results)
+
+
+def test_psd_budget_scales_with_each_stack_entry():
+    big = np.eye(12)
+    big[1, 1] = 1e8
+    big[0, 0] = -1e-6 * (1.0 + 1e8)
+    with pytest.raises(PhysicalityError, match="positive semidefinite"):
+        _require_physical(big[None])
+    with pytest.raises(PhysicalityError, match="positive semidefinite"):
+        optimize_gains(INEQUALITIES[0], QuadratureSpectrum(omega=1.0, omega_norm=1.0,
+                                                           v_out=big))
+    # Within its own budget a large entry passes; a small entry next to it
+    # keeps its own budget and does not borrow the large one's.
+    big[0, 0] = -1e-10 * (1.0 + 1e8)
+    _require_physical(big[None])
+    small = np.eye(12)
+    small[0, 0] = -1e-8
+    with pytest.raises(PhysicalityError, match=r"min eigenvalue -1\.000e-08"):
+        _require_physical(np.stack([big, small]))
+
+
 def test_sweep_ordering_and_metadata():
     params = pumped(0.4, 1.2)
     grid = [0.5, 2.0]
