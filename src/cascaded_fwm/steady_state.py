@@ -18,7 +18,14 @@ For the converted branches the daughter amplitudes follow from
 integrates the full (phase-unrestricted) equations from an arbitrary complex
 initial condition and reports which analytic branch, if any, the endpoint
 matches.  The equations carry a free relative phase between the generated
-pairs, so matching compares moduli.
+pairs, so matching compares moduli.  It rejects a non-finite start, a
+non-finite or non-positive ``tol``, ``t_max`` or ``divergence_bound`` and a
+negative or NaN ``match_radius`` before integrating.
+
+``drift``, the integrator's right-hand side and its convergence event share
+one scalar drift kernel in Python ``complex`` arithmetic, built once per
+call.  It does the same IEEE operations as numpy's complex128 scalars, so it
+equals the ndarray drift bit for bit without its per-operation dispatch.
 """
 
 from __future__ import annotations
@@ -84,6 +91,33 @@ class SteadyState:
         return self.amplitudes.astype(complex)
 
 
+def _drift_kernel(params: SystemParams):
+    """The drift as a function of six Python ``complex`` amplitudes.
+
+    Returns ``kernel(p2, p1, i1, s1, i2, s2) -> tuple of 6 complex``.  Each
+    component keeps the left-to-right operand order of the numpy drift it
+    replaced, which is what keeps the two equal bit for bit.
+    """
+    eps = float(params.epsilon)
+    k1, k2, k3 = float(params.k1), float(params.k2), float(params.k3)
+    ga, gb, gc = float(params.gamma_a), float(params.gamma_b), float(params.gamma_c)
+
+    def kernel(p2, p1, i1, s1, i2, s2):
+        cp2, cp1, ci1, cs1, ci2, cs2 = (
+            p2.conjugate(), p1.conjugate(), i1.conjugate(),
+            s1.conjugate(), i2.conjugate(), s2.conjugate())
+        return (
+            eps - ga * p2 - k1 * cp1 * s1 * i1 - k2 * ci1 * p1 * i2 + k3 * cs2 * s1 * p1,
+            eps - ga * p1 - k1 * cp2 * s1 * i1 - k3 * cs1 * p2 * s2 + k2 * ci2 * i1 * p2,
+            -gb * i1 + k1 * cs1 * p1 * p2 - k2 * cp2 * p1 * i2,
+            -gb * s1 + k1 * ci1 * p1 * p2 - k3 * cp1 * p2 * s2,
+            -gc * i2 + k2 * cp1 * p2 * i1,
+            -gc * s2 + k3 * cp2 * p1 * s1,
+        )
+
+    return kernel
+
+
 def drift(params: SystemParams, alpha: np.ndarray) -> np.ndarray:
     """Deterministic part of the equations of motion, d(alpha)/dt.
 
@@ -102,27 +136,7 @@ def drift(params: SystemParams, alpha: np.ndarray) -> np.ndarray:
     a = np.asarray(alpha, dtype=complex)
     if a.shape != (6,):
         raise ParameterError(f"alpha must have shape (6,), got {a.shape}")
-    p2, p1, i1, s1, i2, s2 = a
-    eps = params.epsilon
-    k1, k2, k3 = params.k1, params.k2, params.k3
-    out = np.empty(6, dtype=complex)
-    out[Mode.P2] = (eps - params.gamma_a * p2
-                    - k1 * np.conj(p1) * s1 * i1
-                    - k2 * np.conj(i1) * p1 * i2
-                    + k3 * np.conj(s2) * s1 * p1)
-    out[Mode.P1] = (eps - params.gamma_a * p1
-                    - k1 * np.conj(p2) * s1 * i1
-                    - k3 * np.conj(s1) * p2 * s2
-                    + k2 * np.conj(i2) * i1 * p2)
-    out[Mode.I1] = (-params.gamma_b * i1
-                    + k1 * np.conj(s1) * p1 * p2
-                    - k2 * np.conj(p2) * p1 * i2)
-    out[Mode.S1] = (-params.gamma_b * s1
-                    + k1 * np.conj(i1) * p1 * p2
-                    - k3 * np.conj(p1) * p2 * s2)
-    out[Mode.I2] = -params.gamma_c * i2 + k2 * np.conj(p1) * p2 * i1
-    out[Mode.S2] = -params.gamma_c * s2 + k3 * np.conj(p2) * p1 * s1
-    return out
+    return np.array(_drift_kernel(params)(*a.tolist()))
 
 
 def _converted_state(params: SystemParams, a_a: float, branch: Branch,
@@ -201,17 +215,6 @@ class RelaxationResult:
     distance: float
 
 
-def _rhs_real(params: SystemParams):
-    # Integrate the 12 real components rather than relying on complex
-    # support in the stepper; u = (Re alpha, Im alpha).
-    def rhs(t, u):
-        a = u[:6] + 1j * u[6:]
-        f = drift(params, a)
-        return np.concatenate([f.real, f.imag])
-
-    return rhs
-
-
 def _match_branch(params: SystemParams, endpoint: np.ndarray, match_radius: float):
     candidates = sorted(analytic_steady_states(params), key=lambda s: s.a_a)
     moduli = np.abs(endpoint)
@@ -236,26 +239,48 @@ def relax_to_steady_state(
 ) -> RelaxationResult:
     """Integrate the amplitude equations until they stop moving.
 
-    Runs an adaptive high-order Runge-Kutta integration of the full complex
-    equations from ``initial`` until the drift infinity-norm falls below
-    ``tol`` (converged), the state norm exceeds ``divergence_bound``
+    Runs an adaptive high-order Runge-Kutta integration (DOP853) of the full
+    complex equations from ``initial`` until the drift infinity-norm falls
+    below ``tol`` (converged), the state norm exceeds ``divergence_bound``
     (diverged), or ``t_max`` is reached (timeout; reported, not raised).
+    The right-hand side and the convergence event evaluate one scalar drift
+    kernel on the six amplitudes; its values equal ``drift``'s bit for bit.
 
     The generated pairs carry a free relative phase, so branch matching
     compares amplitude moduli against the closed-form branches; an endpoint
     counts as matched when the moduli agree within ``match_radius``.
+
+    Raises ``ParameterError`` before integrating unless ``initial`` holds
+    six finite amplitudes, ``tol``, ``t_max`` and ``divergence_bound`` are
+    finite and > 0, and ``match_radius`` is >= 0 (NaN is rejected).
     """
     a0 = np.asarray(initial, dtype=complex)
     if a0.shape != (6,):
         raise ParameterError(f"initial must have shape (6,), got {a0.shape}")
-    if tol <= 0.0 or t_max <= 0.0 or divergence_bound <= 0.0:
-        raise ParameterError("tol, t_max and divergence_bound must be > 0")
+    if not np.all(np.isfinite(a0)):
+        raise ParameterError(f"initial must be finite, got {a0!r}")
+    for name, value in (("tol", tol), ("t_max", t_max),
+                        ("divergence_bound", divergence_bound)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+    if not match_radius >= 0.0:
+        raise ParameterError(f"match_radius must be >= 0, got {match_radius!r}")
 
-    rhs = _rhs_real(params)
+    kernel = _drift_kernel(params)
 
+    # Integrate the 12 real components u = (Re alpha, Im alpha) rather than
+    # relying on complex support in the stepper.
+    def rhs(t, u):
+        v = u.tolist()
+        f0, f1, f2, f3, f4, f5 = kernel(*map(complex, v[:6], v[6:]))
+        return np.array([f0.real, f1.real, f2.real, f3.real, f4.real, f5.real,
+                         f0.imag, f1.imag, f2.imag, f3.imag, f4.imag, f5.imag])
+
+    # numpy's complex abs, not Python's abs: the two may differ in the last bit.
     def converged(t, u):
-        a = u[:6] + 1j * u[6:]
-        return float(np.max(np.abs(drift(params, a)))) - tol
+        v = u.tolist()
+        f = np.array(kernel(*map(complex, v[:6], v[6:])))
+        return float(np.max(np.abs(f))) - tol
 
     converged.terminal = True
     converged.direction = -1

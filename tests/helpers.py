@@ -8,8 +8,13 @@ the split thresholds with eps_th_prime = 2 eps_th.
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from cascaded_fwm import (
+    Mode,
+    NumericalError,
+    ParameterError,
+    RelaxationResult,
     SystemParams,
     compute_thresholds,
     default_step,
@@ -233,3 +238,82 @@ def reference_mc_covariance(model, n_paths, seed, chunk=2048):
     var = per_path.real.var(axis=0, ddof=1) + per_path.imag.var(axis=0, ddof=1)
     stderr = np.sqrt(var / n_paths)
     return sigma_hat, stderr
+
+
+def reference_drift(params, alpha):
+    """Test oracle for the scalar drift kernel: the drift in numpy scalars.
+
+    The drift as it was written before the scalar kernel, one complex128
+    ufunc per operation.
+    """
+    a = np.asarray(alpha, dtype=complex)
+    if a.shape != (6,):
+        raise ParameterError(f"alpha must have shape (6,), got {a.shape}")
+    p2, p1, i1, s1, i2, s2 = a
+    eps = params.epsilon
+    k1, k2, k3 = params.k1, params.k2, params.k3
+    out = np.empty(6, dtype=complex)
+    out[Mode.P2] = (eps - params.gamma_a * p2
+                    - k1 * np.conj(p1) * s1 * i1
+                    - k2 * np.conj(i1) * p1 * i2
+                    + k3 * np.conj(s2) * s1 * p1)
+    out[Mode.P1] = (eps - params.gamma_a * p1
+                    - k1 * np.conj(p2) * s1 * i1
+                    - k3 * np.conj(s1) * p2 * s2
+                    + k2 * np.conj(i2) * i1 * p2)
+    out[Mode.I1] = (-params.gamma_b * i1
+                    + k1 * np.conj(s1) * p1 * p2
+                    - k2 * np.conj(p2) * p1 * i2)
+    out[Mode.S1] = (-params.gamma_b * s1
+                    + k1 * np.conj(i1) * p1 * p2
+                    - k3 * np.conj(p1) * p2 * s2)
+    out[Mode.I2] = -params.gamma_c * i2 + k2 * np.conj(p1) * p2 * i1
+    out[Mode.S2] = -params.gamma_c * s2 + k3 * np.conj(p2) * p1 * s1
+    return out
+
+
+def reference_relax(params, initial, t_max=1e5, tol=1e-9, divergence_bound=1e4,
+                    match_radius=1e-6):
+    """Test oracle for relax_to_steady_state: the same integration on
+    ``reference_drift``, with the right-hand side and events rebuilding the
+    complex state as an ndarray at every call.
+    """
+    from cascaded_fwm.steady_state import _match_branch
+
+    a0 = np.asarray(initial, dtype=complex)
+
+    def rhs(t, u):
+        a = u[:6] + 1j * u[6:]
+        f = reference_drift(params, a)
+        return np.concatenate([f.real, f.imag])
+
+    def converged(t, u):
+        a = u[:6] + 1j * u[6:]
+        return float(np.max(np.abs(reference_drift(params, a)))) - tol
+
+    converged.terminal = True
+    converged.direction = -1
+
+    def diverged(t, u):
+        a = u[:6] + 1j * u[6:]
+        return float(np.max(np.abs(a))) - divergence_bound
+
+    diverged.terminal = True
+    diverged.direction = 1
+
+    u0 = np.concatenate([a0.real, a0.imag])
+    sol = solve_ivp(rhs, (0.0, t_max), u0, method="DOP853",
+                    rtol=1e-9, atol=1e-12, events=(converged, diverged))
+    if not sol.success:
+        raise NumericalError(f"relaxation integrator failed: {sol.message}")
+    u_end = sol.y[:, -1]
+    a_end = u_end[:6] + 1j * u_end[6:]
+    residual = float(np.max(np.abs(reference_drift(params, a_end))))
+    elapsed = float(sol.t[-1])
+
+    if sol.t_events[1].size > 0:
+        return RelaxationResult("diverged", a_end, residual, elapsed, None, math.inf)
+    if sol.t_events[0].size == 0 and residual >= tol:
+        return RelaxationResult("timeout", a_end, residual, elapsed, None, math.inf)
+    matched, distance = _match_branch(params, a_end, match_radius)
+    return RelaxationResult("converged", a_end, residual, elapsed, matched, distance)

@@ -56,6 +56,22 @@ def test_drift_matrix_matches_finite_differences():
             assert np.max(np.abs(m - fd)) < 1e-6
 
 
+def test_drift_matrix_matches_finite_differences_in_every_regime():
+    rng = np.random.default_rng(161803)
+    checked = 0
+    for regime in ("NoThreshold", "BelowThreshold", "BetweenThresholds",
+                   "AboveUpperThreshold"):
+        for _ in range(5):
+            params = random_params(rng, regime)
+            for state in analytic_steady_states(params):
+                m = build_drift_matrix(params, state)
+                fd = finite_difference_drift_matrix(params, state.alpha())
+                bound = 1e-6 * max(1.0, np.max(np.abs(m)))
+                assert np.max(np.abs(m - fd)) < bound, (regime, params, state.branch)
+                checked += 1
+    assert checked == 25  # one branch per draw, two above the upper threshold
+
+
 def test_conjugation_block_structure():
     params = pumped(0.4, 1.2)
     model = build_fluctuation_model(params, state_for_branch(params, "lower"))

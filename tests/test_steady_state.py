@@ -13,7 +13,14 @@ from cascaded_fwm import (
     sample_initial_conditions,
     state_for_branch,
 )
-from helpers import make_params, pumped, random_params
+from cascaded_fwm.cli import figure_config
+from helpers import (
+    make_params,
+    pumped,
+    random_params,
+    reference_drift,
+    reference_relax,
+)
 
 # Frozen fig-3 lower-branch amplitudes (eps = 1.2 eps_th, k2 = 0.4): from
 # A_a = eps_th / gamma_a and the closed-form daughter amplitudes.
@@ -136,6 +143,82 @@ def test_relaxation_input_validation():
         relax_to_steady_state(params, np.zeros(5, dtype=complex))
     with pytest.raises(ParameterError):
         relax_to_steady_state(params, np.zeros(6, dtype=complex), tol=-1.0)
+
+
+def test_relaxation_rejects_nan_t_max():
+    # Without the check the integration never returns.
+    with pytest.raises(ParameterError, match="t_max"):
+        relax_to_steady_state(pumped(0.4, 1.2), np.zeros(6, dtype=complex),
+                              t_max=float("nan"))
+
+
+def test_relaxation_rejects_nan_tol():
+    # Without the check it runs to t_max and then reports "converged".
+    with pytest.raises(ParameterError, match="tol"):
+        relax_to_steady_state(pumped(0.4, 1.2), np.zeros(6, dtype=complex),
+                              tol=float("nan"))
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
+def test_relaxation_rejects_non_finite_initial(bad):
+    initial = np.full(6, 0.01 + 0.02j)
+    initial[3] = bad
+    with pytest.raises(ParameterError, match="initial must be finite"):
+        relax_to_steady_state(pumped(0.4, 1.2), initial)
+
+
+@pytest.mark.parametrize("radius", [-1.0, float("nan")])
+def test_relaxation_rejects_bad_match_radius(radius):
+    with pytest.raises(ParameterError, match="match_radius"):
+        relax_to_steady_state(pumped(0.4, 1.2), np.full(6, 0.01 + 0.02j),
+                              match_radius=radius)
+
+
+def test_drift_equals_numpy_reference_in_every_regime():
+    # 4 regimes x 8 parameter sets x 40 states; each component's modulus is
+    # spread over 1e-6..1 on a log scale, with a random phase.
+    rng = np.random.default_rng(8)
+    checked = 0
+    for regime in ("NoThreshold", "BelowThreshold", "BetweenThresholds",
+                   "AboveUpperThreshold"):
+        for _ in range(8):
+            params = random_params(rng, regime)
+            for _ in range(40):
+                alpha = (10.0 ** rng.uniform(-6.0, 0.0, 6)
+                         * np.exp(2j * np.pi * rng.uniform(size=6)))
+                assert np.array_equal(drift(params, alpha),
+                                      reference_drift(params, alpha)), (params, alpha)
+                checked += 1
+    assert checked == 1280
+
+
+def _assert_same_relaxation(result, expected):
+    assert np.array_equal(result.amplitudes, expected.amplitudes)
+    assert result.elapsed == expected.elapsed
+    assert result.residual == expected.residual
+    assert result.status == expected.status
+    assert result.distance == expected.distance
+    branch = None if result.matched is None else result.matched.branch
+    assert branch is (None if expected.matched is None else expected.matched.branch)
+
+
+def test_relaxation_equals_numpy_reference_at_fig6():
+    # Draws of the basin-relax benchmark pool (4096 at seed 12345): the first
+    # 8, and draw 31, where Python's abs in the convergence event instead of
+    # numpy's moves the event time by one ulp (CPython 3.11, numpy 2.4, x86-64).
+    params = figure_config("fig6").system()
+    pool = sample_initial_conditions(params, 4096, seed=12345)
+    for initial in pool[[*range(8), 31]]:
+        _assert_same_relaxation(relax_to_steady_state(params, initial),
+                                reference_relax(params, initial))
+
+
+def test_relaxation_equals_numpy_reference_at_criterion_4_draws():
+    params = pumped(0.4, 2.2, reference="eps_th_prime")
+    for initial in sample_initial_conditions(params, 50, seed=20260814)[:4]:
+        _assert_same_relaxation(
+            relax_to_steady_state(params, initial, match_radius=1e-6),
+            reference_relax(params, initial, match_radius=1e-6))
 
 
 def test_symmetric_initial_condition_stays_symmetric():
