@@ -17,13 +17,18 @@ rather than assumed.  Gain optimization is a linear-algebra problem: the
 variance is a convex quadratic in the gains, so the optimum solves a 4x4
 normal system, with the minimum-norm solution taken when that system is
 singular.
+
+Internally every step passes stacked arrays: the checked spectra of
+``_grid_spectra``, the gain problems of ``_problem_arrays`` and the values
+and gains of ``_gain_solves``, one row per (spectrum, inequality) pair.
+VlfResult objects are made only where a public function returns them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -58,6 +63,9 @@ class VlfInequality:
         y = np.array(self.y_fixed, dtype=float)
         if x.shape != (6,) or y.shape != (6,):
             raise ParameterError("coefficient vectors must have length 6")
+        # The separable bound 4 holds only for unit coefficients.
+        if not np.isin(np.concatenate((x, y)), (-1.0, 0.0, 1.0)).all():
+            raise ParameterError(f"{self.label}: nonzero coefficients must be +-1")
         x_support = set(np.flatnonzero(x).tolist())
         y_support = set(np.flatnonzero(y).tolist())
         if len(x_support) != 2 or x_support != y_support:
@@ -118,23 +126,24 @@ class VlfResult:
         return self.value < 4.0
 
 
-class _GainProblem:
-    """One inequality with the constant vectors of its gain problem.
+def _result(ineq: VlfInequality, omega, omega_norm, value, gains) -> VlfResult:
+    return VlfResult(label=ineq.label, symmetry_class=ineq.symmetry_class,
+                     omega=omega, omega_norm=omega_norm, value=value, gains=gains,
+                     free_modes=ineq.free_modes)
 
-    ``free`` indexes the free Y gains in the stacked 12-vector, ``a`` is
-    the X combination and ``b0`` the Y combination with every gain zero.
-    Built once per inequality and call, then used for every spectrum.
+
+def _problem_arrays(ineqs) -> tuple:
+    """The constant vectors of each inequality's gain problem, stacked.
+
+    Row p belongs to ``ineqs[p]``: ``a`` (P, 12) is its X combination,
+    ``b0`` (P, 12) its Y combination with every gain zero, and ``free``
+    (P, 4) indexes its free Y gains in the stacked 12-vector.
     """
-
-    __slots__ = ("ineq", "free", "a", "b0")
-
-    def __init__(self, ineq: VlfInequality):
-        self.ineq = ineq
-        self.free = 6 + np.array(ineq.free_modes)
-        self.a = np.zeros(12)
-        self.a[:6] = ineq.x_coeffs
-        self.b0 = np.zeros(12)
-        self.b0[6:] = ineq.y_fixed
+    a = np.zeros((len(ineqs), 12))
+    b0 = np.zeros((len(ineqs), 12))
+    a[:, :6] = np.reshape([ineq.x_coeffs for ineq in ineqs], (-1, 6))
+    b0[:, 6:] = np.reshape([ineq.y_fixed for ineq in ineqs], (-1, 6))
+    return a, b0, 6 + np.reshape([ineq.free_modes for ineq in ineqs], (-1, 4)).astype(int)
 
 
 def _values(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -162,10 +171,9 @@ def evaluate_inequality(ineq: VlfInequality, spectrum: QuadratureSpectrum,
         raise ParameterError(
             f"{ineq.label}: expected {len(ineq.free_modes)} gains, got {gains.shape}"
         )
-    problem = _GainProblem(ineq)
-    b = problem.b0.copy()
-    b[problem.free] = gains
-    return float(_values(problem.a[None], b[None], np.asarray(spectrum.v_out)[None])[0])
+    a, b, free = _problem_arrays((ineq,))
+    b[0, free[0]] = gains
+    return float(_values(a, b, np.asarray(spectrum.v_out)[None])[0])
 
 
 def _require_physical(v: np.ndarray):
@@ -192,41 +200,31 @@ def _raise_lstsq_error(err, flag):
     raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _gain_solves(problems: list, spectra: list) -> list:
-    """optimize_gains for every row, on spectra already checked physical.
+def _gain_solves(a: np.ndarray, b0: np.ndarray, free: np.ndarray,
+                 v: np.ndarray) -> tuple:
+    """Optimized values (S) and gains (S, 4) of gain problems on checked spectra.
 
-    Row k solves ``problems[k]`` on ``spectra[k]``; rows may mix
-    inequalities.  ``np.linalg.lstsq`` only checks that its inputs are 2-D
-    and then calls the gufunc ``_umath_linalg.lstsq``; calling that once on
-    the whole stack runs the same ``dgelsd`` per slice with the same rcond,
-    so every gain and value is bitwise what the per-slice ``lstsq`` gives.
+    ``a``, ``b0``, ``free`` are rows of ``_problem_arrays`` and ``v`` a
+    stack of spectra; their leading axes broadcast to the shape S, and one
+    call of the gufunc ``_umath_linalg.lstsq``, which ``np.linalg.lstsq``
+    wraps, solves every row.  It runs the same ``dgelsd`` per slice with the
+    same rcond, so every gain and value is bitwise what the per-slice
+    ``lstsq`` gives.
     """
-    if not problems:
-        return []
-    v = np.array([spectrum.v_out for spectrum in spectra])
-    rows = np.arange(len(problems))[:, None]
-    free = np.array([problem.free for problem in problems])
-    b = np.array([problem.b0 for problem in problems])
-    rhs = -(v @ b[:, :, None])[rows, free, 0]
+    shape = np.broadcast_shapes(a.shape[:-1], v.shape[:-2])
+    a, b0, free = (np.broadcast_to(x, (*shape, x.shape[-1])).reshape(-1, x.shape[-1])
+                   for x in (a, b0, free))
+    v = np.broadcast_to(v, (*shape, 12, 12)).reshape(-1, 12, 12)
+    rows = np.arange(len(v))[:, None]
+    rhs = -(v @ b0[:, :, None])[rows, free, 0]
     blocks = v[rows[:, :, None], free[:, :, None], free[:, None, :]]
     with np.errstate(call=_raise_lstsq_error, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
         gains = _umath_linalg.lstsq(blocks, rhs[:, :, None], _SINGULAR_RCOND,
                                     signature="ddd->ddid")[0][:, :, 0]
+    b = b0.copy()
     b[rows, free] = gains
-    values = _values(np.array([problem.a for problem in problems]), b, v)
-    return [
-        VlfResult(
-            label=problem.ineq.label,
-            symmetry_class=problem.ineq.symmetry_class,
-            omega=spectrum.omega,
-            omega_norm=spectrum.omega_norm,
-            value=float(value),
-            gains=row_gains,
-            free_modes=problem.ineq.free_modes,
-        )
-        for problem, spectrum, value, row_gains in zip(problems, spectra, values, gains)
-    ]
+    return _values(a, b, v).reshape(shape), gains.reshape(*shape, 4)
 
 
 def optimize_gains(ineq: VlfInequality, spectrum: QuadratureSpectrum) -> VlfResult:
@@ -238,18 +236,17 @@ def optimize_gains(ineq: VlfInequality, spectrum: QuadratureSpectrum) -> VlfResu
     singular to within 1e-12 relative.  The spectrum must be finite and
     positive semidefinite to within 1e-9 * (1 + max|v_out|).
     """
-    _require_physical(spectrum.v_out[None])
-    return _gain_solves([_GainProblem(ineq)], [spectrum])[0]
+    v = np.array([spectrum.v_out])
+    _require_physical(v)
+    values, gains = _gain_solves(*_problem_arrays((ineq,)), v)
+    return _result(ineq, spectrum.omega, spectrum.omega_norm, float(values[0]), gains[0])
 
 
 def _resolve_inequalities(inequalities):
     if inequalities is None:
         return INEQUALITIES
-    resolved = []
-    for item in inequalities:
-        resolved.append(item if isinstance(item, VlfInequality)
-                        else inequality_by_label(item))
-    return tuple(resolved)
+    return tuple(item if isinstance(item, VlfInequality) else inequality_by_label(item)
+                 for item in inequalities)
 
 
 def build_branch_model(params: SystemParams, branch: Branch | str,
@@ -261,12 +258,7 @@ def build_branch_model(params: SystemParams, branch: Branch | str,
     """
     model = build_fluctuation_model(params, state_for_branch(params, branch))
     if zero_diffusion:
-        model = FluctuationModel(
-            params=model.params,
-            steady_state=model.steady_state,
-            m=model.m,
-            d=np.zeros_like(model.d),
-        )
+        model = replace(model, d=np.zeros_like(model.d))
     return model
 
 
@@ -282,12 +274,13 @@ def _model_rows(models) -> tuple:
             np.array([model.params.gamma_a for model in models]))
 
 
-def _grid_spectra(rows: tuple, omega_norms) -> list:
+def _grid_spectra(rows: tuple, omega_norms) -> tuple:
     """Checked output spectra, row k at omega_norms[k] of its own model.
 
     ``rows`` comes from ``_model_rows``, with one row per entry of
     ``omega_norms`` or one row for all of them.  One stacked evaluation and
-    one physicality check per spectrum; entry k equals
+    one physicality check per spectrum.  Returns ``(omega, omega_norm,
+    v_out)`` with omega_norm = omega / gamma_a; entry k equals
     ``output_spectrum_at(model_k, omega_norms[k] * gamma_a)`` exactly.
     """
     omega_norms = np.asarray(omega_norms, dtype=float)
@@ -296,8 +289,7 @@ def _grid_spectra(rows: tuple, omega_norms) -> list:
     omegas = omega_norms * gamma_a
     v_out = _output_stack(m, d, rates, omegas)
     _require_physical(v_out)
-    return [QuadratureSpectrum(omega=w, omega_norm=w / g, v_out=v)
-            for w, g, v in zip(omegas.tolist(), gamma_a.tolist(), v_out)]
+    return omegas, omegas / gamma_a, v_out
 
 
 def sweep_frequency(
@@ -314,14 +306,17 @@ def sweep_frequency(
     declaration order of INEQUALITIES.  ``omega_grid`` defaults to 400
     logarithmic points on [0.01, 100].
     """
-    problems = [_GainProblem(ineq) for ineq in _resolve_inequalities(inequalities)]
+    ineqs = _resolve_inequalities(inequalities)
     if omega_grid is None:
         omega_grid = np.geomspace(0.01, 100.0, 400)
     if model is None:
         model = build_branch_model(params, branch, zero_diffusion)
-    spectra = _grid_spectra(_model_rows([model]), omega_grid)
-    return _gain_solves(problems * len(spectra),
-                        [spectrum for spectrum in spectra for _ in problems])
+    omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), omega_grid)
+    values, gains = _gain_solves(*_problem_arrays(ineqs), v_out[:, None])
+    return [_result(ineq, w, w_norm, value, ineq_gains)
+            for w, w_norm, w_values, w_gains in zip(omega.tolist(), omega_norm.tolist(),
+                                                    values.tolist(), gains)
+            for ineq, value, ineq_gains in zip(ineqs, w_values, w_gains)]
 
 
 def _golden_section(lo, hi, xtol):
@@ -351,38 +346,41 @@ def _golden_section(lo, hi, xtol):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _refine_minima(models: list, problems: list, grid: np.ndarray,
+def _refine_minima(rows: tuple, problems: tuple, grid: np.ndarray,
                    coarse: list, xtol: float) -> list:
     """Golden-section refine of every search's best coarse bracket.
 
-    Search k minimizes ``problems[k]`` on ``models[k]``, and ``coarse[k]``
-    holds the index on ``grid`` and the VlfResult of its best coarse
-    point.  The searches run in lockstep: each step evaluates the pending
-    abscissa of every running search with one stacked spectral call, so
-    every search sees exactly the values it would see alone.  Each returns
-    the result already computed at its winning point.
+    Search k minimizes row k of ``problems`` on the model in row k of
+    ``rows``; ``coarse[k]`` holds its best index on ``grid`` and the point
+    ``(omega, omega_norm, value, gains)`` there.  The searches run in
+    lockstep, one stacked spectral call per step, so every search sees
+    exactly the values it would see alone.  Each keeps only the point
+    ``_golden_section`` will return: the left of two unless the right is
+    lower, as its ``fc <= fd``.  Returns one point per search.
     """
-    rows = _model_rows(models)
     minima, running = [], []
-    for k, (best, result) in enumerate(coarse):
-        minima.append(result)
+    for k, (best, point) in enumerate(coarse):
+        minima.append(point)
         search = _golden_section(float(grid[max(best - 1, 0)]),
                                  float(grid[min(best + 1, grid.size - 1)]), xtol)
-        running.append((k, search, next(search), {}))
+        running.append((k, search, next(search), None))
     while running:
         index = np.array([k for k, _, _, _ in running])
-        spectra = _grid_spectra(tuple(a[index] for a in rows),
-                                [omega_norm for _, _, omega_norm, _ in running])
-        results = _gain_solves([problems[k] for k, _, _, _ in running], spectra)
+        abscissae = [x for _, _, x, _ in running]
+        omega, omega_norm, v_out = _grid_spectra(tuple(a[index] for a in rows), abscissae)
+        values, gains = _gain_solves(*(a[index] for a in problems), v_out)
+        points = zip(omega.tolist(), omega_norm.tolist(), values.tolist(), gains)
         still_running = []
-        for (k, search, omega_norm, seen), res in zip(running, results):
-            seen[omega_norm] = res
+        for (k, search, x, kept), point in zip(running, points):
+            winner = (x, point)
+            if kept is not None:
+                left, right = (winner, kept) if x < kept[0] else (kept, winner)
+                winner = left if left[1][2] <= right[1][2] else right
             try:
-                still_running.append((k, search, search.send(res.value), seen))
+                still_running.append((k, search, search.send(point[2]), winner))
             except StopIteration as stop:
-                w_ref, v_ref = stop.value
-                if v_ref <= minima[k].value:
-                    minima[k] = seen[w_ref]
+                if stop.value[1] <= minima[k][2]:
+                    minima[k] = winner[1]
         running = still_running
     return minima
 
@@ -409,7 +407,8 @@ def minima_over_models(
     equals what ``min_over_frequency`` returns for that model and
     inequality alone.
     """
-    problems = [_GainProblem(ineq) for ineq in _resolve_inequalities(inequalities)]
+    ineqs = _resolve_inequalities(inequalities)
+    problems = _problem_arrays(ineqs)
     lo, hi = float(omega_range[0]), float(omega_range[1])
     if not (0.0 < lo < hi):
         raise ParameterError(f"invalid omega_range {omega_range!r}")
@@ -426,18 +425,18 @@ def minima_over_models(
         raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
     scanned, coarse = [], []
     for model in models:
-        spectra = _grid_spectra(_model_rows([model]), grid)
-        results = _gain_solves([problem for problem in problems for _ in spectra],
-                               spectra * len(problems))
+        omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), grid)
+        values, gains = _gain_solves(*(a[:, None] for a in problems), v_out)
         scanned.append(model)
-        for k in range(len(problems)):
-            scan = results[k * grid.size:(k + 1) * grid.size]
-            best = int(np.argmin([res.value for res in scan]))
-            coarse.append((best, scan[best]))
-    n = len(problems)
-    minima = _refine_minima([model for model in scanned for _ in problems],
-                            problems * len(scanned), grid, coarse, xtol)
-    return [minima[i * n:(i + 1) * n] for i in range(len(scanned))]
+        for best, row_values, row_gains in zip(values.argmin(axis=1).tolist(), values, gains):
+            coarse.append((best, (float(omega[best]), float(omega_norm[best]),
+                                  float(row_values[best]), row_gains[best])))
+    n = len(ineqs)
+    rows = tuple(a.repeat(n, axis=0) for a in _model_rows(scanned))
+    minima = _refine_minima(rows, tuple(np.tile(a, (len(scanned), 1)) for a in problems),
+                            grid, coarse, xtol)
+    return [[_result(ineq, *point) for ineq, point in zip(ineqs, minima[i * n:(i + 1) * n])]
+            for i in range(len(scanned))]
 
 
 def min_over_frequencies(

@@ -24,7 +24,7 @@ from cascaded_fwm import (
     output_spectra,
     sweep_frequency,
 )
-from cascaded_fwm.vlf import _gain_solves, _GainProblem, _golden_section, _require_physical
+from cascaded_fwm.vlf import _gain_solves, _golden_section, _problem_arrays, _require_physical
 from helpers import (
     golden_section,
     pumped,
@@ -96,6 +96,13 @@ def test_inequality_validation():
     with pytest.raises(ParameterError, match="ascending"):
         VlfInequality("bad", "A", (1, -1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0),
                       (3, 2, 4, 5))
+    # The separable bound 4 holds only for +-1 coefficients.
+    for x, y in (((0, 0, -2, 1, 0, 0), (0, 0, 1, 0.5, 0, 0)),
+                 ((0, 0, -1, 1, 0, 0), (0, 0, 1, 0.5, 0, 0)),
+                 ((0, 0, -2, 1, 0, 0), (0, 0, 1, 1, 0, 0)),
+                 ((0, 0, -1, 1, 0, 0), (0, 0, 1, float("nan"), 0, 0))):
+        with pytest.raises(ParameterError, match=r"\+-1"):
+            VlfInequality("bad", "A", x, y, (0, 1, 4, 5))
 
 
 def test_shot_noise_saturates_the_bound():
@@ -378,19 +385,18 @@ def test_gain_solve_value_is_evaluate_inequality_at_its_gains():
         for omega_norm in (0.01, 0.3, 7.0, 100.0):
             spectrum = spectrum_at(model, omega_norm)
             for ineq in INEQUALITIES:
-                res = _gain_solves([_GainProblem(ineq)], [spectrum])[0]
-                assert res.value == evaluate_inequality(ineq, spectrum, res.gains)
+                values, gains = _gain_solves(*_problem_arrays((ineq,)), spectrum.v_out[None])
+                assert values[0] == evaluate_inequality(ineq, spectrum, gains[0])
 
 
-def assert_matches_gain_oracle(problems, spectra):
-    results = _gain_solves(problems, spectra)
-    assert len(results) == len(problems)
-    for problem, spectrum, res in zip(problems, spectra, results, strict=True):
-        gains, value = reference_gain_solve(problem.ineq, spectrum.v_out)
-        assert np.array_equal(res.gains, gains)
-        assert res.value == value
-        assert (res.label, res.omega, res.omega_norm) == \
-            (problem.ineq.label, spectrum.omega, spectrum.omega_norm)
+def assert_matches_gain_oracle(ineqs, spectra):
+    values, gains = _gain_solves(*_problem_arrays(ineqs),
+                                 np.array([spectrum.v_out for spectrum in spectra]))
+    assert values.shape == (len(ineqs),) and gains.shape == (len(ineqs), 4)
+    for ineq, spectrum, value, row_gains in zip(ineqs, spectra, values, gains, strict=True):
+        ref_gains, ref_value = reference_gain_solve(ineq, spectrum.v_out)
+        assert np.array_equal(row_gains, ref_gains)
+        assert value == ref_value
 
 
 def test_gain_solves_match_per_slice_oracle_in_every_regime():
@@ -416,13 +422,13 @@ def test_gain_solves_match_per_slice_oracle_on_low_rank_spectra():
     # rank 4 every free block is singular and lstsq takes its minimum-norm
     # solution.
     rng = np.random.default_rng(11)
-    problems, spectra = [], []
+    ineqs, spectra = [], []
     for k in range(240):
         factor = rng.standard_normal((12, 1 + k % 12)) * 10.0 ** rng.uniform(-8.0, 8.0)
         spectra.append(QuadratureSpectrum(omega=float(k), omega_norm=float(k),
                                           v_out=factor @ factor.T))
-        problems.append(_GainProblem(INEQUALITIES[k % 5]))
-    assert_matches_gain_oracle(problems, spectra)
+        ineqs.append(INEQUALITIES[k % 5])
+    assert_matches_gain_oracle(ineqs, spectra)
 
 
 def test_gain_solves_match_per_slice_oracle_on_a_mixed_stack():
@@ -431,12 +437,31 @@ def test_gain_solves_match_per_slice_oracle_on_a_mixed_stack():
     model = build_branch_model(pumped(0.4, 1.2), "lower")
     omega_norms = [0.013, 0.4, 0.41, 2.0, 37.0, 0.4]
     spectra = [spectrum_at(model, w) for w in omega_norms]
-    problems = [_GainProblem(INEQUALITIES[k]) for k in (2, 0, 4, 1, 3, 2)]
-    assert_matches_gain_oracle(problems, spectra)
-    for problem, spectrum in zip(problems, spectra):
-        gains, value = reference_gain_solve(problem.ineq, spectrum.v_out)
-        res = optimize_gains(problem.ineq, spectrum)
+    ineqs = [INEQUALITIES[k] for k in (2, 0, 4, 1, 3, 2)]
+    assert_matches_gain_oracle(ineqs, spectra)
+    for ineq, spectrum in zip(ineqs, spectra):
+        gains, value = reference_gain_solve(ineq, spectrum.v_out)
+        res = optimize_gains(ineq, spectrum)
         assert np.array_equal(res.gains, gains) and res.value == value
+        assert (res.label, res.omega, res.omega_norm) == \
+            (ineq.label, spectrum.omega, spectrum.omega_norm)
+
+
+def test_gain_solves_broadcast_problems_against_spectra():
+    # As a grid scan calls it: every witness against every spectrum, in
+    # both orders of the two leading axes.
+    model = build_branch_model(pumped(0.4, 1.2), "lower")
+    v_out = np.array([spectrum_at(model, w).v_out for w in (0.013, 0.4, 2.0, 37.0)])
+    problems = _problem_arrays(INEQUALITIES)
+    by_witness = _gain_solves(*(a[:, None] for a in problems), v_out)
+    by_frequency = _gain_solves(*problems, v_out[:, None])
+    assert by_witness[0].shape == (5, 4) and by_witness[1].shape == (5, 4, 4)
+    for p, ineq in enumerate(INEQUALITIES):
+        for j, v in enumerate(v_out):
+            gains, value = reference_gain_solve(ineq, v)
+            assert by_witness[0][p, j] == value == by_frequency[0][j, p]
+            assert np.array_equal(by_witness[1][p, j], gains)
+            assert np.array_equal(by_frequency[1][j, p], gains)
 
 
 def assert_matches_sequential(model, omega_range=(0.01, 100.0), coarse_points=64,
@@ -574,3 +599,10 @@ def test_minima_over_models_validation():
         minima_over_models([], xtol=0.0)
     assert minima_over_models([]) == []
     assert minima_over_models([model, model], inequalities=[]) == [[], []]
+
+
+def test_sweep_frequency_without_inequalities_is_empty():
+    assert [a.shape for a in _problem_arrays(())] == [(0, 12), (0, 12), (0, 4)]
+    params = pumped(0.4, 1.2)
+    assert sweep_frequency(params, "lower", inequalities=[]) == []
+    assert sweep_frequency(params, "lower", inequalities=(), omega_grid=[0.1, 1.0]) == []
