@@ -7,6 +7,14 @@ All numeric cells use full-precision scientific notation, rows are emitted
 in a deterministic order, and files are written atomically (no partial file
 survives a failure).
 
+Each decision is declared once.  ``_OPTIONAL_KEYS`` holds the default and
+the parser of every optional config key, and the known keys derive from it;
+only the cross-key rules (the epsilon pair, the omega window, k2 == k3) are
+spelled out in ``parse_config``.  ``_VERBS`` maps each verb to its handler
+and help text and drives both the argument parser and the one dispatch in
+``main``; ``_FIGURE_VERBS`` maps each packaged figure to its handler.  Every
+CSV goes through ``_write_csv``.
+
 Exit codes: 0 success, 2 configuration or parameter error, 3 stability or
 physicality error, 4 numerical failure.
 """
@@ -52,21 +60,12 @@ from .vlf import (
     sweep_frequency,
 )
 
-_CONFIG_KEYS = (
-    "gamma_a", "gamma_b", "gamma_c", "k1", "k2", "k3",
-    "epsilon_mode", "epsilon_ratio", "epsilon_abs",
-    "branch", "omega_min", "omega_max", "omega_points", "omega_scale",
-    "inequalities", "seed", "out",
-)
-_EPSILON_MODES = ("absolute", "rel_eps_th", "rel_eps_th_prime")
-_BRANCH_CHOICES = ("lower", "upper", "trivial", "auto")
-_SCALE_CHOICES = ("log", "linear")
+_RATE_KEYS = ("gamma_a", "gamma_b", "gamma_c", "k1", "k2", "k3")
 
 # One representative per symmetry class feeds the fixed CSV schema; the
 # class partners are exactly degenerate at the symmetric working point.
 _CLASS_REPRESENTATIVES = (("A", "s1-i1"), ("B", "p1+s1"), ("C", "i2-p1"))
 
-_FIGURES = tuple(f"fig{n}" for n in range(2, 10))
 _MC_PATHS = 64
 _PUMP_SWEEP_POINTS = 21
 _PUMP_SWEEP_START = 1.05
@@ -125,7 +124,7 @@ def _parse_lines(text: str) -> dict:
         value = value.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in _KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} "
@@ -137,7 +136,7 @@ def _parse_lines(text: str) -> dict:
 
 
 def _require(entries: dict, key: str):
-    entry = entries.pop(key, None)
+    entry = entries.get(key)
     if entry is None:
         raise ConfigError(f"missing required key {key!r}")
     return entry
@@ -161,20 +160,61 @@ def _as_positive_float(key: str, entry) -> float:
     return parsed
 
 
-def _as_int(key: str, entry) -> int:
-    lineno, value = entry
-    try:
-        return int(value, 10)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be an integer, got {value!r}") from None
+def _int_at_least(minimum: int):
+    def parse(key: str, entry) -> int:
+        lineno, value = entry
+        try:
+            parsed = int(value, 10)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key} must be an integer, "
+                              f"got {value!r}") from None
+        if parsed < minimum:
+            raise ConfigError(f"line {lineno}: {key} must be >= {minimum}")
+        return parsed
+    return parse
 
 
-def _as_choice(key: str, entry, choices) -> str:
+def _one_of(*choices: str):
+    def parse(key: str, entry) -> str:
+        lineno, value = entry
+        if value not in choices:
+            raise ConfigError(f"line {lineno}: {key} must be one of "
+                              f"{', '.join(choices)}; got {value!r}")
+        return value
+    return parse
+
+
+def _as_inequalities(key: str, entry) -> tuple:
     lineno, value = entry
-    if value not in choices:
-        raise ConfigError(f"line {lineno}: {key} must be one of "
-                          f"{', '.join(choices)}; got {value!r}")
-    return value
+    if value == "all":
+        return _ALL_INEQUALITIES
+    labels = []
+    for item in value.split(","):
+        label = item.strip()
+        try:
+            inequality_by_label(label)
+        except ParameterError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        if label in labels:
+            raise ConfigError(f"line {lineno}: duplicate inequality {label!r}")
+        labels.append(label)
+    return tuple(labels)
+
+
+_ALL_INEQUALITIES = tuple(i.label for i in INEQUALITIES)
+
+# key -> (default, parser(key, (line number, value))); each is a RunConfig field.
+_OPTIONAL_KEYS = {
+    "branch": ("auto", _one_of("lower", "upper", "trivial", "auto")),
+    "omega_scale": ("log", _one_of("log", "linear")),
+    "omega_min": (0.01, _as_float),
+    "omega_max": (100.0, _as_float),
+    "omega_points": (400, _int_at_least(2)),
+    "inequalities": (_ALL_INEQUALITIES, _as_inequalities),
+    "seed": (12345, _int_at_least(0)),
+    "out": (None, lambda key, entry: entry[1]),
+}
+_KNOWN_KEYS = {*_RATE_KEYS, "epsilon_mode", "epsilon_ratio", "epsilon_abs", *_OPTIONAL_KEYS}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -188,8 +228,7 @@ def parse_config(text: str) -> RunConfig:
     """
     entries = _parse_lines(text)
 
-    rates = {key: _as_positive_float(key, _require(entries, key))
-             for key in ("gamma_a", "gamma_b", "gamma_c", "k1", "k2", "k3")}
+    rates = {key: _as_positive_float(key, _require(entries, key)) for key in _RATE_KEYS}
     if rates["k2"] != rates["k3"]:
         raise ConfigError(
             f"k3 = {rates['k3']!r} must equal k2 = {rates['k2']!r} exactly: "
@@ -197,9 +236,10 @@ def parse_config(text: str) -> RunConfig:
             "is modeled")
     params = SystemParams(**rates)
 
-    mode = _as_choice("epsilon_mode", _require(entries, "epsilon_mode"), _EPSILON_MODES)
-    ratio_entry = entries.pop("epsilon_ratio", None)
-    abs_entry = entries.pop("epsilon_abs", None)
+    mode = _one_of("absolute", "rel_eps_th", "rel_eps_th_prime")(
+        "epsilon_mode", _require(entries, "epsilon_mode"))
+    ratio_entry = entries.get("epsilon_ratio")
+    abs_entry = entries.get("epsilon_abs")
     if mode == "absolute":
         if abs_entry is None:
             raise ConfigError("epsilon_mode=absolute requires epsilon_abs")
@@ -221,68 +261,19 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {ratio_entry[0]}: epsilon_ratio must be >= 0")
         epsilon_abs = None
 
-    branch_entry = entries.pop("branch", None)
-    branch = ("auto" if branch_entry is None
-              else _as_choice("branch", branch_entry, _BRANCH_CHOICES))
-
-    scale_entry = entries.pop("omega_scale", None)
-    omega_scale = ("log" if scale_entry is None
-                   else _as_choice("omega_scale", scale_entry, _SCALE_CHOICES))
-    min_entry = entries.pop("omega_min", None)
-    omega_min = 0.01 if min_entry is None else _as_float("omega_min", min_entry)
-    max_entry = entries.pop("omega_max", None)
-    omega_max = 100.0 if max_entry is None else _as_float("omega_max", max_entry)
-    pts_entry = entries.pop("omega_points", None)
-    omega_points = 400 if pts_entry is None else _as_int("omega_points", pts_entry)
-    if omega_points < 2:
-        raise ConfigError(f"line {pts_entry[0]}: omega_points must be >= 2")
-    if omega_scale == "log" and omega_min <= 0.0:
+    optional = {key: default if key not in entries else parse(key, entries[key])
+                for key, (default, parse) in _OPTIONAL_KEYS.items()}
+    min_entry = entries.get("omega_min")
+    if optional["omega_scale"] == "log" and optional["omega_min"] <= 0.0:
         where = f"line {min_entry[0]}: " if min_entry else ""
         raise ConfigError(f"{where}omega_min must be > 0 on a log grid")
-    if omega_min < 0.0:
+    if optional["omega_min"] < 0.0:
         raise ConfigError(f"line {min_entry[0]}: omega_min must be >= 0")
-    if not omega_min < omega_max:
+    if not optional["omega_min"] < optional["omega_max"]:
         raise ConfigError("omega_min must be smaller than omega_max")
 
-    ineq_entry = entries.pop("inequalities", None)
-    if ineq_entry is None or ineq_entry[1] == "all":
-        inequalities = tuple(i.label for i in INEQUALITIES)
-    else:
-        lineno, value = ineq_entry
-        labels = []
-        for item in value.split(","):
-            label = item.strip()
-            try:
-                inequality_by_label(label)
-            except ParameterError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
-            if label in labels:
-                raise ConfigError(f"line {lineno}: duplicate inequality {label!r}")
-            labels.append(label)
-        inequalities = tuple(labels)
-
-    seed_entry = entries.pop("seed", None)
-    seed = 12345 if seed_entry is None else _as_int("seed", seed_entry)
-    if seed < 0:
-        raise ConfigError(f"line {seed_entry[0]}: seed must be >= 0")
-
-    out_entry = entries.pop("out", None)
-    out = out_entry[1] if out_entry else None
-
-    return RunConfig(
-        params=params,
-        epsilon_mode=mode,
-        epsilon_ratio=epsilon_ratio,
-        epsilon_abs=epsilon_abs,
-        branch=branch,
-        omega_min=omega_min,
-        omega_max=omega_max,
-        omega_points=omega_points,
-        omega_scale=omega_scale,
-        inequalities=inequalities,
-        seed=seed,
-        out=out,
-    )
+    return RunConfig(params=params, epsilon_mode=mode, epsilon_ratio=epsilon_ratio,
+                     epsilon_abs=epsilon_abs, **optional)
 
 
 def load_config(path: str) -> RunConfig:
@@ -314,6 +305,15 @@ def _write_text_atomic(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """Write a header and rows atomically; every non-string cell goes through ``_fmt``."""
+    lines = [",".join(header)]
+    lines.extend(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row)
+                 for row in rows)
+    _write_text_atomic(path, "\n".join(lines) + "\n")
+    print(f"wrote {path}")
 
 
 def _with_suffix(path: str, suffix: str) -> str:
@@ -388,49 +388,37 @@ def cmd_steady_state(config: RunConfig) -> None:
 def cmd_spectrum(config: RunConfig) -> None:
     system = config.system()
     grid = config.omega_grid()
-    pairs = [(i, j) for i in range(12) for j in range(i, 12)]
-    header = "omega_norm," + ",".join(
-        f"{QUADRATURE_LABELS[i]}_{QUADRATURE_LABELS[j]}" for i, j in pairs)
+    iu, ju = np.triu_indices(12)
+    header = ["omega_norm"] + [f"{QUADRATURE_LABELS[i]}_{QUADRATURE_LABELS[j]}"
+                               for i, j in zip(iu, ju)]
     out = config.out or "spectrum.csv"
     for branch, suffix in _resolve_branches(system, config.branch):
-        model = build_branch_model(system, branch)
-        lines = [header]
-        for omega_norm, v in zip(grid, output_spectra(model, grid * system.gamma_a)):
-            cells = [_fmt(omega_norm)] + [_fmt(v[i, j]) for i, j in pairs]
-            lines.append(",".join(cells))
-        path = _with_suffix(out, suffix)
-        _write_text_atomic(path, "\n".join(lines) + "\n")
-        print(f"wrote {path}")
+        v = output_spectra(build_branch_model(system, branch), grid * system.gamma_a)
+        _write_csv(_with_suffix(out, suffix), header,
+                   np.column_stack([grid, v[:, iu, ju]]).tolist())
 
 
-def _vlf_header() -> str:
+def _vlf_header() -> list:
     cols = ["omega_norm", "V_A", "V_B", "V_C"]
     for cls, label in _CLASS_REPRESENTATIVES:
         ineq = inequality_by_label(label)
         cols.extend(f"g{cls}_{mode}" for mode in ineq.free_mode_labels())
-    return ",".join(cols)
+    return cols
 
 
 def cmd_vlf_sweep(config: RunConfig, zero_diffusion: bool = False) -> None:
     system = config.system()
     _require_class_coverage(config.inequalities)
     representatives = [label for _, label in _CLASS_REPRESENTATIVES]
+    n = len(representatives)
     grid = config.omega_grid()
     out = config.out or "vlf_sweep.csv"
     for branch, suffix in _resolve_branches(system, config.branch):
         results = sweep_frequency(system, branch, inequalities=representatives,
                                   omega_grid=grid, zero_diffusion=zero_diffusion)
-        lines = [_vlf_header()]
-        for row_start in range(0, len(results), len(representatives)):
-            row = results[row_start:row_start + len(representatives)]
-            cells = [_fmt(row[0].omega_norm)]
-            cells.extend(_fmt(r.value) for r in row)
-            for r in row:
-                cells.extend(_fmt(g) for g in r.gains)
-            lines.append(",".join(cells))
-        path = _with_suffix(out, suffix)
-        _write_text_atomic(path, "\n".join(lines) + "\n")
-        print(f"wrote {path}")
+        rows = ([row[0].omega_norm, *(r.value for r in row), *(g for r in row for g in r.gains)]
+                for row in (results[k:k + n] for k in range(0, len(results), n)))
+        _write_csv(_with_suffix(out, suffix), _vlf_header(), rows)
 
 
 def cmd_pump_sweep(config: RunConfig) -> None:
@@ -463,12 +451,8 @@ def cmd_pump_sweep(config: RunConfig) -> None:
     minima = minima_over_models(models, representatives,
                                 omega_range=(config.omega_min, config.omega_max),
                                 scale=config.omega_scale)
-    lines = ["eps_ratio,V_A,V_B,V_C"]
-    for ratio, results in zip(ratios, minima):
-        lines.append(",".join([_fmt(ratio)] + [_fmt(r.value) for r in results]))
-    out = config.out or "pump_sweep.csv"
-    _write_text_atomic(out, "\n".join(lines) + "\n")
-    print(f"wrote {out}")
+    _write_csv(config.out or "pump_sweep.csv", ("eps_ratio", "V_A", "V_B", "V_C"),
+               ([ratio, *(r.value for r in results)] for ratio, results in zip(ratios, minima)))
 
 
 _DELTA_LABELS = tuple(MODE_LABELS) + tuple(f"{m}*" for m in MODE_LABELS)
@@ -482,40 +466,27 @@ def cmd_mc_validate(config: RunConfig) -> None:
     Writes one CSV row per moment entry with the Lyapunov solution, the
     integrated spectral matrix, the Monte-Carlo estimate with its standard
     error, and the two disagreement measures; prints a pass/fail summary.
+    A NaN gap fails the check.
     """
     system = config.system()
     out = config.out or "mc_validate.csv"
-    header = ("row,col,lyapunov_re,lyapunov_im,integral_re,integral_im,"
-              "mc_re,mc_im,mc_stderr,analytic_gap,mc_gap_se")
+    header = ("row", "col", "lyapunov_re", "lyapunov_im", "integral_re", "integral_im",
+              "mc_re", "mc_im", "mc_stderr", "analytic_gap", "mc_gap_se")
+    labels = [(row, col) for row in _DELTA_LABELS for col in _DELTA_LABELS]
     for branch, suffix in _resolve_branches(system, config.branch):
         model = build_branch_model(system, branch)
         sigma = stationary_covariance(model)
         sigma_int = integrated_spectrum(model)
         sigma_mc, stderr = mc_stationary_covariance(
             model, n_paths=_MC_PATHS, seed=config.seed)
-        lines = [header]
-        max_analytic = 0.0
-        max_mc_se = 0.0
-        for i in range(12):
-            for j in range(12):
-                analytic_gap = abs(sigma_int[i, j] - sigma[i, j])
-                mc_gap = abs(sigma_mc[i, j] - sigma[i, j])
-                se = float(stderr[i, j])
-                if se > 0.0:
-                    mc_gap_se = mc_gap / se
-                else:
-                    mc_gap_se = 0.0 if mc_gap == 0.0 else math.inf
-                max_analytic = max(max_analytic, analytic_gap)
-                max_mc_se = max(max_mc_se, mc_gap_se)
-                lines.append(",".join([
-                    _DELTA_LABELS[i], _DELTA_LABELS[j],
-                    _fmt(sigma[i, j].real), _fmt(sigma[i, j].imag),
-                    _fmt(sigma_int[i, j].real), _fmt(sigma_int[i, j].imag),
-                    _fmt(sigma_mc[i, j].real), _fmt(sigma_mc[i, j].imag),
-                    _fmt(se), _fmt(analytic_gap), _fmt(mc_gap_se),
-                ]))
-        path = _with_suffix(out, suffix)
-        _write_text_atomic(path, "\n".join(lines) + "\n")
+        # hypot equals the scalar abs(complex) bit for bit; np.abs does not.
+        analytic_gap, mc_gap = (np.hypot(z.real, z.imag)
+                                for z in (sigma_int - sigma, sigma_mc - sigma))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mc_gap_se = np.where(stderr > 0.0, mc_gap / stderr,
+                                 np.where(mc_gap == 0.0, 0.0, np.inf))
+        max_analytic = analytic_gap.max()
+        max_mc_se = mc_gap_se.max()
         analytic_pass = max_analytic <= _ANALYTIC_TOLERANCE
         mc_pass = max_mc_se <= _MC_SE_LIMIT
         print(f"branch={branch}")
@@ -526,18 +497,29 @@ def cmd_mc_validate(config: RunConfig) -> None:
         print(f"mc_se_limit={_fmt(_MC_SE_LIMIT)}")
         print(f"mc_paths={_MC_PATHS}")
         print(f"mc_pass={_fmt_bool(mc_pass)}")
-        print(f"wrote {path}")
+        columns = (sigma.real, sigma.imag, sigma_int.real, sigma_int.imag,
+                   sigma_mc.real, sigma_mc.imag, stderr, analytic_gap, mc_gap_se)
+        cells = np.stack(columns, axis=-1).reshape(144, len(columns)).tolist()
+        _write_csv(_with_suffix(out, suffix), header,
+                   ([*pair, *row] for pair, row in zip(labels, cells)))
         if not (analytic_pass and mc_pass):
             raise NumericalError(
                 f"stationary-moment cross-check failed on branch {branch}: "
                 f"analytic gap {max_analytic:.3e}, MC gap {max_mc_se:.3f} SE")
 
 
-_FIGURE_VERBS = {
-    "fig2": "vlf-sweep", "fig3": "vlf-sweep", "fig4": "vlf-sweep",
-    "fig5": "vlf-sweep", "fig6": "vlf-sweep", "fig7": "vlf-sweep",
-    "fig8": "pump-sweep", "fig9": "pump-sweep",
+_VERBS = {
+    "thresholds": (cmd_thresholds, "print the pump thresholds and regime"),
+    "steady-state": (cmd_steady_state, "print all analytic branches and stability"),
+    "spectrum": (cmd_spectrum, "write the output quadrature spectra as CSV"),
+    "vlf-sweep": (cmd_vlf_sweep, "optimize the witnesses over a frequency grid (CSV)"),
+    "pump-sweep": (cmd_pump_sweep, "minimum witness values versus pump strength (CSV)"),
+    "mc-validate": (cmd_mc_validate, "cross-check stationary moments against a "
+                                     "stochastic ensemble (CSV + summary)"),
 }
+_FIGURE_VERBS = {**{f"fig{n}": cmd_vlf_sweep for n in range(2, 8)},
+                 "fig8": cmd_pump_sweep, "fig9": cmd_pump_sweep}
+_FIGURES = tuple(_FIGURE_VERBS)
 
 
 def figure_config(figure: str) -> RunConfig:
@@ -550,15 +532,6 @@ def figure_config(figure: str) -> RunConfig:
     return parse_config(resource.read_text(encoding="utf-8"))
 
 
-def cmd_reproduce(figure: str) -> None:
-    config = figure_config(figure)
-    verb = _FIGURE_VERBS[figure]
-    if verb == "vlf-sweep":
-        cmd_vlf_sweep(config)
-    else:
-        cmd_pump_sweep(config)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cascaded-fwm",
@@ -566,25 +539,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "multipartite entanglement witnesses of a three-stage "
                     "cascaded four-wave-mixing cavity.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def with_config(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("config", help="path to a key=value config file")
-        return p
-
-    with_config("thresholds", "print the pump thresholds and regime")
-    with_config("steady-state", "print all analytic branches and stability")
-    with_config("spectrum", "write the output quadrature spectra as CSV")
-    vlf = with_config("vlf-sweep",
-                      "optimize the witnesses over a frequency grid (CSV)")
-    vlf.add_argument("--zero-diffusion", action="store_true",
-                     help="substitute D = 0 (pipeline null test: every "
-                          "value becomes the separability bound 4)")
-    with_config("pump-sweep",
-                "minimum witness values versus pump strength (CSV)")
-    with_config("mc-validate",
-                "cross-check stationary moments against a stochastic "
-                "ensemble (CSV + summary)")
+    for name, (_, help_text) in _VERBS.items():
+        verb = sub.add_parser(name, help=help_text)
+        verb.add_argument("config", help="path to a key=value config file")
+        if name == "vlf-sweep":
+            verb.add_argument("--zero-diffusion", action="store_true",
+                              help="substitute D = 0 (pipeline null test: every "
+                                   "value becomes the separability bound 4)")
     rep = sub.add_parser("reproduce", help="run a packaged figure configuration")
     rep.add_argument("figure", choices=list(_FIGURES))
     return parser
@@ -599,24 +560,17 @@ _EXIT_CODE_MAP = (
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # Whatever argparse leaves after the verb and its input (--zero-diffusion)
+    # goes to the handler as keyword arguments.
+    options = vars(_build_parser().parse_args(argv))
+    verb = options.pop("verb")
     try:
-        if args.verb == "reproduce":
-            cmd_reproduce(args.figure)
-            return 0
-        config = load_config(args.config)
-        if args.verb == "thresholds":
-            cmd_thresholds(config)
-        elif args.verb == "steady-state":
-            cmd_steady_state(config)
-        elif args.verb == "spectrum":
-            cmd_spectrum(config)
-        elif args.verb == "vlf-sweep":
-            cmd_vlf_sweep(config, zero_diffusion=args.zero_diffusion)
-        elif args.verb == "pump-sweep":
-            cmd_pump_sweep(config)
-        elif args.verb == "mc-validate":
-            cmd_mc_validate(config)
+        if verb == "reproduce":
+            figure = options.pop("figure")
+            handler, config = _FIGURE_VERBS[figure], figure_config(figure)
+        else:
+            handler, config = _VERBS[verb][0], load_config(options.pop("config"))
+        handler(config, **options)
         return 0
     except BaseException as exc:
         for types, code in _EXIT_CODE_MAP:

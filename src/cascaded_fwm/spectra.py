@@ -164,11 +164,13 @@ def output_spectra(model: FluctuationModel, omegas) -> np.ndarray:
     solves, guards and transforms, evaluated in stacks of at most 64
     frequencies.  Each guard is applied per frequency and names the first
     frequency that fails it; when both guards fail inside one stack, the
-    solve guard is reported.
+    solve guard is reported.  ``omegas`` must be 1-D and finite.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1:
         raise ParameterError(f"omegas must be 1-D, got shape {omegas.shape}")
+    if not np.isfinite(omegas).all():
+        raise ParameterError("omegas must be finite")
     n = omegas.size
     return _output_stack(np.broadcast_to(model.m, (n, 12, 12)),
                          np.broadcast_to(model.d, (n, 12, 12)),

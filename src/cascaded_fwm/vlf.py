@@ -304,11 +304,16 @@ def sweep_frequency(
 
     Returns a flat list of VlfResult ordered by frequency, then by the
     declaration order of INEQUALITIES.  ``omega_grid`` defaults to 400
-    logarithmic points on [0.01, 100].
+    logarithmic points on [0.01, 100]; it must be 1-D, finite and >= 0.
     """
     ineqs = _resolve_inequalities(inequalities)
     if omega_grid is None:
         omega_grid = np.geomspace(0.01, 100.0, 400)
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    if omega_grid.ndim != 1:
+        raise ParameterError(f"omega_grid must be 1-D, got shape {omega_grid.shape}")
+    if not (np.isfinite(omega_grid).all() and (omega_grid >= 0.0).all()):
+        raise ParameterError("omega_grid values must be finite and >= 0")
     if model is None:
         model = build_branch_model(params, branch, zero_diffusion)
     omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), omega_grid)
@@ -401,7 +406,8 @@ def minima_over_models(
     section to ``xtol`` in omega / gamma_a, all of them in one lockstep
     with one stacked spectral evaluation per step.  A minimum on the
     window edge is refined within the outermost cell and can land on the
-    edge itself.  ``models`` is any iterable of FluctuationModels, taken
+    edge itself.  The window ``omega_range = (lo, hi)`` must satisfy
+    0 < lo < hi < inf.  ``models`` is any iterable of FluctuationModels, taken
     one at a time after the arguments are checked.  Returns one list per
     model with one VlfResult per inequality, in the order given; each
     equals what ``min_over_frequency`` returns for that model and
@@ -410,7 +416,7 @@ def minima_over_models(
     ineqs = _resolve_inequalities(inequalities)
     problems = _problem_arrays(ineqs)
     lo, hi = float(omega_range[0]), float(omega_range[1])
-    if not (0.0 < lo < hi):
+    if not (0.0 < lo < hi < math.inf):
         raise ParameterError(f"invalid omega_range {omega_range!r}")
     if not isinstance(coarse_points, numbers.Integral) or coarse_points < 3:
         raise ParameterError(

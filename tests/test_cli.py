@@ -1,12 +1,21 @@
 import gzip
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cascaded_fwm import ConfigError
+from cascaded_fwm import (
+    QUADRATURE_LABELS,
+    ConfigError,
+    build_branch_model,
+    output_spectra,
+    stationary_covariance,
+)
+from cascaded_fwm import cli
 from cascaded_fwm.cli import (
+    _fmt,
     _write_text_atomic,
     figure_config,
     load_config,
@@ -172,6 +181,26 @@ def test_spectrum_verb(tmp_path, capsys, monkeypatch):
     assert np.all(np.isfinite(first))
 
 
+def test_spectrum_cells_equal_output_spectra(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = BASE + "omega_points = 4\nout = spec.csv\n"
+    assert main(["spectrum", write_config(tmp_path, text)]) == 0
+    capsys.readouterr()
+    config = parse_config(text)
+    system = config.system()
+    grid = config.omega_grid()
+    v = output_spectra(build_branch_model(system, "lower"), grid * system.gamma_a)
+    header, *rows = [line.split(",") for line in
+                     (tmp_path / "spec.csv").read_text().splitlines()]
+    # Each column is looked up by its own name, so a permuted header fails.
+    index = [tuple(QUADRATURE_LABELS.index(q) for q in name.split("_"))
+             for name in header[1:]]
+    assert index == [(i, j) for i in range(12) for j in range(i, 12)]
+    assert len(rows) == len(grid)
+    for k, row in enumerate(rows):
+        assert row == [_fmt(grid[k])] + [_fmt(v[k, i, j]) for i, j in index]
+
+
 def test_vlf_sweep_verb(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, BASE + "omega_points = 7\nout = sweep.csv\n")
@@ -267,6 +296,62 @@ def test_mc_validate_verb(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 + 144
     assert lines[0].startswith("row,col,lyapunov_re")
     assert lines[1].split(",")[:2] == ["p2", "p2"]
+
+
+def test_mc_validate_gap_columns_and_summary(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = BASE.replace("epsilon_ratio = 1.2", "epsilon_ratio = 0.8")
+    cfg = write_config(tmp_path, text + "branch = trivial\nout = mc.csv\nseed = 12345\n")
+    assert main(["mc-validate", cfg]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "wrote mc.csv"
+    values = stdout_map("\n".join(out[:-1]))
+    header, *rows = [line.split(",") for line in
+                     (tmp_path / "mc.csv").read_text().splitlines()]
+    col = {name: k for k, name in enumerate(header)}
+    analytic, mc_se = [], []
+    for row in rows:
+        def entry(name):
+            return np.complex128(complex(float(row[col[f"{name}_re"]]),
+                                         float(row[col[f"{name}_im"]])))
+        # The per-cell scalar formulas: abs of a complex128 difference, and
+        # the gap in standard errors with 0/0 read as 0 and x/0 as inf.
+        analytic_gap = abs(entry("integral") - entry("lyapunov"))
+        mc_gap = abs(entry("mc") - entry("lyapunov"))
+        se = float(row[col["mc_stderr"]])
+        if se > 0.0:
+            mc_gap_se = mc_gap / se
+        else:
+            mc_gap_se = 0.0 if mc_gap == 0.0 else math.inf
+        assert row[col["analytic_gap"]] == _fmt(analytic_gap)
+        assert row[col["mc_gap_se"]] == _fmt(mc_gap_se)
+        analytic.append(analytic_gap)
+        mc_se.append(mc_gap_se)
+    assert values["max_analytic_gap"] == _fmt(max(analytic))
+    assert values["max_mc_gap_se"] == _fmt(max(mc_se))
+
+
+def test_mc_validate_nan_gap_fails_and_still_writes_the_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def ensemble_with_a_nan(model, n_paths, seed):
+        sigma = stationary_covariance(model).copy()
+        sigma[3, 5] = complex(math.nan, 0.0)
+        return sigma, np.ones((12, 12))
+
+    monkeypatch.setattr(cli, "mc_stationary_covariance", ensemble_with_a_nan)
+    text = BASE.replace("epsilon_ratio = 1.2", "epsilon_ratio = 0.8")
+    cfg = write_config(tmp_path, text + "branch = trivial\nout = mc.csv\n")
+    assert main(["mc-validate", cfg]) == 4
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert out[-1] == "wrote mc.csv"
+    values = stdout_map("\n".join(out[:-1]))
+    assert (values["max_mc_gap_se"], values["mc_pass"]) == ("nan", "false")
+    assert values["analytic_pass"] == "true"
+    assert "MC gap nan SE" in captured.err
+    rows = (tmp_path / "mc.csv").read_text().splitlines()
+    assert rows[1 + 3 * 12 + 5].split(",")[-1] == "nan"
 
 
 def test_mc_validate_refuses_marginal_branch(tmp_path, capsys):

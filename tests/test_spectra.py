@@ -4,6 +4,7 @@ import pytest
 from cascaded_fwm import (
     QUADRATURE_LABELS,
     SWAP_PERMUTATION,
+    BasisConsistencyError,
     FluctuationModel,
     NumericalError,
     ParameterError,
@@ -231,6 +232,29 @@ def test_output_spectra_rejects_non_vector_grid():
     model = build_fluctuation_model(params, state_for_branch(params, "lower"))
     with pytest.raises(ParameterError, match="1-D"):
         output_spectra(model, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_output_spectra_rejects_non_finite_frequencies(bad):
+    params = pumped(0.4, 1.2)
+    model = build_fluctuation_model(params, state_for_branch(params, "lower"))
+    with pytest.raises(ParameterError, match="finite"):
+        output_spectra(model, [0.01, bad])
+
+
+def test_quadrature_transform_rejects_non_hermitian_input():
+    with pytest.raises(BasisConsistencyError, match="not Hermitian: residue"):
+        quadrature_transform(1j * np.eye(12))
+
+
+def test_output_spectra_names_the_non_hermitian_frequency():
+    # A complex drift has no real operating point behind it: T S T^T keeps
+    # an anti-Hermitian part far above the residue budget.
+    base = toy_model(np.eye(12), np.eye(12))
+    model = FluctuationModel(params=base.params, steady_state=base.steady_state,
+                             m=(0.05 + 0.02j) * np.eye(12), d=np.eye(12))
+    with pytest.raises(BasisConsistencyError, match=r"not Hermitian at omega=0\.3:"):
+        output_spectra(model, [0.3, 1.0])
 
 
 def mixed_rows(rng):

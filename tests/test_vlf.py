@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,36 @@ def test_min_over_frequency_validation():
         min_over_frequency(params, "lower", "s1-i1", coarse_points=64.0)
     with pytest.raises(ParameterError, match="scale"):
         min_over_frequency(params, "lower", "s1-i1", scale="sqrt")
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([[0.1, 1.0]], r"1-D, got shape \(1, 2\)"),
+    ([-1.0, 1.0], "finite and >= 0"),
+    ([math.nan, 1.0], "finite and >= 0"),
+    ([math.inf], "finite and >= 0"),
+])
+def test_sweep_frequency_rejects_bad_grids(grid, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=message):
+            sweep_frequency(pumped(0.4, 1.2), "lower", omega_grid=grid)
+
+
+def test_sweep_frequency_accepts_zero_frequency():
+    # A linear vlf-sweep grid may start at omega = 0.
+    results = sweep_frequency(pumped(0.4, 1.2), "lower", inequalities=["s1-i1"],
+                              omega_grid=[0.0, 1.0])
+    assert [res.omega_norm for res in results] == [0.0, 1.0]
+    assert all(math.isfinite(res.value) for res in results)
+
+
+@pytest.mark.parametrize("omega_range", [(0.01, math.inf), (0.0, 1.0),
+                                         (math.nan, 1.0), (0.01, math.nan)])
+def test_omega_range_must_be_a_finite_positive_window(omega_range):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="omega_range"):
+            min_over_frequencies(pumped(0.4, 1.2), "lower", omega_range=omega_range)
 
 
 def test_unphysical_stack_rejected():

@@ -20,6 +20,7 @@ import json
 import os
 import re
 import statistics
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RECORD = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json$")
@@ -82,7 +83,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    summary = summarize(records(args.parent), records(args.change), spec)
+    parent, change = records(args.parent), records(args.change)
+    for tree, found in ((args.parent, parent), (args.change, change)):
+        if not found:
+            print(f"error: no .bench_out/*-trace0.json records in {tree}", file=sys.stderr)
+            return 1
+    if not parent.keys() & change.keys():
+        print(f"error: {args.parent} and {args.change} share no (workload, seed) pair",
+              file=sys.stderr)
+        return 1
+    summary = summarize(parent, change, spec)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
         fh.write("\n")
