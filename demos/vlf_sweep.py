@@ -3,9 +3,11 @@ Gain-optimized combination inequalities across the analysis band
 ================================================================
 
 Evaluates the five six-partite witnesses on the converted branch, optimizing
-the free Y gains at every frequency. Any value below 4 certifies genuine
-multipartite entanglement of the corresponding grouping. Also demonstrates
-the exact two-fold degeneracy of the B and C symmetry classes.
+the free Y gains at every frequency. Any value below 4 certifies
+inseparability across the partitions that inequality tests; together the
+violations certify full inseparability, which for a mixed state is not
+genuine multipartite entanglement. Also demonstrates the exact two-fold
+degeneracy of the B and C symmetry classes.
 """
 
 import numpy as np

@@ -7,7 +7,8 @@ amplitudes, relaxation basins), linearizes the quantum fluctuations around
 them (drift and diffusion matrices of the equivalent Ornstein-Uhlenbeck
 process), propagates the intracavity spectra to the measurable output
 fields, and optimizes van Loock-Furusawa combination inequalities whose
-violation certifies genuine six-partite continuous-variable entanglement.
+violations certify full six-partite inseparability (for a mixed state, not
+genuine multipartite entanglement) of the continuous-variable output.
 
 A Monte-Carlo oracle (Takagi noise factorization plus Euler-Maruyama
 ensembles) cross-checks the analytic spectra and covariances, and a small

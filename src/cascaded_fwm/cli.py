@@ -54,10 +54,10 @@ from .spectra import QUADRATURE_LABELS, integrated_spectrum, output_spectra
 from .steady_state import analytic_steady_states
 from .vlf import (
     INEQUALITIES,
+    _sweep_arrays,
     build_branch_model,
     inequality_by_label,
     minima_over_models,
-    sweep_frequency,
 )
 
 _RATE_KEYS = ("gamma_a", "gamma_b", "gamma_c", "k1", "k2", "k3")
@@ -65,6 +65,7 @@ _RATE_KEYS = ("gamma_a", "gamma_b", "gamma_c", "k1", "k2", "k3")
 # One representative per symmetry class feeds the fixed CSV schema; the
 # class partners are exactly degenerate at the symmetric working point.
 _CLASS_REPRESENTATIVES = (("A", "s1-i1"), ("B", "p1+s1"), ("C", "i2-p1"))
+_REPRESENTATIVES = tuple(label for _, label in _CLASS_REPRESENTATIVES)
 
 _MC_PATHS = 64
 _PUMP_SWEEP_POINTS = 21
@@ -308,9 +309,9 @@ def _write_text_atomic(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    """Write a header and rows atomically; every non-string cell goes through ``_fmt``."""
+    """Write a header and rows atomically; other than strings, cells print as ``_fmt``."""
     lines = [",".join(header)]
-    lines.extend(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row)
+    lines.extend(",".join([c if isinstance(c, str) else f"{c:.17e}" for c in row])
                  for row in rows)
     _write_text_atomic(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
@@ -409,16 +410,13 @@ def _vlf_header() -> list:
 def cmd_vlf_sweep(config: RunConfig, zero_diffusion: bool = False) -> None:
     system = config.system()
     _require_class_coverage(config.inequalities)
-    representatives = [label for _, label in _CLASS_REPRESENTATIVES]
-    n = len(representatives)
     grid = config.omega_grid()
     out = config.out or "vlf_sweep.csv"
     for branch, suffix in _resolve_branches(system, config.branch):
-        results = sweep_frequency(system, branch, inequalities=representatives,
-                                  omega_grid=grid, zero_diffusion=zero_diffusion)
-        rows = ([row[0].omega_norm, *(r.value for r in row), *(g for r in row for g in r.gains)]
-                for row in (results[k:k + n] for k in range(0, len(results), n)))
-        _write_csv(_with_suffix(out, suffix), _vlf_header(), rows)
+        _, omega_norm, values, gains = _sweep_arrays(system, branch, _REPRESENTATIVES, grid,
+                                                     zero_diffusion, model=None)
+        _write_csv(_with_suffix(out, suffix), _vlf_header(),
+                   np.column_stack([omega_norm, values, gains.reshape(len(grid), -1)]).tolist())
 
 
 def cmd_pump_sweep(config: RunConfig) -> None:
@@ -435,7 +433,6 @@ def cmd_pump_sweep(config: RunConfig) -> None:
         raise ConfigError(f"epsilon_ratio must exceed {_PUMP_SWEEP_START} "
                           "(the sweep start)")
     _require_class_coverage(config.inequalities)
-    representatives = [label for _, label in _CLASS_REPRESENTATIVES]
     thresholds = compute_thresholds(config.params)
     if not thresholds.has_threshold:
         raise ConfigError("pump-sweep requires couplings with a threshold")
@@ -448,7 +445,7 @@ def cmd_pump_sweep(config: RunConfig) -> None:
     models = (build_branch_model(config.params.with_epsilon(float(ratio) * reference),
                                  config.branch)
               for ratio in ratios)
-    minima = minima_over_models(models, representatives,
+    minima = minima_over_models(models, _REPRESENTATIVES,
                                 omega_range=(config.omega_min, config.omega_max),
                                 scale=config.omega_scale)
     _write_csv(config.out or "pump_sweep.csv", ("eps_ratio", "V_A", "V_B", "V_C"),

@@ -1,14 +1,15 @@
 """Multipartite entanglement witnesses on the output spectra.
 
-Five combination inequalities certify genuine six-partite entanglement:
-each bounds the sum of an X-difference (or sum) variance and a gain-dressed
+Five combination inequalities witness six-partite inseparability: each
+bounds the sum of an X-difference (or sum) variance and a gain-dressed
 Y-combination variance by 4 for any separable state,
 
     V(X_i +- X_j) + V(sum_k h_k Y_k) >= 4,
 
 with two of the Y coefficients fixed at +-1 and the remaining four free
-gains minimized over.  Violating any one inequality at some analysis
-frequency certifies the corresponding partition structure.
+gains minimized over.  A violation at some analysis frequency certifies
+inseparability across the partitions it tests; together, violations certify
+full inseparability, not genuine multipartite entanglement (Teh & Reid 2014).
 
 The five inequalities fall into three symmetry classes (A, B, C) that are
 exactly degenerate at the symmetric working point; the sweep helpers
@@ -179,21 +180,29 @@ def evaluate_inequality(ineq: VlfInequality, spectrum: QuadratureSpectrum,
 def _require_physical(v: np.ndarray):
     """Raise PhysicalityError unless every matrix of the stack v is finite and PSD.
 
-    Entry k may dip below zero by 1e-9 * (1 + max|v_k|): rounding in a
-    spectrum with entries of 1e8 alone reaches ~1e-8.
+    Entry k may dip below zero by tau_k = 1e-9 * (1 + max|v_k|): rounding in
+    a spectrum with entries of 1e8 alone reaches ~1e-8.  A Cholesky screen of
+    the stack shifted by tau_k passes it at once; ``eigvalsh`` runs, decides
+    and names the minimum only if that fails.  The two verdicts differ only
+    within the Cholesky rounding band, ~12 eps max|v_k| (~3e-6 tau_k).
     """
     finite = np.isfinite(v).all(axis=(1, 2))
     if not finite.all():
         raise PhysicalityError(
             f"output spectrum is not finite (entry {int(finite.argmin())} of the stack)"
         )
-    min_eig = np.linalg.eigvalsh((v + v.transpose(0, 2, 1)) / 2.0).min(axis=1)
-    failed = min_eig < _PSD_TOLERANCE * (1.0 + np.abs(v).max(axis=(1, 2)))
-    if failed.any():
-        raise PhysicalityError(
-            f"output spectrum is not positive semidefinite "
-            f"(min eigenvalue {min_eig[failed.argmax()]:.3e})"
-        )
+    sym = (v + v.transpose(0, 2, 1)) / 2.0
+    floor = _PSD_TOLERANCE * (1.0 + np.abs(v).max(axis=(1, 2)))
+    try:
+        np.linalg.cholesky(sym - floor[:, None, None] * np.eye(v.shape[-1]))
+    except LinAlgError:
+        min_eig = np.linalg.eigvalsh(sym).min(axis=1)
+        failed = min_eig < floor
+        if failed.any():
+            raise PhysicalityError(
+                f"output spectrum is not positive semidefinite "
+                f"(min eigenvalue {min_eig[failed.argmax()]:.3e})"
+            ) from None
 
 
 def _raise_lstsq_error(err, flag):
@@ -233,8 +242,8 @@ def optimize_gains(ineq: VlfInequality, spectrum: QuadratureSpectrum) -> VlfResu
     The Y variance is convex quadratic in the gains, so the optimum solves
     (E^T V E) g = -E^T V b0 with E the embedding of the free positions.
     ``lstsq`` provides the minimum-norm solution when the normal matrix is
-    singular to within 1e-12 relative.  The spectrum must be finite and
-    positive semidefinite to within 1e-9 * (1 + max|v_out|).
+    singular to within 1e-12 relative.  The spectrum must be finite and PSD to
+    within 1e-9 * (1 + max|v_out|), which a shifted Cholesky screen checks.
     """
     v = np.array([spectrum.v_out])
     _require_physical(v)
@@ -292,6 +301,22 @@ def _grid_spectra(rows: tuple, omega_norms) -> tuple:
     return omegas, omegas / gamma_a, v_out
 
 
+def _sweep_arrays(params, branch, inequalities, omega_grid, zero_diffusion, model) -> tuple:
+    """``sweep_frequency`` as arrays omega, omega_norm (N,), values (N, P), gains (N, P, 4)."""
+    ineqs = _resolve_inequalities(inequalities)
+    if omega_grid is None:
+        omega_grid = np.geomspace(0.01, 100.0, 400)
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    if omega_grid.ndim != 1:
+        raise ParameterError(f"omega_grid must be 1-D, got shape {omega_grid.shape}")
+    if not (np.isfinite(omega_grid).all() and (omega_grid >= 0.0).all()):
+        raise ParameterError("omega_grid values must be finite and >= 0")
+    if model is None:
+        model = build_branch_model(params, branch, zero_diffusion)
+    omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), omega_grid)
+    return (omega, omega_norm, *_gain_solves(*_problem_arrays(ineqs), v_out[:, None]))
+
+
 def sweep_frequency(
     params: SystemParams,
     branch: Branch | str,
@@ -307,17 +332,8 @@ def sweep_frequency(
     logarithmic points on [0.01, 100]; it must be 1-D, finite and >= 0.
     """
     ineqs = _resolve_inequalities(inequalities)
-    if omega_grid is None:
-        omega_grid = np.geomspace(0.01, 100.0, 400)
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.ndim != 1:
-        raise ParameterError(f"omega_grid must be 1-D, got shape {omega_grid.shape}")
-    if not (np.isfinite(omega_grid).all() and (omega_grid >= 0.0).all()):
-        raise ParameterError("omega_grid values must be finite and >= 0")
-    if model is None:
-        model = build_branch_model(params, branch, zero_diffusion)
-    omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), omega_grid)
-    values, gains = _gain_solves(*_problem_arrays(ineqs), v_out[:, None])
+    omega, omega_norm, values, gains = _sweep_arrays(params, branch, ineqs, omega_grid,
+                                                     zero_diffusion, model)
     return [_result(ineq, w, w_norm, value, ineq_gains)
             for w, w_norm, w_values, w_gains in zip(omega.tolist(), omega_norm.tolist(),
                                                     values.tolist(), gains)

@@ -142,6 +142,21 @@ def reference_gain_solve(ineq, v):
     return gains, float(a @ v @ a + b @ v @ b)
 
 
+def reference_psd_failure(v):
+    """Test oracle for the PSD guard: its message for the stack v, or None.
+
+    The plain eigenvalue test behind the guard's Cholesky screen: ``eigvalsh``
+    of every symmetrized entry against the budget 1e-9 * (1 + max|v_k|),
+    naming the first failing entry's minimum eigenvalue.
+    """
+    min_eig = np.linalg.eigvalsh((v + v.transpose(0, 2, 1)) / 2.0).min(axis=1)
+    failed = min_eig < -1e-9 * (1.0 + np.abs(v).max(axis=(1, 2)))
+    if not failed.any():
+        return None
+    return ("output spectrum is not positive semidefinite "
+            f"(min eigenvalue {min_eig[failed.argmax()]:.3e})")
+
+
 def reference_drift_blocks(params, ss):
     """m1, m2 re-derived independently for a symmetric working point.
 

@@ -12,6 +12,7 @@ from cascaded_fwm import (
     build_branch_model,
     output_spectra,
     stationary_covariance,
+    sweep_frequency,
 )
 from cascaded_fwm import cli
 from cascaded_fwm.cli import (
@@ -227,6 +228,43 @@ def test_vlf_sweep_zero_diffusion(tmp_path, capsys, monkeypatch):
         cells = row.split(",")
         assert [float(c) for c in cells[1:4]] == [4.0, 4.0, 4.0]
         assert all(float(c) == 0.0 for c in cells[4:])
+
+
+def sweep_frequency_rows(config, branch, zero_diffusion=False):
+    """vlf-sweep CSV rows rebuilt from the public VlfResult list, as strings."""
+    n = len(cli._REPRESENTATIVES)
+    results = sweep_frequency(config.system(), branch, cli._REPRESENTATIVES,
+                              config.omega_grid(), zero_diffusion)
+    rows = []
+    for k in range(0, len(results), n):
+        group = results[k:k + n]
+        rows.append([_fmt(group[0].omega_norm), *(_fmt(r.value) for r in group),
+                     *(_fmt(g) for r in group for g in r.gains)])
+    return rows
+
+
+@pytest.mark.parametrize("figure", [f"fig{n}" for n in range(2, 8)])
+def test_vlf_sweep_cells_equal_sweep_frequency_results(figure, tmp_path, capsys,
+                                                       monkeypatch):
+    # The CLI writes the stacked core's arrays; every cell must still be
+    # the public VlfResult field it stands for.
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce", figure]) == 0
+    capsys.readouterr()
+    config = figure_config(figure)
+    rows = [line.split(",") for line in
+            (tmp_path / config.out).read_text().splitlines()[1:]]
+    assert rows == sweep_frequency_rows(config, config.branch)
+
+
+def test_zero_diffusion_cells_equal_sweep_frequency_results(tmp_path, capsys, monkeypatch):
+    # Compared as strings, so a -0.0 gain on either side would show.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, BASE + "omega_points = 9\nout = null.csv\n")
+    assert main(["vlf-sweep", cfg, "--zero-diffusion"]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in (tmp_path / "null.csv").read_text().splitlines()[1:]]
+    assert rows == sweep_frequency_rows(load_config(cfg), "lower", zero_diffusion=True)
 
 
 def test_vlf_sweep_auto_branch_bistable(tmp_path, capsys, monkeypatch):

@@ -31,6 +31,7 @@ from helpers import (
     pumped,
     random_params,
     reference_gain_solve,
+    reference_psd_failure,
     sequential_minimum,
     spectrum_at,
     toy_model,
@@ -249,6 +250,61 @@ def test_psd_budget_scales_with_each_stack_entry():
     small[0, 0] = -1e-8
     with pytest.raises(PhysicalityError, match=r"min eigenvalue -1\.000e-08"):
         _require_physical(np.stack([big, small]))
+
+
+def psd_probe(max_abs, margin):
+    """A symmetric 12x12 matrix with max|v| ~ max_abs and min eigenvalue -margin * tau.
+
+    tau = 1e-9 * (1 + max|v|) is the guard's budget.  The other eleven
+    eigenvalues are positive, and the rank-one dip moves max|v| by ~tau only.
+    """
+    q = np.linalg.qr(np.random.default_rng(11).standard_normal((12, 12)))[0]
+    v = (q[:, 1:] * np.geomspace(1.0, 1e3, 11)) @ q[:, 1:].T
+    v = (v + v.T) * (0.5 * max_abs / np.abs(v).max())
+    tau = 1e-9 * (1.0 + np.abs(v).max())
+    return v - margin * tau * np.outer(q[:, 0], q[:, 0])
+
+
+@pytest.mark.parametrize("max_abs", [1.0, 1e4, 1e8])
+def test_cholesky_screen_agrees_with_the_eigenvalue_test(max_abs):
+    inside = psd_probe(max_abs, 1.0 - 1e-3)[None]
+    assert reference_psd_failure(inside) is None
+    _require_physical(inside)
+    outside = psd_probe(max_abs, 1.0 + 1e-3)[None]
+    expected = reference_psd_failure(outside)
+    assert expected is not None
+    with pytest.raises(PhysicalityError) as info:
+        _require_physical(outside)
+    assert str(info.value) == expected
+
+
+def test_psd_failure_in_a_stack_names_the_eigenvalue_test_minimum():
+    stack = np.stack([psd_probe(1e4, 0.5), psd_probe(1e8, 1.0 + 1e-3),
+                      psd_probe(1.0, 1.0 - 1e-3)])
+    expected = reference_psd_failure(stack)
+    assert expected == reference_psd_failure(stack[1:2])
+    with pytest.raises(PhysicalityError) as info:
+        _require_physical(stack)
+    assert str(info.value) == expected
+    _require_physical(stack[[0, 2]])
+
+
+def test_empty_stack_is_physical():
+    _require_physical(np.zeros((0, 12, 12)))
+
+
+def test_physical_stacks_skip_eigvalsh(monkeypatch):
+    # The Cholesky screen passes a whole figure grid, and entries that dip
+    # below zero within their budget; eigvalsh runs only when it fails.
+    inside = np.stack([psd_probe(max_abs, 1.0 - 1e-3) for max_abs in (1.0, 1e4, 1e8)])
+
+    def refuse(_):
+        raise AssertionError("eigvalsh ran on a physical stack")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    _require_physical(inside)
+    results = sweep_frequency(pumped(0.5, 1.5), "lower")
+    assert len(results) == 400 * len(INEQUALITIES)
 
 
 def test_sweep_ordering_and_metadata():
