@@ -17,7 +17,7 @@ from cascaded_fwm import (
     build_fluctuation_model,
     compute_thresholds,
     integrated_spectrum,
-    output_spectrum_at,
+    output_spectra,
     state_for_branch,
     stationary_covariance,
 )
@@ -33,8 +33,7 @@ model = build_fluctuation_model(system, state_for_branch(system, "lower"))
 # cavity, so numbers below 1 are squeezing of that combination.
 i_Xs1, i_Xi1, i_Yp2 = 3, 2, 6
 for omega_norm in (0.05, 0.3, 1.0, 10.0, 1000.0):
-    spec = output_spectrum_at(model, omega_norm * system.gamma_a)
-    v = spec.v_out
+    v = output_spectra(model, [omega_norm * system.gamma_a])[0]
     # V(X_s1 - X_i1) = V(Xs1) + V(Xi1) - 2 cov
     diff_var = v[i_Xs1, i_Xs1] + v[i_Xi1, i_Xi1] - 2.0 * v[i_Xs1, i_Xi1]
     print(f"omega = {omega_norm:8.2f} gamma_a: "

@@ -63,8 +63,6 @@ from .spectra import (
     integrated_spectrum,
     output_spectra,
     output_spectrum,
-    output_spectrum_at,
-    quadrature_basis_matrix,
     quadrature_transform,
     spectral_matrix,
 )
@@ -88,7 +86,6 @@ from .vlf import (
     class_members,
     evaluate_inequality,
     inequality_by_label,
-    min_over_frequencies,
     min_over_frequency,
     minima_over_models,
     optimize_gains,
@@ -144,14 +141,11 @@ __all__ = [
     "integrated_spectrum",
     "jacobian_blocks",
     "mc_stationary_covariance",
-    "min_over_frequencies",
     "min_over_frequency",
     "minima_over_models",
     "optimize_gains",
     "output_spectra",
     "output_spectrum",
-    "output_spectrum_at",
-    "quadrature_basis_matrix",
     "quadrature_transform",
     "relax_to_steady_state",
     "resolve_epsilon",

@@ -413,8 +413,8 @@ def cmd_vlf_sweep(config: RunConfig, zero_diffusion: bool = False) -> None:
     grid = config.omega_grid()
     out = config.out or "vlf_sweep.csv"
     for branch, suffix in _resolve_branches(system, config.branch):
-        _, omega_norm, values, gains = _sweep_arrays(system, branch, _REPRESENTATIVES, grid,
-                                                     zero_diffusion, model=None)
+        model = build_branch_model(system, branch, zero_diffusion)
+        _, omega_norm, values, gains = _sweep_arrays(model, _REPRESENTATIVES, grid)
         _write_csv(_with_suffix(out, suffix), _vlf_header(),
                    np.column_stack([omega_norm, values, gains.reshape(len(grid), -1)]).tolist())
 

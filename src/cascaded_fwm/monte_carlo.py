@@ -33,9 +33,10 @@ from .linearization import FluctuationModel, StabilityReport, stability
 _FACTOR_BUDGET = 1e-10
 _STEP_LIMIT = 0.1  # dt * max|eig(M)| must stay below this
 _CHUNK = 256  # steps per block of normals drawn from each path's stream
+_TAKAGI_RTOL = 1e-12  # asymmetry and imaginary part below this count as rounding
 
 
-def takagi(matrix: np.ndarray, rtol: float = 1e-12):
+def takagi(matrix: np.ndarray):
     """Symmetric (Autonne-Takagi) factorization a = u diag(sigma) u^T.
 
     Returns non-negative ``sigma`` (descending) and unitary ``u``.  Real
@@ -49,11 +50,11 @@ def takagi(matrix: np.ndarray, rtol: float = 1e-12):
     if a.shape != (n, n):
         raise ParameterError(f"matrix must be square, got {a.shape}")
     scale = max(float(np.max(np.abs(a))), 1.0)
-    if np.max(np.abs(a - a.T)) > rtol * scale:
+    if np.max(np.abs(a - a.T)) > _TAKAGI_RTOL * scale:
         raise ParameterError("matrix must be symmetric (a == a.T)")
     a = (a + a.T) / 2.0
 
-    if not np.iscomplexobj(a) or np.max(np.abs(a.imag)) <= rtol * scale:
+    if not np.iscomplexobj(a) or np.max(np.abs(a.imag)) <= _TAKAGI_RTOL * scale:
         eigenvalues, q = np.linalg.eigh(a.real)
         order = np.argsort(-np.abs(eigenvalues), kind="stable")
         eigenvalues, q = eigenvalues[order], q[:, order]
@@ -251,12 +252,11 @@ def estimate_spectrum(
     omegas,
     segment_length: int = 4096,
     skip: int = 0,
-    window: str = "hann",
 ) -> SpectrumEstimate:
     """Welch-style estimate of S(omega) from sample paths.
 
-    Splits each path (after dropping ``skip`` burn-in samples) into
-    non-overlapping windowed segments and averages the cross-periodograms
+    Splits each path (after dropping ``skip`` >= 0 burn-in samples) into
+    non-overlapping Hann-windowed segments and averages the cross-periodograms
     d t * F(omega) F(-omega)^T / sum(w**2), whose expectation is the
     two-sided spectral matrix in the e^{-i omega t} convention used by the
     analytic side.  The ensemble must be long enough that segments span
@@ -265,10 +265,14 @@ def estimate_spectrum(
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     dt = ensemble.dt
     nyquist = np.pi / dt
+    if np.isnan(omegas).any():
+        raise ParameterError("requested omega is NaN")
     if np.any(np.abs(omegas) > nyquist):
         raise ParameterError(
             f"requested |omega| exceeds the Nyquist frequency {nyquist:.3e}"
         )
+    if skip < 0:
+        raise ParameterError(f"skip must be >= 0, got {skip!r}")
     data = ensemble.paths[:, skip:, :]
     usable = data.shape[1]
     if segment_length < 8 or usable < segment_length:
@@ -276,12 +280,7 @@ def estimate_spectrum(
             f"segment_length {segment_length} incompatible with "
             f"{usable} usable samples"
         )
-    if window == "hann":
-        w = np.hanning(segment_length)
-    elif window == "boxcar":
-        w = np.ones(segment_length)
-    else:
-        raise ParameterError(f"unknown window {window!r}")
+    w = np.hanning(segment_length)
     w_norm = float(np.sum(w**2))
     n_seg_per_path = usable // segment_length
     dim = data.shape[2]

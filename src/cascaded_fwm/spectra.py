@@ -20,8 +20,9 @@ covariance: (1/2pi) Integral S d omega over the real line equals the
 Lyapunov solution, which the tests use as a cross-module identity.
 
 ``output_spectra`` evaluates a whole frequency grid with stacked solves;
-the single-frequency functions are its one-point views, so both routes
-share one implementation and agree bit for bit.
+``spectral_matrix``, ``quadrature_transform`` and ``output_spectrum`` form
+the one-point chain of the same implementation, so both routes agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -51,14 +52,6 @@ _GRID_CHUNK = 64
 _EYE6 = np.eye(6)
 _T = np.block([[_EYE6, _EYE6], [-1j * _EYE6, 1j * _EYE6]])
 _T.flags.writeable = False
-
-
-def quadrature_basis_matrix() -> np.ndarray:
-    """The 12x12 block transform T mapping (alpha, alpha*) to (X, Y).
-
-    Returns the read-only module constant.
-    """
-    return _T
 
 
 @dataclass(frozen=True)
@@ -159,12 +152,13 @@ def _output_stack(m: np.ndarray, d: np.ndarray, rates: np.ndarray,
 def output_spectra(model: FluctuationModel, omegas) -> np.ndarray:
     """Output quadrature spectra v_out over a grid of absolute omega.
 
-    Returns an array of shape (n, 12, 12) whose k-th entry equals
-    ``output_spectrum_at(model, omegas[k]).v_out`` exactly: the same
-    solves, guards and transforms, evaluated in stacks of at most 64
-    frequencies.  Each guard is applied per frequency and names the first
-    frequency that fails it; when both guards fail inside one stack, the
-    solve guard is reported.  ``omegas`` must be 1-D and finite.
+    Returns an array of shape (n, 12, 12) whose k-th entry equals the v_out
+    of the one-point chain ``spectral_matrix`` -> ``quadrature_transform``
+    -> ``output_spectrum`` at omegas[k] exactly: the same solves, guards
+    and transforms, evaluated in stacks of at most 64 frequencies.  Each
+    guard is applied per frequency and names the first frequency that fails
+    it; when both guards fail inside one stack, the solve guard is reported.
+    ``omegas`` must be 1-D and finite.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1:
@@ -214,20 +208,14 @@ def output_spectrum(v_intra: np.ndarray, params: SystemParams, omega: float) -> 
     )
 
 
-def output_spectrum_at(model: FluctuationModel, omega: float) -> QuadratureSpectrum:
-    """Convenience chain: spectral matrix -> quadratures -> output."""
-    s = spectral_matrix(model, omega)
-    return output_spectrum(quadrature_transform(s), model.params, omega)
-
-
-def integrated_spectrum(model: FluctuationModel, half_width: float | None = None) -> np.ndarray:
+def integrated_spectrum(model: FluctuationModel) -> np.ndarray:
     """(1/2pi) Integral of S(omega) over the real line, by quadrature.
 
     Integrates adaptively over [-W, W] (folded onto [0, W] since
     S(-omega) = S(omega)* at a real operating point) and adds the leading
     asymptotic tail D / (pi W); the remaining truncation error is O(W^-3).
-    With the default W = 1e3 gamma_a this reproduces the Lyapunov
-    stationary covariance to well below 1e-6.
+    With W = 1e3 gamma_a this reproduces the Lyapunov stationary covariance
+    to well below 1e-6.
     """
     report = stability(model.m)
     if not report.stable or report.indeterminate:
@@ -238,10 +226,7 @@ def integrated_spectrum(model: FluctuationModel, half_width: float | None = None
             f"(margin {report.margin:.3e})",
             margin=report.margin,
         )
-    if half_width is None:
-        half_width = 1e3 * model.params.gamma_a
-    if half_width <= 0.0:
-        raise NumericalError(f"half_width must be > 0, got {half_width!r}")
+    half_width = 1e3 * model.params.gamma_a
     if np.max(np.abs(model.d.imag)) > 1e-12 * (1.0 + np.max(np.abs(model.d))):
         raise NumericalError("integrated_spectrum assumes a real diffusion matrix")
 

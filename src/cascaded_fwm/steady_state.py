@@ -19,8 +19,8 @@ integrates the full (phase-unrestricted) equations from an arbitrary complex
 initial condition and reports which analytic branch, if any, the endpoint
 matches.  The equations carry a free relative phase between the generated
 pairs, so matching compares moduli.  It rejects a non-finite start, a
-non-finite or non-positive ``tol``, ``t_max`` or ``divergence_bound`` and a
-negative or NaN ``match_radius`` before integrating.
+non-finite or non-positive ``tol`` or ``t_max`` and a negative or NaN
+``match_radius`` before integrating.
 
 ``drift``, the integrator's right-hand side and its convergence event share
 one scalar drift kernel in Python ``complex`` arithmetic, built once per
@@ -46,6 +46,8 @@ from .params import (
     classify_regime,
     compute_thresholds,
 )
+
+_DIVERGENCE_BOUND = 1e4  # an amplitude modulus above this ends a relaxation as diverged
 
 
 class Branch(enum.Enum):
@@ -234,15 +236,14 @@ def relax_to_steady_state(
     initial: np.ndarray,
     t_max: float = 1e5,
     tol: float = 1e-9,
-    divergence_bound: float = 1e4,
     match_radius: float = 1e-6,
 ) -> RelaxationResult:
     """Integrate the amplitude equations until they stop moving.
 
     Runs an adaptive high-order Runge-Kutta integration (DOP853) of the full
     complex equations from ``initial`` until the drift infinity-norm falls
-    below ``tol`` (converged), the state norm exceeds ``divergence_bound``
-    (diverged), or ``t_max`` is reached (timeout; reported, not raised).
+    below ``tol`` (converged), an amplitude modulus exceeds 1e4 (diverged),
+    or ``t_max`` is reached (timeout; reported, not raised).
     The right-hand side and the convergence event evaluate one scalar drift
     kernel on the six amplitudes; its values equal ``drift``'s bit for bit.
 
@@ -251,16 +252,15 @@ def relax_to_steady_state(
     counts as matched when the moduli agree within ``match_radius``.
 
     Raises ``ParameterError`` before integrating unless ``initial`` holds
-    six finite amplitudes, ``tol``, ``t_max`` and ``divergence_bound`` are
-    finite and > 0, and ``match_radius`` is >= 0 (NaN is rejected).
+    six finite amplitudes, ``tol`` and ``t_max`` are finite and > 0, and
+    ``match_radius`` is >= 0 (NaN is rejected).
     """
     a0 = np.asarray(initial, dtype=complex)
     if a0.shape != (6,):
         raise ParameterError(f"initial must have shape (6,), got {a0.shape}")
     if not np.all(np.isfinite(a0)):
         raise ParameterError(f"initial must be finite, got {a0!r}")
-    for name, value in (("tol", tol), ("t_max", t_max),
-                        ("divergence_bound", divergence_bound)):
+    for name, value in (("tol", tol), ("t_max", t_max)):
         if not (math.isfinite(value) and value > 0.0):
             raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
     if not match_radius >= 0.0:
@@ -287,7 +287,7 @@ def relax_to_steady_state(
 
     def diverged(t, u):
         a = u[:6] + 1j * u[6:]
-        return float(np.max(np.abs(a))) - divergence_bound
+        return float(np.max(np.abs(a))) - _DIVERGENCE_BOUND
 
     diverged.terminal = True
     diverged.direction = 1
@@ -310,40 +310,32 @@ def relax_to_steady_state(
     return RelaxationResult("converged", a_end, residual, elapsed, matched, distance)
 
 
-def sample_initial_conditions(
-    params: SystemParams, count: int, seed: int, scale: float | None = None
-) -> np.ndarray:
-    """Complex Gaussian initial conditions sized to the stationary amplitudes."""
-    if scale is None:
-        states = analytic_steady_states(params)
-        scale = 2.0 * max(float(np.max(s.amplitudes)) for s in states)
-        if scale == 0.0:
-            scale = 1.0
+def sample_initial_conditions(params: SystemParams, count: int, seed: int) -> np.ndarray:
+    """Complex Gaussian initial conditions sized to the stationary amplitudes.
+
+    Real and imaginary parts have standard deviation twice the largest
+    analytic amplitude of the regime, or 1 when every amplitude is zero.
+    """
+    scale = 2.0 * max(float(np.max(s.amplitudes)) for s in analytic_steady_states(params))
+    if scale == 0.0:
+        scale = 1.0
     rng = np.random.default_rng(seed)
     return scale * (rng.standard_normal((count, 6)) + 1j * rng.standard_normal((count, 6)))
 
 
-def basin_statistics(
-    params: SystemParams,
-    count: int,
-    seed: int,
-    tol: float = 1e-10,
-    t_max: float = 1e5,
-    scale: float | None = None,
-    match_radius: float = 1e-6,
-) -> dict:
+def basin_statistics(params: SystemParams, count: int, seed: int) -> dict:
     """Relax ``count`` random initial conditions and tally the endpoints.
 
-    Returns a dict with one entry per branch name plus "unmatched",
-    "timeout" and "diverged".  The tallies are empirical properties of this
-    ensemble only; nothing here claims a physical branch-selection law.
+    Each run relaxes with ``tol`` = 1e-10 and the default ``t_max`` and
+    ``match_radius``.  Returns a dict with one entry per branch name plus
+    "unmatched", "timeout" and "diverged".  The tallies are empirical
+    properties of this ensemble only; nothing here claims a physical
+    branch-selection law.
     """
     tallies = {b.value: 0 for b in Branch}
     tallies.update(unmatched=0, timeout=0, diverged=0)
-    for a0 in sample_initial_conditions(params, count, seed, scale):
-        result = relax_to_steady_state(
-            params, a0, t_max=t_max, tol=tol, match_radius=match_radius
-        )
+    for a0 in sample_initial_conditions(params, count, seed):
+        result = relax_to_steady_state(params, a0, tol=1e-10)
         if result.status != "converged":
             tallies[result.status] += 1
         elif result.matched is None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -49,15 +49,16 @@ class VlfInequality:
     """One combination inequality: coefficients and its symmetry class.
 
     ``x_coeffs`` holds the +-1 coefficients of the X combination,
-    ``y_fixed`` the +-1 coefficients pinned in the Y combination; the four
-    remaining modes listed in ``free_modes`` carry optimizable gains.
+    ``y_fixed`` the +-1 coefficients pinned in the Y combination.  The four
+    remaining modes carry optimizable gains; ``free_modes`` is derived from
+    the X pair and lists them in ascending order.
     """
 
     label: str
     symmetry_class: str
     x_coeffs: tuple
     y_fixed: tuple
-    free_modes: tuple
+    free_modes: tuple = field(init=False)
 
     def __post_init__(self):
         x = np.array(self.x_coeffs, dtype=float)
@@ -73,10 +74,7 @@ class VlfInequality:
             raise ParameterError(
                 f"{self.label}: fixed Y coefficients must sit on the X pair"
             )
-        if set(self.free_modes) != set(range(6)) - x_support:
-            raise ParameterError(f"{self.label}: free modes must complement the X pair")
-        if sorted(self.free_modes) != list(self.free_modes):
-            raise ParameterError(f"{self.label}: free modes must be ascending")
+        object.__setattr__(self, "free_modes", tuple(np.flatnonzero(x == 0.0).tolist()))
 
     def free_mode_labels(self) -> tuple:
         return tuple(MODE_LABELS[i] for i in self.free_modes)
@@ -84,11 +82,11 @@ class VlfInequality:
 
 # Note the fourth inequality fixes -Y_p2 while the fifth fixes +Y_p2.
 INEQUALITIES = (
-    VlfInequality("i2-p1", "C", (0, -1, 0, 0, 1, 0), (0, 1, 0, 0, 1, 0), (0, 2, 3, 5)),
-    VlfInequality("p1+s1", "B", (0, 1, 0, 1, 0, 0), (0, 1, 0, -1, 0, 0), (0, 2, 4, 5)),
-    VlfInequality("s1-i1", "A", (0, 0, -1, 1, 0, 0), (0, 0, 1, 1, 0, 0), (0, 1, 4, 5)),
-    VlfInequality("i1+p2", "B", (1, 0, 1, 0, 0, 0), (-1, 0, 1, 0, 0, 0), (1, 3, 4, 5)),
-    VlfInequality("p2-s2", "C", (1, 0, 0, 0, 0, -1), (1, 0, 0, 0, 0, 1), (1, 2, 3, 4)),
+    VlfInequality("i2-p1", "C", (0, -1, 0, 0, 1, 0), (0, 1, 0, 0, 1, 0)),
+    VlfInequality("p1+s1", "B", (0, 1, 0, 1, 0, 0), (0, 1, 0, -1, 0, 0)),
+    VlfInequality("s1-i1", "A", (0, 0, -1, 1, 0, 0), (0, 0, 1, 1, 0, 0)),
+    VlfInequality("i1+p2", "B", (1, 0, 1, 0, 0, 0), (-1, 0, 1, 0, 0, 0)),
+    VlfInequality("p2-s2", "C", (1, 0, 0, 0, 0, -1), (1, 0, 0, 0, 0, 1)),
 )
 
 SYMMETRY_CLASSES = ("A", "B", "C")
@@ -290,7 +288,7 @@ def _grid_spectra(rows: tuple, omega_norms) -> tuple:
     ``omega_norms`` or one row for all of them.  One stacked evaluation and
     one physicality check per spectrum.  Returns ``(omega, omega_norm,
     v_out)`` with omega_norm = omega / gamma_a; entry k equals
-    ``output_spectrum_at(model_k, omega_norms[k] * gamma_a)`` exactly.
+    ``output_spectra(model_k, [omega_norms[k] * gamma_a])[0]`` exactly.
     """
     omega_norms = np.asarray(omega_norms, dtype=float)
     n = omega_norms.size
@@ -301,7 +299,7 @@ def _grid_spectra(rows: tuple, omega_norms) -> tuple:
     return omegas, omegas / gamma_a, v_out
 
 
-def _sweep_arrays(params, branch, inequalities, omega_grid, zero_diffusion, model) -> tuple:
+def _sweep_arrays(model: FluctuationModel, inequalities, omega_grid) -> tuple:
     """``sweep_frequency`` as arrays omega, omega_norm (N,), values (N, P), gains (N, P, 4)."""
     ineqs = _resolve_inequalities(inequalities)
     if omega_grid is None:
@@ -311,8 +309,6 @@ def _sweep_arrays(params, branch, inequalities, omega_grid, zero_diffusion, mode
         raise ParameterError(f"omega_grid must be 1-D, got shape {omega_grid.shape}")
     if not (np.isfinite(omega_grid).all() and (omega_grid >= 0.0).all()):
         raise ParameterError("omega_grid values must be finite and >= 0")
-    if model is None:
-        model = build_branch_model(params, branch, zero_diffusion)
     omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), omega_grid)
     return (omega, omega_norm, *_gain_solves(*_problem_arrays(ineqs), v_out[:, None]))
 
@@ -322,7 +318,6 @@ def sweep_frequency(
     branch: Branch | str,
     inequalities=None,
     omega_grid=None,
-    zero_diffusion: bool = False,
     model: FluctuationModel | None = None,
 ) -> list:
     """Optimize each inequality over a grid of omega / gamma_a.
@@ -330,10 +325,12 @@ def sweep_frequency(
     Returns a flat list of VlfResult ordered by frequency, then by the
     declaration order of INEQUALITIES.  ``omega_grid`` defaults to 400
     logarithmic points on [0.01, 100]; it must be 1-D, finite and >= 0.
+    The model is built from ``params`` and ``branch`` unless given.
     """
     ineqs = _resolve_inequalities(inequalities)
-    omega, omega_norm, values, gains = _sweep_arrays(params, branch, ineqs, omega_grid,
-                                                     zero_diffusion, model)
+    if model is None:
+        model = build_branch_model(params, branch)
+    omega, omega_norm, values, gains = _sweep_arrays(model, ineqs, omega_grid)
     return [_result(ineq, w, w_norm, value, ineq_gains)
             for w, w_norm, w_values, w_gains in zip(omega.tolist(), omega_norm.tolist(),
                                                     values.tolist(), gains)
@@ -375,16 +372,17 @@ def _refine_minima(rows: tuple, problems: tuple, grid: np.ndarray,
     ``rows``; ``coarse[k]`` holds its best index on ``grid`` and the point
     ``(omega, omega_norm, value, gains)`` there.  The searches run in
     lockstep, one stacked spectral call per step, so every search sees
-    exactly the values it would see alone.  Each keeps only the point
-    ``_golden_section`` will return: the left of two unless the right is
-    lower, as its ``fc <= fd``.  Returns one point per search.
+    exactly the values it would see alone.  Each records the points it
+    evaluates, keyed by abscissa, and takes the one at the abscissa its
+    ``_golden_section`` returns, so the tie rule lives there alone.
+    Returns one point per search.
     """
     minima, running = [], []
     for k, (best, point) in enumerate(coarse):
         minima.append(point)
         search = _golden_section(float(grid[max(best - 1, 0)]),
                                  float(grid[min(best + 1, grid.size - 1)]), xtol)
-        running.append((k, search, next(search), None))
+        running.append((k, search, next(search), {}))
     while running:
         index = np.array([k for k, _, _, _ in running])
         abscissae = [x for _, _, x, _ in running]
@@ -392,16 +390,14 @@ def _refine_minima(rows: tuple, problems: tuple, grid: np.ndarray,
         values, gains = _gain_solves(*(a[index] for a in problems), v_out)
         points = zip(omega.tolist(), omega_norm.tolist(), values.tolist(), gains)
         still_running = []
-        for (k, search, x, kept), point in zip(running, points):
-            winner = (x, point)
-            if kept is not None:
-                left, right = (winner, kept) if x < kept[0] else (kept, winner)
-                winner = left if left[1][2] <= right[1][2] else right
+        for (k, search, x, seen), point in zip(running, points):
+            seen[x] = point
             try:
-                still_running.append((k, search, search.send(point[2]), winner))
+                still_running.append((k, search, search.send(point[2]), seen))
             except StopIteration as stop:
-                if stop.value[1] <= minima[k][2]:
-                    minima[k] = winner[1]
+                x_min, f_min = stop.value
+                if f_min <= minima[k][2]:
+                    minima[k] = seen[x_min]
         running = still_running
     return minima
 
@@ -426,8 +422,7 @@ def minima_over_models(
     0 < lo < hi < inf.  ``models`` is any iterable of FluctuationModels, taken
     one at a time after the arguments are checked.  Returns one list per
     model with one VlfResult per inequality, in the order given; each
-    equals what ``min_over_frequency`` returns for that model and
-    inequality alone.
+    equals what the same call returns for that model and inequality alone.
     """
     ineqs = _resolve_inequalities(inequalities)
     problems = _problem_arrays(ineqs)
@@ -461,32 +456,6 @@ def minima_over_models(
             for i in range(len(scanned))]
 
 
-def min_over_frequencies(
-    params: SystemParams,
-    branch: Branch | str,
-    inequalities=None,
-    omega_range=(0.01, 100.0),
-    coarse_points: int = 64,
-    scale: str = "log",
-    xtol: float = 1e-6,
-    zero_diffusion: bool = False,
-    model: FluctuationModel | None = None,
-) -> list:
-    """Global minimum of each optimized inequality over a frequency window.
-
-    The one-model case of ``minima_over_models``: one coarse grid shared by
-    all inequalities (all inequalities by default), then a lockstep golden
-    section refine of each inequality's best bracket.  The model is built
-    from ``params`` and ``branch`` unless given.  Returns one VlfResult per
-    inequality, in the order given; each equals what
-    ``min_over_frequency`` returns for that inequality alone.
-    """
-    if model is None:
-        model = build_branch_model(params, branch, zero_diffusion)
-    return minima_over_models([model], inequalities, omega_range, coarse_points,
-                              scale, xtol)[0]
-
-
 def min_over_frequency(
     params: SystemParams,
     branch: Branch | str,
@@ -495,12 +464,11 @@ def min_over_frequency(
     coarse_points: int = 64,
     scale: str = "log",
     xtol: float = 1e-6,
-    zero_diffusion: bool = False,
-    model: FluctuationModel | None = None,
 ) -> VlfResult:
     """Global minimum of one optimized inequality over a frequency window.
 
-    The one-inequality case of ``min_over_frequencies``.
+    The one-model, one-inequality case of ``minima_over_models``, on the
+    model of ``branch`` at ``params``.
     """
-    return min_over_frequencies(params, branch, (inequality,), omega_range, coarse_points,
-                                scale, xtol, zero_diffusion, model)[0]
+    return minima_over_models([build_branch_model(params, branch)], (inequality,),
+                              omega_range, coarse_points, scale, xtol)[0][0]

@@ -20,7 +20,9 @@ from cascaded_fwm import (
     default_step,
     factor_diffusion,
     optimize_gains,
-    output_spectrum_at,
+    output_spectrum,
+    quadrature_transform,
+    spectral_matrix,
     stability,
 )
 
@@ -78,7 +80,9 @@ def toy_model(m, d, k2=0.4):
 
 def spectrum_at(model, omega_norm):
     """Checked output spectrum at omega / gamma_a on the single-point chain."""
-    return output_spectrum_at(model, omega_norm * model.params.gamma_a)
+    omega = omega_norm * model.params.gamma_a
+    return output_spectrum(quadrature_transform(spectral_matrix(model, omega)),
+                           model.params, omega)
 
 
 def golden_section(f, lo, hi, xtol):
@@ -100,7 +104,7 @@ def golden_section(f, lo, hi, xtol):
 
 
 def sequential_minimum(model, ineq, grid, xtol=1e-6):
-    """Reference for min_over_frequencies: one witness, one point at a time.
+    """Reference for minima_over_models: one witness, one point at a time.
 
     Scans ``grid`` (omega / gamma_a), refines the bracket around the best
     coarse point by golden section, and optimizes the gains again at the
@@ -287,8 +291,7 @@ def reference_drift(params, alpha):
     return out
 
 
-def reference_relax(params, initial, t_max=1e5, tol=1e-9, divergence_bound=1e4,
-                    match_radius=1e-6):
+def reference_relax(params, initial, t_max=1e5, tol=1e-9, match_radius=1e-6):
     """Test oracle for relax_to_steady_state: the same integration on
     ``reference_drift``, with the right-hand side and events rebuilding the
     complex state as an ndarray at every call.
@@ -311,7 +314,7 @@ def reference_relax(params, initial, t_max=1e5, tol=1e-9, divergence_bound=1e4,
 
     def diverged(t, u):
         a = u[:6] + 1j * u[6:]
-        return float(np.max(np.abs(a))) - divergence_bound
+        return float(np.max(np.abs(a))) - 1e4
 
     diverged.terminal = True
     diverged.direction = 1

@@ -233,8 +233,9 @@ def test_vlf_sweep_zero_diffusion(tmp_path, capsys, monkeypatch):
 def sweep_frequency_rows(config, branch, zero_diffusion=False):
     """vlf-sweep CSV rows rebuilt from the public VlfResult list, as strings."""
     n = len(cli._REPRESENTATIVES)
+    model = build_branch_model(config.system(), branch, zero_diffusion)
     results = sweep_frequency(config.system(), branch, cli._REPRESENTATIVES,
-                              config.omega_grid(), zero_diffusion)
+                              config.omega_grid(), model=model)
     rows = []
     for k in range(0, len(results), n):
         group = results[k:k + n]

@@ -4,6 +4,8 @@ Every random test here uses a frozen seed and a tolerance of three standard
 errors measured from the ensemble itself, so the suite is deterministic.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,10 +174,24 @@ def test_estimate_spectrum_validation():
         estimate_spectrum(ens, [2.0 * nyquist], segment_length=128)
     with pytest.raises(ParameterError, match="incompatible"):
         estimate_spectrum(ens, [0.1], segment_length=512)
-    with pytest.raises(ParameterError, match="window"):
-        estimate_spectrum(ens, [0.1], segment_length=128, window="hamming")
     with pytest.raises(ParameterError, match="two segments"):
         estimate_spectrum(ens, [0.1], segment_length=256)
+
+
+def test_estimate_spectrum_rejects_a_nan_frequency():
+    # Cast to an FFT bin, NaN became bin 0 and returned the DC estimate.
+    ens = simulate_ou(below_threshold_model(), steps=1024, n_paths=2, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="NaN"):
+            estimate_spectrum(ens, [0.1, np.nan], segment_length=256)
+
+
+def test_estimate_spectrum_rejects_a_negative_skip():
+    # As a slice start, skip=-512 kept only the last 512 samples of each path.
+    ens = simulate_ou(below_threshold_model(), steps=1024, n_paths=2, seed=3)
+    with pytest.raises(ParameterError, match="skip"):
+        estimate_spectrum(ens, [0.1], segment_length=256, skip=-512)
 
 
 def test_simulation_input_validation():

@@ -15,15 +15,13 @@ from cascaded_fwm import (
     integrated_spectrum,
     output_spectra,
     output_spectrum,
-    output_spectrum_at,
-    quadrature_basis_matrix,
     quadrature_transform,
     spectral_matrix,
     state_for_branch,
     stationary_covariance,
 )
-from cascaded_fwm.spectra import _output_stack
-from helpers import pumped, random_params, toy_model
+from cascaded_fwm.spectra import _T, _output_stack
+from helpers import pumped, random_params, spectrum_at, toy_model
 
 REGIMES = ("NoThreshold", "BelowThreshold", "BetweenThresholds",
            "AboveUpperThreshold")
@@ -76,12 +74,12 @@ def test_formal_evaluation_off_the_stable_manifold():
     for branch in ("lower", "upper"):
         model = build_fluctuation_model(params, state_for_branch(params, branch))
         for omega_norm in (0.05, 1.0, 30.0):
-            spec = output_spectrum_at(model, omega_norm * params.gamma_a)
+            spec = spectrum_at(model, omega_norm)
             assert np.min(np.linalg.eigvalsh(spec.v_out)) > -1e-9
 
 
-def test_quadrature_basis_matrix_shape():
-    t = quadrature_basis_matrix()
+def test_quadrature_basis_shape():
+    t = _T
     eye = np.eye(6)
     assert np.array_equal(t[:6, :6], eye)
     assert np.array_equal(t[:6, 6:], eye)
@@ -112,7 +110,7 @@ def test_output_spectrum_entrywise_form():
 def test_vacuum_limit_and_symmetry():
     params = pumped(0.4, 1.2)
     model = build_fluctuation_model(params, state_for_branch(params, "lower"))
-    spec = output_spectrum_at(model, 1e3 * params.gamma_a)
+    spec = spectrum_at(model, 1e3)
     assert np.max(np.abs(spec.v_out - np.eye(12))) < 2e-3
     assert np.array_equal(spec.v_out, spec.v_out.T)
     assert np.all(np.diag(spec.v_out) >= 0.0)
@@ -123,7 +121,7 @@ def test_mode_swap_invariance():
     model = build_fluctuation_model(params, state_for_branch(params, "lower"))
     perm = np.concatenate([SWAP_PERMUTATION, 6 + np.array(SWAP_PERMUTATION)])
     for omega_norm in (0.05, 0.7, 12.0):
-        v = output_spectrum_at(model, omega_norm * params.gamma_a).v_out
+        v = spectrum_at(model, omega_norm).v_out
         assert np.max(np.abs(v[np.ix_(perm, perm)] - v)) < 1e-10
 
 
@@ -132,13 +130,13 @@ def test_linear_combination_consistency():
     # basis: shot noise + 2 Re(u^T S u) with u = T^T G^(1/2) c.
     params = pumped(0.4, 1.2)
     model = build_fluctuation_model(params, state_for_branch(params, "lower"))
-    t = quadrature_basis_matrix()
+    t = _T
     g_half = np.sqrt(np.tile(params.damping_rates(), 2))
     rng = np.random.default_rng(8)
     for omega_norm in (0.03, 1.0, 40.0):
         omega = omega_norm * params.gamma_a
         s = spectral_matrix(model, omega)
-        v_out = output_spectrum_at(model, omega).v_out
+        v_out = spectrum_at(model, omega_norm).v_out
         for _ in range(5):
             c = rng.standard_normal(12)
             direct = c @ v_out @ c
@@ -173,9 +171,9 @@ def test_integrated_spectrum_zero_diffusion():
     assert np.max(np.abs(integrated_spectrum(zero))) < 1e-15
 
 
-def test_quadrature_basis_matrix_is_read_only():
+def test_quadrature_basis_is_read_only():
     with pytest.raises(ValueError):
-        quadrature_basis_matrix()[0, 0] = 2.0
+        _T[0, 0] = 2.0
 
 
 def test_output_spectra_equal_single_frequency_path():
@@ -192,7 +190,9 @@ def test_output_spectra_equal_single_frequency_path():
             stacked = output_spectra(model, omegas)
             assert stacked.shape == (64, 12, 12)
             for omega, v_out in zip(omegas, stacked):
-                assert np.array_equal(v_out, output_spectrum_at(model, omega).v_out)
+                one_point = output_spectrum(quadrature_transform(spectral_matrix(model, omega)),
+                                            params, omega)
+                assert np.array_equal(v_out, one_point.v_out)
     assert branches_seen == {"trivial", "lower", "upper"}
 
 

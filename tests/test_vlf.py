@@ -18,7 +18,6 @@ from cascaded_fwm import (
     compute_thresholds,
     evaluate_inequality,
     inequality_by_label,
-    min_over_frequencies,
     min_over_frequency,
     minima_over_models,
     optimize_gains,
@@ -88,23 +87,16 @@ def test_unknown_label_and_class():
 
 def test_inequality_validation():
     with pytest.raises(ParameterError, match="length 6"):
-        VlfInequality("bad", "A", (1, -1), (1, 1), (2, 3, 4, 5))
+        VlfInequality("bad", "A", (1, -1), (1, 1))
     with pytest.raises(ParameterError, match="X pair"):
-        VlfInequality("bad", "A", (1, -1, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0),
-                      (2, 3, 4, 5))
-    with pytest.raises(ParameterError, match="complement"):
-        VlfInequality("bad", "A", (1, -1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0),
-                      (1, 3, 4, 5))
-    with pytest.raises(ParameterError, match="ascending"):
-        VlfInequality("bad", "A", (1, -1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0),
-                      (3, 2, 4, 5))
+        VlfInequality("bad", "A", (1, -1, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0))
     # The separable bound 4 holds only for +-1 coefficients.
     for x, y in (((0, 0, -2, 1, 0, 0), (0, 0, 1, 0.5, 0, 0)),
                  ((0, 0, -1, 1, 0, 0), (0, 0, 1, 0.5, 0, 0)),
                  ((0, 0, -2, 1, 0, 0), (0, 0, 1, 1, 0, 0)),
                  ((0, 0, -1, 1, 0, 0), (0, 0, 1, float("nan"), 0, 0))):
         with pytest.raises(ParameterError, match=r"\+-1"):
-            VlfInequality("bad", "A", x, y, (0, 1, 4, 5))
+            VlfInequality("bad", "A", x, y)
 
 
 def test_shot_noise_saturates_the_bound():
@@ -121,8 +113,7 @@ def test_shot_noise_saturates_the_bound():
 
 
 def test_list_coefficients_accepted():
-    ineq = VlfInequality("s1-i1", "A", [0, 0, -1, 1, 0, 0], [0, 0, 1, 1, 0, 0],
-                         [0, 1, 4, 5])
+    ineq = VlfInequality("s1-i1", "A", [0, 0, -1, 1, 0, 0], [0, 0, 1, 1, 0, 0])
     assert evaluate_inequality(ineq, identity_spectrum(), np.zeros(4)) == 4.0
     assert optimize_gains(ineq, identity_spectrum()).value == 4.0
 
@@ -172,7 +163,7 @@ def test_symmetry_class_degeneracy():
 def test_zero_diffusion_null():
     params = pumped(0.4, 1.2)
     results = sweep_frequency(params, "lower", omega_grid=[0.1, 1.0, 10.0],
-                              zero_diffusion=True)
+                              model=build_branch_model(params, "lower", zero_diffusion=True))
     assert all(res.value == 4.0 for res in results)
 
 
@@ -181,9 +172,9 @@ def test_zero_diffusion_null_in_every_regime():
     for regime in REGIMES:
         params = random_params(rng, regime=regime)
         for state in analytic_steady_states(params):
+            null = build_branch_model(params, state.branch, zero_diffusion=True)
             results = sweep_frequency(params, state.branch,
-                                      omega_grid=np.geomspace(0.01, 100.0, 16),
-                                      zero_diffusion=True)
+                                      omega_grid=np.geomspace(0.01, 100.0, 16), model=null)
             assert all(res.value == 4.0 for res in results)
             assert all(np.all(res.gains == 0.0) for res in results)
 
@@ -228,7 +219,7 @@ def test_large_spectrum_passes_on_rounding_alone():
     rng = np.random.default_rng(17)
     for regime in ("NoThreshold", "BelowThreshold", "BetweenThresholds"):
         params = random_params(rng, regime=regime)
-    results = min_over_frequencies(params, "lower", coarse_points=16)
+    results = minima_over_models([build_branch_model(params, "lower")], coarse_points=16)[0]
     assert len(results) == len(INEQUALITIES)
     assert all(np.isfinite(res.value) for res in results)
 
@@ -327,7 +318,7 @@ def test_min_over_frequency_beats_coarse_sweep():
     sweep_vals = [res.value for res in
                   sweep_frequency(params, "lower", inequalities=["s1-i1"],
                                   omega_grid=grid, model=model)]
-    best = min_over_frequency(params, "lower", "s1-i1", model=model)
+    best = min_over_frequency(params, "lower", "s1-i1")
     assert best.value <= min(sweep_vals) + 1e-12
     assert best.violated
     assert 0.01 <= best.omega_norm <= 100.0
@@ -372,7 +363,8 @@ def test_omega_range_must_be_a_finite_positive_window(omega_range):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="omega_range"):
-            min_over_frequencies(pumped(0.4, 1.2), "lower", omega_range=omega_range)
+            minima_over_models([build_branch_model(pumped(0.4, 1.2), "lower")],
+                               omega_range=omega_range)
 
 
 def test_unphysical_stack_rejected():
@@ -382,7 +374,7 @@ def test_unphysical_stack_rejected():
     with pytest.raises(PhysicalityError, match="positive semidefinite"):
         sweep_frequency(bad.params, "trivial", omega_grid=[0.5, 2.0], model=bad)
     with pytest.raises(PhysicalityError, match="positive semidefinite"):
-        min_over_frequencies(bad.params, "trivial", model=bad)
+        minima_over_models([bad])
 
 
 def test_sweep_matches_single_frequency_chain():
@@ -409,7 +401,7 @@ def test_shared_scan_matches_per_inequality_minimum(figure):
     reference = th.eps_th if config.epsilon_mode == "rel_eps_th" else th.eps_th_prime
     for ratio in np.geomspace(1.05, config.epsilon_ratio, 21)[[0, 10, 20]]:
         system = config.params.with_epsilon(float(ratio) * reference)
-        shared = min_over_frequencies(system, config.branch, labels)
+        shared = minima_over_models([build_branch_model(system, config.branch)], labels)[0]
         for label, res in zip(labels, shared, strict=True):
             alone = min_over_frequency(system, config.branch, label)
             assert (res.label, res.omega, res.omega_norm, res.value) == \
@@ -417,9 +409,10 @@ def test_shared_scan_matches_per_inequality_minimum(figure):
             assert np.array_equal(res.gains, alone.gains)
 
 
-def test_min_over_frequencies_defaults_to_every_inequality():
+def test_minima_over_models_defaults_to_every_inequality():
     params = pumped(0.4, 1.2)
-    results = min_over_frequencies(params, "lower", coarse_points=8, xtol=1e-3)
+    results = minima_over_models([build_branch_model(params, "lower")], coarse_points=8,
+                                 xtol=1e-3)[0]
     assert [res.label for res in results] == list(EXPECTED)
 
 
@@ -553,15 +546,14 @@ def test_gain_solves_broadcast_problems_against_spectra():
 
 def assert_matches_sequential(model, omega_range=(0.01, 100.0), coarse_points=64,
                               scale="log", xtol=1e-6):
-    """min_over_frequencies equals the one-witness sequential reference.
+    """minima_over_models on one model equals the one-witness sequential reference.
 
     Returns the reference's golden-section evaluation count per witness.
     """
     lo, hi = omega_range
     grid = (np.geomspace if scale == "log" else np.linspace)(lo, hi, coarse_points)
-    results = min_over_frequencies(model.params, None, omega_range=omega_range,
-                                   coarse_points=coarse_points, scale=scale,
-                                   xtol=xtol, model=model)
+    results = minima_over_models([model], None, omega_range=omega_range,
+                                 coarse_points=coarse_points, scale=scale, xtol=xtol)[0]
     counts = []
     for ineq, res in zip(INEQUALITIES, results, strict=True):
         ref, count = sequential_minimum(model, ineq, grid, xtol)
@@ -644,7 +636,7 @@ def test_minima_over_models_matches_per_model_search_at_every_pump_point(figure)
     batched = minima_over_models(models, labels)
     assert len(batched) == 21
     for model, results in zip(models, batched, strict=True):
-        alone = min_over_frequencies(model.params, config.branch, labels, model=model)
+        alone = minima_over_models([model], labels)[0]
         for res, ref in zip(results, alone, strict=True):
             assert_same_result(res, ref)
 
