@@ -13,10 +13,14 @@ only the cross-key rules (the epsilon pair, the omega window, k2 == k3) are
 spelled out in ``parse_config``.  ``_VERBS`` maps each verb to its handler
 and help text and drives both the argument parser and the one dispatch in
 ``main``; ``_FIGURE_VERBS`` maps each packaged figure to its handler.  Every
-CSV goes through ``_write_csv``.
+CSV goes through ``_write_csv``.  The rules of the physics stay with the
+library: the branches of a regime come from ``analytic_steady_states``, a
+threshold-relative pump from ``resolve_epsilon``, and the frequency window
+and grid from ``vlf``.
 
-Exit codes: 0 success, 2 configuration or parameter error, 3 stability or
-physicality error, 4 numerical failure.
+Exit codes: 0 success, 2 configuration or parameter error (an output file
+that cannot be written included), 3 stability or physicality error, 4
+numerical failure.
 """
 
 from __future__ import annotations
@@ -53,7 +57,9 @@ from .params import (
 from .spectra import QUADRATURE_LABELS, integrated_spectrum, output_spectra
 from .steady_state import analytic_steady_states
 from .vlf import (
-    INEQUALITIES,
+    _OMEGA_POINTS,
+    _OMEGA_WINDOW,
+    _omega_grid,
     _sweep_arrays,
     build_branch_model,
     inequality_by_label,
@@ -98,7 +104,6 @@ class RunConfig:
     omega_max: float
     omega_points: int
     omega_scale: str
-    inequalities: tuple
     seed: int
     out: str | None
 
@@ -108,9 +113,8 @@ class RunConfig:
         return self.params.with_epsilon(eps)
 
     def omega_grid(self) -> np.ndarray:
-        if self.omega_scale == "log":
-            return np.geomspace(self.omega_min, self.omega_max, self.omega_points)
-        return np.linspace(self.omega_min, self.omega_max, self.omega_points)
+        return _omega_grid(self.omega_min, self.omega_max, self.omega_points,
+                           self.omega_scale)
 
 
 def _parse_lines(text: str) -> dict:
@@ -185,33 +189,13 @@ def _one_of(*choices: str):
     return parse
 
 
-def _as_inequalities(key: str, entry) -> tuple:
-    lineno, value = entry
-    if value == "all":
-        return _ALL_INEQUALITIES
-    labels = []
-    for item in value.split(","):
-        label = item.strip()
-        try:
-            inequality_by_label(label)
-        except ParameterError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-        if label in labels:
-            raise ConfigError(f"line {lineno}: duplicate inequality {label!r}")
-        labels.append(label)
-    return tuple(labels)
-
-
-_ALL_INEQUALITIES = tuple(i.label for i in INEQUALITIES)
-
 # key -> (default, parser(key, (line number, value))); each is a RunConfig field.
 _OPTIONAL_KEYS = {
     "branch": ("auto", _one_of("lower", "upper", "trivial", "auto")),
     "omega_scale": ("log", _one_of("log", "linear")),
-    "omega_min": (0.01, _as_float),
-    "omega_max": (100.0, _as_float),
-    "omega_points": (400, _int_at_least(2)),
-    "inequalities": (_ALL_INEQUALITIES, _as_inequalities),
+    "omega_min": (_OMEGA_WINDOW[0], _as_float),
+    "omega_max": (_OMEGA_WINDOW[1], _as_float),
+    "omega_points": (_OMEGA_POINTS, _int_at_least(2)),
     "seed": (12345, _int_at_least(0)),
     "out": (None, lambda key, entry: entry[1]),
 }
@@ -224,8 +208,7 @@ def parse_config(text: str) -> RunConfig:
     One ``key = value`` pair per line, ``#`` starts a comment, unknown and
     duplicate keys are hard errors.  Required: the three damping rates, the
     three couplings, and an epsilon specification.  Everything else has
-    defaults (branch=auto, log grid 0.01-100 with 400 points, all
-    inequalities, seed 12345).
+    defaults (branch=auto, log grid 0.01-100 with 400 points, seed 12345).
     """
     entries = _parse_lines(text)
 
@@ -292,20 +275,25 @@ def _write_text_atomic(path: str, text: str) -> None:
     The temporary file is created exclusively, so concurrent writers of
     the same ``path`` never share one, and with mode 0o666 so the final
     file gets the same permission bits (minus the umask) as a plain
-    ``open`` would give it.
+    ``open`` would give it.  Any ``OSError`` becomes a ``ConfigError``
+    that names ``path``; no temporary file is left behind.
     """
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        # Name the target, not the temporary file the error carries.
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -327,27 +315,13 @@ def _with_suffix(path: str, suffix: str) -> str:
 def _resolve_branches(system: SystemParams, branch: str):
     """Concrete (branch, filename suffix) pairs for one run.
 
-    ``auto`` picks the only deterministic choice per regime and emits both
-    coexisting branches, suffixed, where the dynamics is bistable.
+    ``auto`` takes every analytic branch of the regime; only where two
+    coexist does each file name get the branch as a suffix.
     """
     if branch != "auto":
         return ((branch, ""),)
-    regime = classify_regime(system)
-    if regime is Regime.ABOVE_UPPER_THRESHOLD:
-        return (("lower", "_lower"), ("upper", "_upper"))
-    if regime is Regime.BETWEEN_THRESHOLDS:
-        return (("lower", ""),)
-    return (("trivial", ""),)
-
-
-def _require_class_coverage(labels) -> None:
-    covered = {inequality_by_label(label).symmetry_class for label in labels}
-    missing = [cls for cls, _ in _CLASS_REPRESENTATIVES if cls not in covered]
-    if missing:
-        raise ConfigError(
-            f"inequality selection leaves symmetry class(es) "
-            f"{', '.join(missing)} uncovered; the sweep CSV schema has a "
-            "column per class")
+    branches = [state.branch.value for state in analytic_steady_states(system)]
+    return tuple((name, f"_{name}" if len(branches) == 2 else "") for name in branches)
 
 
 def cmd_thresholds(config: RunConfig) -> None:
@@ -409,7 +383,6 @@ def _vlf_header() -> list:
 
 def cmd_vlf_sweep(config: RunConfig, zero_diffusion: bool = False) -> None:
     system = config.system()
-    _require_class_coverage(config.inequalities)
     grid = config.omega_grid()
     out = config.out or "vlf_sweep.csv"
     for branch, suffix in _resolve_branches(system, config.branch):
@@ -432,18 +405,13 @@ def cmd_pump_sweep(config: RunConfig) -> None:
     if config.epsilon_ratio <= _PUMP_SWEEP_START:
         raise ConfigError(f"epsilon_ratio must exceed {_PUMP_SWEEP_START} "
                           "(the sweep start)")
-    _require_class_coverage(config.inequalities)
-    thresholds = compute_thresholds(config.params)
-    if not thresholds.has_threshold:
-        raise ConfigError("pump-sweep requires couplings with a threshold")
-    reference = (thresholds.eps_th if config.epsilon_mode == "rel_eps_th"
-                 else thresholds.eps_th_prime)
     ratios = np.geomspace(_PUMP_SWEEP_START, config.epsilon_ratio,
                           _PUMP_SWEEP_POINTS)
     # One lockstep search over every pump point; the models are built one
     # at a time as the search scans them.
-    models = (build_branch_model(config.params.with_epsilon(float(ratio) * reference),
-                                 config.branch)
+    models = (build_branch_model(config.params.with_epsilon(
+                  resolve_epsilon(config.params, config.epsilon_mode, float(ratio))),
+                  config.branch)
               for ratio in ratios)
     minima = minima_over_models(models, _REPRESENTATIVES,
                                 omega_range=(config.omega_min, config.omega_max),

@@ -192,20 +192,32 @@ def stability(m: np.ndarray) -> StabilityReport:
     )
 
 
+def _require_decaying(m: np.ndarray, needs: str) -> StabilityReport:
+    """The stability report of ``m``, which must be stable and not indeterminate.
+
+    The one gate in front of everything that assumes the fluctuations decay
+    (stationary moments, the spectral integral, the simulators); ``needs``
+    opens the ``StabilityError`` message, which carries the margin.
+    """
+    report = stability(m)
+    if not report.stable or report.indeterminate:
+        raise StabilityError(
+            f"{needs} a decisively decaying drift (margin {report.margin:.3e})",
+            margin=report.margin,
+        )
+    return report
+
+
 def stationary_covariance(model: FluctuationModel) -> np.ndarray:
     """Stationary second moments Sigma with M Sigma + Sigma M^T = D.
 
     Solves the continuous Lyapunov equation for the unconjugated moments
-    <delta delta^T> of the stacked fluctuation vector.  Requires a stable
-    drift matrix; the residual of the returned solution is verified.
+    <delta delta^T> of the stacked fluctuation vector.  Raises
+    ``StabilityError`` unless the drift decisively decays (``stability``
+    neither unstable nor indeterminate); the residual of the returned
+    solution is verified.
     """
-    report = stability(model.m)
-    if not report.stable or report.indeterminate:
-        raise StabilityError(
-            f"no stationary covariance: drift matrix margin {report.margin:.3e} "
-            "is not decisively positive",
-            margin=report.margin,
-        )
+    _require_decaying(model.m, "stationary covariance needs")
     # M is real here, so scipy's A X + X A^H = Q is the wanted transpose form.
     sigma = solve_continuous_lyapunov(model.m, model.d)
     residual = np.max(np.abs(model.m @ sigma + sigma @ model.m.T - model.d))

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError, ParameterError, StabilityError, StepSizeError
-from .linearization import FluctuationModel, StabilityReport, stability
+from .errors import NumericalError, ParameterError, StepSizeError
+from .linearization import FluctuationModel, StabilityReport, _require_decaying, stability
 
 _FACTOR_BUDGET = 1e-10
 _STEP_LIMIT = 0.1  # dt * max|eig(M)| must stay below this
@@ -130,17 +130,12 @@ def _checked_step(model: FluctuationModel, dt: float | None):
     Requires a decisively decaying drift and dt * max|eig(M)| < 0.1;
     ``dt=None`` takes the default step.
     """
-    report = stability(model.m)
-    if not report.stable or report.indeterminate:
-        raise StabilityError(
-            f"will not simulate without a decisively decaying drift "
-            f"(margin {report.margin:.3e})",
-            margin=report.margin,
-        )
+    report = _require_decaying(model.m, "will not simulate without")
     if dt is None:
         dt = _default_step(report)
     fastest = float(np.max(np.abs(report.eigenvalues)))
-    if dt <= 0.0 or dt * fastest >= _STEP_LIMIT:
+    # Written so that a NaN step fails it too.
+    if not (0.0 < dt and dt * fastest < _STEP_LIMIT):
         raise StepSizeError(
             f"dt = {dt!r} too large: need dt * max|eig(M)| < {_STEP_LIMIT} "
             f"(max|eig| = {fastest:.3e})"

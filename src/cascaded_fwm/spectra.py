@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .errors import BasisConsistencyError, NumericalError, ParameterError, StabilityError
-from .linearization import FluctuationModel, stability
+from .errors import BasisConsistencyError, NumericalError, ParameterError
+from .linearization import FluctuationModel, _require_decaying
 from .params import MODE_LABELS, SystemParams
 
 logger = logging.getLogger(__name__)
@@ -217,15 +217,9 @@ def integrated_spectrum(model: FluctuationModel) -> np.ndarray:
     With W = 1e3 gamma_a this reproduces the Lyapunov stationary covariance
     to well below 1e-6.
     """
-    report = stability(model.m)
-    if not report.stable or report.indeterminate:
-        # A marginal drift mode with nonzero diffusion makes S ~ 1/omega^2
-        # near zero; the quadrature would silently miss the divergence.
-        raise StabilityError(
-            f"spectral integral needs a decisively decaying drift "
-            f"(margin {report.margin:.3e})",
-            margin=report.margin,
-        )
+    # A marginal drift mode with nonzero diffusion makes S ~ 1/omega^2
+    # near zero; the quadrature would silently miss the divergence.
+    _require_decaying(model.m, "spectral integral needs")
     half_width = 1e3 * model.params.gamma_a
     if np.max(np.abs(model.d.imag)) > 1e-12 * (1.0 + np.max(np.abs(model.d))):
         raise NumericalError("integrated_spectrum assumes a real diffusion matrix")

@@ -42,7 +42,6 @@ from .params import (
     Mode,
     Regime,
     SystemParams,
-    Thresholds,
     classify_regime,
     compute_thresholds,
 )

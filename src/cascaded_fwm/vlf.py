@@ -42,6 +42,18 @@ from .steady_state import Branch, state_for_branch
 
 _PSD_TOLERANCE = -1e-9
 _SINGULAR_RCOND = 1e-12
+# The default analysis window in omega / gamma_a and the default points of a grid on it.
+_OMEGA_WINDOW = (0.01, 100.0)
+_OMEGA_POINTS = 400
+
+
+def _omega_grid(lo: float, hi: float, points: int, scale: str) -> np.ndarray:
+    """``points`` frequencies from ``lo`` to ``hi`` on a ``log`` or ``linear`` scale."""
+    if scale == "log":
+        return np.geomspace(lo, hi, points)
+    if scale == "linear":
+        return np.linspace(lo, hi, points)
+    raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
 
 
 @dataclass(frozen=True)
@@ -303,7 +315,7 @@ def _sweep_arrays(model: FluctuationModel, inequalities, omega_grid) -> tuple:
     """``sweep_frequency`` as arrays omega, omega_norm (N,), values (N, P), gains (N, P, 4)."""
     ineqs = _resolve_inequalities(inequalities)
     if omega_grid is None:
-        omega_grid = np.geomspace(0.01, 100.0, 400)
+        omega_grid = _omega_grid(*_OMEGA_WINDOW, _OMEGA_POINTS, "log")
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1:
         raise ParameterError(f"omega_grid must be 1-D, got shape {omega_grid.shape}")
@@ -405,7 +417,7 @@ def _refine_minima(rows: tuple, problems: tuple, grid: np.ndarray,
 def minima_over_models(
     models,
     inequalities=None,
-    omega_range=(0.01, 100.0),
+    omega_range=_OMEGA_WINDOW,
     coarse_points: int = 64,
     scale: str = "log",
     xtol: float = 1e-6,
@@ -434,12 +446,7 @@ def minima_over_models(
             f"coarse_points must be an integer of at least 3, got {coarse_points!r}")
     if not (math.isfinite(xtol) and xtol > 0.0):
         raise ParameterError(f"xtol must be finite and > 0, got {xtol!r}")
-    if scale == "log":
-        grid = np.geomspace(lo, hi, coarse_points)
-    elif scale == "linear":
-        grid = np.linspace(lo, hi, coarse_points)
-    else:
-        raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
+    grid = _omega_grid(lo, hi, coarse_points, scale)
     scanned, coarse = [], []
     for model in models:
         omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), grid)
@@ -460,7 +467,7 @@ def min_over_frequency(
     params: SystemParams,
     branch: Branch | str,
     inequality,
-    omega_range=(0.01, 100.0),
+    omega_range=_OMEGA_WINDOW,
     coarse_points: int = 64,
     scale: str = "log",
     xtol: float = 1e-6,

@@ -11,7 +11,9 @@ from cascaded_fwm import (
     build_drift_matrix,
     build_fluctuation_model,
     drift,
+    integrated_spectrum,
     jacobian_blocks,
+    simulate_ou,
     stability,
     state_for_branch,
     stationary_covariance,
@@ -209,3 +211,16 @@ def test_stationary_covariance_requires_decisive_stability():
     model = build_fluctuation_model(params, state_for_branch(params, "lower"))
     with pytest.raises(StabilityError):
         stationary_covariance(model)
+
+
+def test_moments_integral_and_simulation_share_one_decay_gate():
+    params = pumped(0.4, 1.2)
+    model = build_fluctuation_model(params, state_for_branch(params, "lower"))
+    margin = stability(model.m).margin
+    for call, needs in ((stationary_covariance, "stationary covariance needs"),
+                        (integrated_spectrum, "spectral integral needs"),
+                        (lambda m: simulate_ou(m, 8, 1, 0), "will not simulate without")):
+        with pytest.raises(StabilityError) as info:
+            call(model)
+        assert str(info.value) == f"{needs} a decisively decaying drift (margin {margin:.3e})"
+        assert info.value.margin == margin

@@ -115,6 +115,8 @@ def test_step_size_guard():
     model = below_threshold_model()
     with pytest.raises(StepSizeError, match="too large"):
         simulate_ou(model, steps=8, n_paths=1, seed=0, dt=1e3)
+    with pytest.raises(StepSizeError, match="dt = nan too large"):
+        simulate_ou(model, steps=8, n_paths=2, seed=0, dt=float("nan"))
     dt = default_step(model)
     assert dt * np.max(np.abs(np.linalg.eigvals(model.m))) < 0.1 + 1e-12
 

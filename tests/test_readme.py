@@ -1,10 +1,12 @@
-"""The README's library quickstart runs, and the package exports what it lists."""
+"""The README's library quickstart runs, its config keys are complete, and the
+package exports what it lists."""
 
 import importlib
 import re
 from pathlib import Path
 
 import cascaded_fwm
+from cascaded_fwm import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +35,11 @@ def test_removed_entry_points_are_not_exported():
             assert name not in cascaded_fwm.__all__
             assert not hasattr(cascaded_fwm, name)
             assert not hasattr(importlib.import_module(f"cascaded_fwm.{module}"), name)
+
+
+def test_readme_lists_every_config_key():
+    text = README.read_text(encoding="utf-8")
+    paragraph = next(p for p in text.split("\n\n") if p.startswith("Configs are flat"))
+    for key in cli._KNOWN_KEYS:
+        assert f"`{key}`" in paragraph
+    assert "`inequalities`" not in paragraph
