@@ -29,6 +29,7 @@ import argparse
 import importlib.resources
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -117,11 +118,16 @@ class RunConfig:
                            self.omega_scale)
 
 
+# A '#' starts a comment at the start of a line or after whitespace only,
+# so a value such as 'results#1.csv' keeps its '#'.
+_COMMENT = re.compile(r"(?<!\S)#")
+
+
 def _parse_lines(text: str) -> dict:
     """Raw key=value pairs as {key: (line number, value)}."""
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
@@ -405,6 +411,8 @@ def cmd_pump_sweep(config: RunConfig) -> None:
     if config.epsilon_ratio <= _PUMP_SWEEP_START:
         raise ConfigError(f"epsilon_ratio must exceed {_PUMP_SWEEP_START} "
                           "(the sweep start)")
+    if config.omega_min <= 0.0:
+        raise ConfigError("pump-sweep needs omega_min > 0")
     ratios = np.geomspace(_PUMP_SWEEP_START, config.epsilon_ratio,
                           _PUMP_SWEEP_POINTS)
     # One lockstep search over every pump point; the models are built one

@@ -15,9 +15,12 @@ through B B^T.
 Paths own deterministic random streams derived from (seed, path index), so
 ensembles are reproducible and embarrassingly parallel in structure.  The
 stepper works in chunks of 256 steps: it draws each path's normals for the
-chunk, forms the chunk's whole noise in one product, and then runs the
-sequential steps in place over that array, so each step is one small
-matrix product and one add.
+chunk, forms the chunk's whole noise in one real product with the real and
+imaginary parts of B side by side, and then runs the sequential steps in
+place over that array, so each step is one small complex matrix product and
+one add.  The real product gives the complex one's values: that one only
+adds the products of the normals' zero imaginary parts, and the tests pin
+the two bit for bit, sign of zero included.
 """
 
 from __future__ import annotations
@@ -157,9 +160,16 @@ def _euler_maruyama(model: FluctuationModel, dt: float, steps: int,
     * path p draws its real normals from its own (seed, p) stream into row
       p of one reused (n_paths, block, dim) buffer, which gives the same
       values as drawing the whole path at once;
-    * one stacked product forms the chunk's noise sqrt(dt) (dW_t @ B^T) in
-      a fresh (block, n_paths, dim) array, one (n_paths, dim) slice per
-      step;
+    * the normals are copied into one reused step-major buffer, and one
+      real product of its (block * n_paths, dim) rows with ``b_t``, whose
+      columns 2j and 2j + 1 hold Re and Im of row j of B, gives
+      dW_t @ B^T as interleaved float pairs.  Viewed as complex and scaled
+      by sqrt(dt) in place, that is the chunk's noise in a fresh
+      (block, n_paths, dim) array, one (n_paths, dim) slice per step.  The
+      complex product it replaces only adds terms of the normals' zero
+      imaginary parts; that the BLAS sums the rest alike in its real and
+      complex kernels is pinned by the tests, sign of zero included.
+      sqrt(dt) stays out of ``b_t``, which would round differently;
     * step t overwrites its own slice in place with
       x (I - dt M)^T + noise_t and becomes the next x, so the array ends
       up holding the states.
@@ -167,9 +177,9 @@ def _euler_maruyama(model: FluctuationModel, dt: float, steps: int,
     The yielded array is that one, viewed as (n_paths, block, dim); no
     buffer is shared between yields.  Every state, for any n_paths, is
     bitwise what the per-step ``x @ decay.T + sqrt_dt * (dW_t @ b.T)``
-    gives: each product has the operand shapes and layouts of the per-step
-    one, which matters for one path, where numpy sends a (1, dim) product
-    through a vector kernel.
+    gives: each step's product has the operand shapes and layouts of the
+    per-step one, which matters for one path, where numpy sends a (1, dim)
+    product through a vector kernel.
     """
     b = factor_diffusion(model.d).b
     n_paths, dim = x.shape
@@ -177,15 +187,21 @@ def _euler_maruyama(model: FluctuationModel, dt: float, steps: int,
     # transposed layout rounds differently in the one-path vector kernel.
     decay_t = np.ascontiguousarray((np.eye(dim) - dt * model.m).T, dtype=complex)
     sqrt_dt = np.sqrt(dt)
+    b_t = np.stack((b.real.T, b.imag.T), axis=-1).reshape(dim, 2 * dim)
     rngs = [_path_rng(seed, p) for p in range(n_paths)]
-    normals = np.empty((n_paths, min(_CHUNK, steps), dim))
+    chunk = min(_CHUNK, steps)
+    normals = np.empty((n_paths, chunk, dim))
+    step_major = np.empty((chunk, n_paths, dim))
     tmp = np.empty((n_paths, dim), dtype=complex)
     for start in range(0, steps, _CHUNK):
         block = min(_CHUNK, steps - start)
         increments = normals[:, :block, :]
         for p, rng in enumerate(rngs):
             rng.standard_normal(out=increments[p])
-        states = increments.transpose(1, 0, 2) @ b.T
+        step_normals = step_major[:block]
+        step_normals[...] = increments.transpose(1, 0, 2)
+        states = (step_normals.reshape(block * n_paths, dim) @ b_t).view(complex)
+        states = states.reshape(block, n_paths, dim)
         states *= sqrt_dt
         for row in states:
             np.matmul(x, decay_t, out=tmp)

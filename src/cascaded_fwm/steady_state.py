@@ -245,6 +245,8 @@ def relax_to_steady_state(
     or ``t_max`` is reached (timeout; reported, not raised).
     The right-hand side and the convergence event evaluate one scalar drift
     kernel on the six amplitudes; its values equal ``drift``'s bit for bit.
+    The event reuses the values the right-hand side just computed at the
+    same state.
 
     The generated pairs carry a free relative phase, so branch matching
     compares amplitude moduli against the closed-form branches; an endpoint
@@ -267,19 +269,26 @@ def relax_to_steady_state(
 
     kernel = _drift_kernel(params)
 
+    # The last right-hand side input (as a list) and its kernel values.
+    last = [None, None]
+
     # Integrate the 12 real components u = (Re alpha, Im alpha) rather than
     # relying on complex support in the stepper.
     def rhs(t, u):
         v = u.tolist()
-        f0, f1, f2, f3, f4, f5 = kernel(*map(complex, v[:6], v[6:]))
+        f = kernel(*map(complex, v[:6], v[6:]))
+        last[:] = v, f
+        f0, f1, f2, f3, f4, f5 = f
         return np.array([f0.real, f1.real, f2.real, f3.real, f4.real, f5.real,
                          f0.imag, f1.imag, f2.imag, f3.imag, f4.imag, f5.imag])
 
+    # DOP853 hands each accepted state to the events right after its FSAL
+    # right-hand side, so the kernel runs here only inside root finding.
     # numpy's complex abs, not Python's abs: the two may differ in the last bit.
     def converged(t, u):
         v = u.tolist()
-        f = np.array(kernel(*map(complex, v[:6], v[6:])))
-        return float(np.max(np.abs(f))) - tol
+        f = last[1] if v == last[0] else kernel(*map(complex, v[:6], v[6:]))
+        return float(np.max(np.abs(np.array(f)))) - tol
 
     converged.terminal = True
     converged.direction = -1

@@ -77,6 +77,29 @@ def test_parse_comments_and_blanks():
     assert config.seed == 7
 
 
+@pytest.mark.parametrize("comment", [
+    "seed = 7\t# after a tab\n",
+    "# seed = 3\nseed = 7 #\n",
+])
+def test_hash_after_whitespace_starts_a_comment(comment):
+    assert parse_config(BASE + comment).seed == 7
+
+
+def test_hash_inside_a_value_is_kept(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = BASE + "branch = lower\nomega_points = 8\nout = results#1.csv\n"
+    cfg = write_config(tmp_path, text)
+    assert main(["vlf-sweep", cfg]) == 0
+    assert capsys.readouterr().out == "wrote results#1.csv\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results#1.csv", "run.conf"]
+
+
+def test_hash_glued_to_a_number_is_a_bad_float(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE.replace("k1 = 1.0", "k1 = 1.0#x"))
+    assert main(["thresholds", cfg]) == 2
+    assert capsys.readouterr().err == "error: line 4: k1 must be a number, got '1.0#x'\n"
+
+
 @pytest.mark.parametrize("text, message", [
     (BASE + "colour = red\n", r"line 9: unknown key 'colour'"),
     (BASE + "seed = 1\nseed = 2\n", r"line 10: duplicate key 'seed' \(first set on line 9\)"),
@@ -314,6 +337,20 @@ def test_pump_sweep_validation(tmp_path, capsys, mutate, message):
     cfg = write_config(tmp_path, mutate(base))
     assert main(["pump-sweep", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_pump_sweep_needs_a_positive_omega_min(tmp_path, capsys, monkeypatch):
+    # A linear grid may start at 0 for vlf-sweep; the pump sweep's minimum
+    # search may not, and says so in its own words.
+    monkeypatch.chdir(tmp_path)
+    text = (BASE.replace("epsilon_ratio = 1.2", "epsilon_ratio = 1.8")
+            + "branch = lower\nomega_scale = linear\nomega_min = 0\nomega_points = 8\n")
+    cfg = write_config(tmp_path, text)
+    assert main(["pump-sweep", cfg]) == 2
+    assert capsys.readouterr().err == "error: pump-sweep needs omega_min > 0\n"
+    assert not (tmp_path / "pump_sweep.csv").exists()
+    assert main(["vlf-sweep", cfg]) == 0
+    assert capsys.readouterr().out == "wrote vlf_sweep.csv\n"
 
 
 def test_mc_validate_verb(tmp_path, capsys, monkeypatch):

@@ -275,3 +275,18 @@ def test_mc_covariance_needs_two_paths():
     for n_paths in (0, 1):
         with pytest.raises(ParameterError, match="two paths"):
             mc_stationary_covariance(model, n_paths=n_paths, seed=0)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 3, 8, 64])
+def test_simulate_ou_matches_reference_down_to_the_sign_of_zero(n_paths):
+    # np.array_equal counts -0.0 equal to +0.0. On the trivial branch the
+    # pumps carry no noise, so many path floats are exactly zero; comparing
+    # their signs pins that the real noise product rounds like the complex
+    # one of the reference, on whatever BLAS runs the suite.
+    model = below_threshold_model()
+    steps = 3 * _CHUNK + 37
+    got = simulate_ou(model, steps=steps, n_paths=n_paths, seed=4).paths.view(float)
+    want = reference_simulate_ou(model, steps, n_paths=n_paths, seed=4).view(float)
+    assert np.count_nonzero(want == 0.0) > want.size // 4
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

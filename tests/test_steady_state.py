@@ -244,3 +244,38 @@ def test_basin_statistics_tallies_every_run():
     stats = basin_statistics(params, count=4, seed=12)
     assert sum(stats.values()) == 4
     assert stats["lower"] == 4  # the converted branch attracts here
+
+
+def test_convergence_event_reuses_the_right_hand_side_kernel_values(monkeypatch):
+    # The event sees each accepted state right after DOP853's FSAL
+    # right-hand side; evaluating the kernel there again cost one call per
+    # step (~330 per fig6 relaxation).
+    from cascaded_fwm import steady_state
+
+    calls = 0
+    nfev = []
+    make_kernel, solve = steady_state._drift_kernel, steady_state.solve_ivp
+
+    def counted_kernel(params):
+        kernel = make_kernel(params)
+
+        def counted(*amplitudes):
+            nonlocal calls
+            calls += 1
+            return kernel(*amplitudes)
+        return counted
+
+    def counted_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(steady_state, "_drift_kernel", counted_kernel)
+    monkeypatch.setattr(steady_state, "solve_ivp", counted_solve)
+    params = figure_config("fig6").system()
+    initial = sample_initial_conditions(params, 4096, seed=12345)[0]
+    result = relax_to_steady_state(params, initial)
+    assert result.status == "converged"
+    assert nfev[0] > 1000
+    assert calls - nfev[0] < 100
+    _assert_same_relaxation(result, reference_relax(params, initial))
