@@ -13,6 +13,11 @@ genuine multipartite entanglement) of the continuous-variable output.
 A Monte-Carlo oracle (Takagi noise factorization plus Euler-Maruyama
 ensembles) cross-checks the analytic spectra and covariances, and a small
 CLI turns the standard parameter sets into CSV data files.
+
+Importing the package, its CLI included, loads numpy alone.  The relaxation
+oracle (``relax_to_steady_state``, ``RelaxationResult``,
+``sample_initial_conditions``, ``basin_statistics``) needs scipy; the module
+``__getattr__`` (PEP 562) imports it with ``relaxation`` on first access.
 """
 
 from .errors import (
@@ -67,14 +72,11 @@ from .spectra import (
     spectral_matrix,
 )
 from .steady_state import (
+    _RELAXATION_NAMES,
     Branch,
-    RelaxationResult,
     SteadyState,
     analytic_steady_states,
-    basin_statistics,
     drift,
-    relax_to_steady_state,
-    sample_initial_conditions,
     state_for_branch,
 )
 from .vlf import (
@@ -93,6 +95,15 @@ from .vlf import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _RELAXATION_NAMES:
+        from . import relaxation
+
+        return getattr(relaxation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BasisConsistencyError",

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ParameterError, StepSizeError
 from .linearization import FluctuationModel, StabilityReport, _require_decaying, stability
@@ -63,6 +62,10 @@ def takagi(matrix: np.ndarray):
         eigenvalues, q = eigenvalues[order], q[:, order]
         phases = np.where(eigenvalues < 0.0, 1j, 1.0 + 0j)
         return np.abs(eigenvalues), q.astype(complex) * phases[None, :]
+
+    # The one scipy use of the oracle, and no diffusion matrix of this
+    # package reaches it: at real amplitudes D is real.
+    import scipy.linalg
 
     v, sigma, wh = np.linalg.svd(a)
     w = wh.conj().T
@@ -146,6 +149,19 @@ def _checked_step(model: FluctuationModel, dt: float | None):
     return report, dt
 
 
+def _require_count(name: str, value, minimum: int, why: str = "") -> int:
+    """``value`` as an int; it must be an integer (not a bool) >= ``minimum``.
+
+    A float, even an integral one, is refused rather than truncated, so a
+    seed of 1.5 cannot quietly run as seed 1.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ParameterError(f"{name} must be an integer >= {minimum}{why}, "
+                             f"got {value!r}")
+    return int(value)
+
+
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(path_index)])
 
@@ -223,11 +239,13 @@ def simulate_ou(
     Every path starts from ``initial`` (default: the origin) and consumes
     its own random stream seeded by (seed, path index).  Requires a stable
     drift matrix and dt * max|eig(M)| < 0.1; the default step is
-    0.01 / max|Re eig(M)|.
+    0.01 / max|Re eig(M)|.  ``steps`` and ``n_paths`` must be integers
+    >= 1 and ``seed`` an integer >= 0 (``ParameterError`` otherwise).
     """
     _, dt = _checked_step(model, dt)
-    if steps < 1 or n_paths < 1:
-        raise ParameterError("steps and n_paths must be >= 1")
+    steps = _require_count("steps", steps, 1)
+    n_paths = _require_count("n_paths", n_paths, 1)
+    seed = _require_count("seed", seed, 0)
     dim = model.m.shape[0]
     x = np.zeros((n_paths, dim), dtype=complex)
     if initial is not None:
@@ -238,8 +256,7 @@ def simulate_ou(
     for states in _euler_maruyama(model, dt, steps, seed, x):
         paths[:, done:done + states.shape[1], :] = states
         done += states.shape[1]
-    return TrajectoryEnsemble(paths=paths, dt=float(dt), seed=int(seed),
-                              count=int(n_paths))
+    return TrajectoryEnsemble(paths=paths, dt=float(dt), seed=seed, count=n_paths)
 
 
 @dataclass(frozen=True)
@@ -333,10 +350,12 @@ def mc_stationary_covariance(model: FluctuationModel, n_paths: int = 64, seed: i
     50 relaxation times after a burn-in of 8; no path is stored.  Returns
     (sigma_hat, stderr) where ``stderr`` combines real and imaginary
     scatter of the per-path averages, so it needs at least two paths.
+    ``n_paths`` and ``seed`` are checked as in ``simulate_ou``.
     """
     report, dt = _checked_step(model, None)
-    if n_paths < 2:
-        raise ParameterError("need at least two paths for error estimates")
+    n_paths = _require_count("n_paths", n_paths, 2,
+                             " (two paths are the fewest for error estimates)")
+    seed = _require_count("seed", seed, 0)
     relax_time = 1.0 / report.margin
     burn_steps = int(np.ceil(8.0 * relax_time / dt))
     avg_steps = int(np.ceil(50.0 * relax_time / dt))

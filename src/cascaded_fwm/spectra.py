@@ -17,7 +17,13 @@ and the measurable output spectra follow from the input-output relation
 with G the diagonal matrix of mode damping rates (each repeated for X and
 Y).  ``integrated_spectrum`` closes the loop back to the stationary
 covariance: (1/2pi) Integral S d omega over the real line equals the
-Lyapunov solution, which the tests use as a cross-module identity.
+Lyapunov solution, which the tests use as a cross-module identity.  Its
+adaptive quadrature is a numpy port of the part of
+``scipy.integrate.quad_vec`` it needs (finite interval, max norm, the
+Gauss-Kronrod 21-point rule of QUADPACK; Piessens et al., 1983).  The port
+keeps that routine's sum order and interval schedule, so it returns the same
+floats, and it evaluates the nodes of all intervals it subdivides in one
+round with stacked solves.  The module imports numpy alone.
 
 ``output_spectra`` evaluates a whole frequency grid with stacked solves;
 ``spectral_matrix``, ``quadrature_transform`` and ``output_spectrum`` form
@@ -27,11 +33,13 @@ for bit.
 
 from __future__ import annotations
 
+import heapq
 import logging
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .errors import BasisConsistencyError, NumericalError, ParameterError
 from .linearization import FluctuationModel, _require_decaying
@@ -52,6 +60,42 @@ _GRID_CHUNK = 64
 _EYE6 = np.eye(6)
 _T = np.block([[_EYE6, _EYE6], [-1j * _EYE6, 1j * _EYE6]])
 _T.flags.writeable = False
+
+# The Gauss-Kronrod 21-point rule on [-1, 1] as scipy's quad_vec spells it:
+# the Kronrod nodes, the 10-point Gauss weights of the odd-indexed nodes and
+# the 21-point Kronrod weights.
+_GK21_NODES = np.array((
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+    -0.148874338981631210884826001129720, -0.294392862701460198131126603103866,
+    -0.433395394129247190799265943165784, -0.562757134668604683339000099272694,
+    -0.679409568299024406234327365114874, -0.780817726586416897063717578345042,
+    -0.865063366688984510732096688423493, -0.930157491355708226001207180059508,
+    -0.973906528517171720077964012084452, -0.995657163025808080735527280689003))
+_GAUSS10_WEIGHTS = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697, 0.066671344308688137593568809893332)
+_KRONROD21_WEIGHTS = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390, 0.011694638867371874278064396062192)
+_QUAD_LIMIT = 10000  # subintervals at which the adaptive quadrature gives up
+_QUAD_BATCH = 128  # most intervals subdivided in one round
 
 
 @dataclass(frozen=True)
@@ -208,6 +252,96 @@ def output_spectrum(v_intra: np.ndarray, params: SystemParams, omega: float) -> 
     )
 
 
+def _max_norms(values: np.ndarray) -> list:
+    """max|v| of every entry of a stack, as Python floats."""
+    return np.abs(values).reshape(len(values), -1).max(axis=1).tolist()
+
+
+def _gk21(f, a: np.ndarray, b: np.ndarray):
+    """The GK21 rule on every interval [a[k], b[k]] of two 1-D arrays.
+
+    ``f`` maps a 1-D array of nodes to the stack of its values and is called
+    once, on all 21 nodes of every interval.  Returns the integrals (one per
+    interval) and the lists of their error and rounding estimates.  Each sum
+    runs node by node in the order of quad_vec's ``_quadrature_gk``, so
+    every interval gets that routine's floats.
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    nodes = c[:, None] + h[:, None] * _GK21_NODES
+    fv = f(nodes.ravel())
+    fv = fv.reshape(a.size, _GK21_NODES.size, *fv.shape[1:])
+    h = h.reshape(-1, *(1,) * (fv.ndim - 2))
+    s_k = s_k_abs = s_g = s_k_dabs = 0.0
+    for i, weight in enumerate(_KRONROD21_WEIGHTS):
+        s_k += weight * fv[:, i]
+        s_k_abs += weight * abs(fv[:, i])
+    for i, weight in enumerate(_GAUSS10_WEIGHTS):
+        s_g += weight * fv[:, 2 * i + 1]
+    y0 = s_k / 2.0
+    for i, weight in enumerate(_KRONROD21_WEIGHTS):
+        s_k_dabs += weight * abs(fv[:, i] - y0)
+    errors = []
+    roundings = _max_norms(50 * sys.float_info.epsilon * h * s_k_abs)
+    for err, dabs, rnd in zip(_max_norms((s_k - s_g) * h), _max_norms(s_k_dabs * h),
+                              roundings):
+        if dabs != 0 and err != 0:
+            err = dabs * min(1.0, (200 * err / dabs)**1.5)
+        if rnd > sys.float_info.min:
+            err = max(err, rnd)
+        errors.append(err)
+    return h * s_k, errors, roundings
+
+
+def _quad_gk21(f, a: float, b: float, epsabs: float, epsrel: float):
+    """Adaptive integral of a stacked integrand over [a, b]: (value, error).
+
+    A port of the subset of ``scipy.integrate.quad_vec`` used here: finite
+    interval, ``norm="max"``, GK21, one worker, at most 10000 intervals.
+    Each round subdivides the intervals of largest error (at most 128, and
+    no more than the error excess needs), updates the totals in quad_vec's
+    order, and stops once the error estimate falls below max(epsabs,
+    epsrel * max|value|) / 8 or below the rounding estimate.  The nodes of
+    a whole round go to ``f`` in one call (see ``_gk21``).  Raises
+    ``NumericalError`` when the interval limit is reached first or an
+    estimate stops being finite, where quad_vec would return silently.
+    """
+    value, (error,), (rounding,) = _gk21(f, np.array([a]), np.array([b]))
+    # Heap entries are (-error, start, end, integral), so the largest error
+    # pops first and ties go by the interval, as in quad_vec; no two
+    # intervals share (start, end), so the integrals are never compared.
+    heap = [(-error, a, b, value[0].copy())]
+    value = value[0]
+    while len(heap) < _QUAD_LIMIT:
+        tol = max(epsabs, epsrel * np.max(np.abs(value)))
+        batch = []
+        err_sum = 0.0
+        while heap and len(batch) < _QUAD_BATCH and not (
+                batch and err_sum > error - tol / 8):
+            batch.append(heapq.heappop(heap))
+            err_sum += -batch[-1][0]
+        lo, hi = (np.array([interval[k] for interval in batch]) for k in (1, 2))
+        mid = 0.5 * (lo + hi)
+        halves, errs, rnds = _gk21(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        n = len(batch)
+        for k, ((neg_err, x1, x2, old_int), c) in enumerate(zip(batch, mid.tolist())):
+            value += halves[k] + halves[n + k] - old_int
+            error += errs[k] + errs[n + k] - (-neg_err)
+            rounding += rnds[k] + rnds[n + k]
+            heapq.heappush(heap, (-errs[k], x1, c, halves[k]))
+            heapq.heappush(heap, (-errs[n + k], c, x2, halves[n + k]))
+        if not (math.isfinite(error) and math.isfinite(rounding)):
+            raise NumericalError(
+                f"quadrature estimates not finite (error {error!r}, "
+                f"rounding {rounding!r})")
+        tol = max(epsabs, epsrel * np.max(np.abs(value)))
+        if error < tol / 8 or error < rounding:
+            return value, error + rounding
+    raise NumericalError(
+        f"quadrature did not converge within {_QUAD_LIMIT} intervals "
+        f"(error estimate {error + rounding:.3e})")
+
+
 def integrated_spectrum(model: FluctuationModel) -> np.ndarray:
     """(1/2pi) Integral of S(omega) over the real line, by quadrature.
 
@@ -215,7 +349,10 @@ def integrated_spectrum(model: FluctuationModel) -> np.ndarray:
     S(-omega) = S(omega)* at a real operating point) and adds the leading
     asymptotic tail D / (pi W); the remaining truncation error is O(W^-3).
     With W = 1e3 gamma_a this reproduces the Lyapunov stationary covariance
-    to well below 1e-6.
+    to well below 1e-6.  The quadrature is ``_quad_gk21`` with absolute and
+    relative tolerance 1e-10; it raises ``NumericalError`` if it does not
+    converge.  Every node value equals ``spectral_matrix`` there bit for
+    bit.
     """
     # A marginal drift mode with nonzero diffusion makes S ~ 1/omega^2
     # near zero; the quadrature would silently miss the divergence.
@@ -224,11 +361,12 @@ def integrated_spectrum(model: FluctuationModel) -> np.ndarray:
     if np.max(np.abs(model.d.imag)) > 1e-12 * (1.0 + np.max(np.abs(model.d))):
         raise NumericalError("integrated_spectrum assumes a real diffusion matrix")
 
-    def integrand(w):
-        return spectral_matrix(model, w).real
+    def integrand(omegas):
+        return np.concatenate([
+            _spectral_stack(model.m, model.d, omegas[k:k + _GRID_CHUNK]).real
+            for k in range(0, omegas.size, _GRID_CHUNK)])
 
-    value, err = quad_vec(integrand, 0.0, half_width,
-                          epsabs=1e-10, epsrel=1e-10, norm="max")
+    value, err = _quad_gk21(integrand, 0.0, half_width, epsabs=1e-10, epsrel=1e-10)
     logger.debug("spectral integral quadrature error estimate %.3e", err)
     tail = model.d.real / (np.pi * half_width)
     return value / np.pi + tail

@@ -1,6 +1,8 @@
 import gzip
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -501,3 +503,54 @@ def test_unwritable_output_path_is_a_config_error(target, reason, tmp_path, caps
     assert "wrote" not in captured.out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory", "run.conf"]
     assert list((tmp_path / "a_directory").iterdir()) == []
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Run in a fresh interpreter: the suite itself has imported scipy long since.
+NUMPY_ONLY_SCRIPT = """
+import sys
+from cascaded_fwm import cli, steady_state
+
+config = "mc.conf"
+with open(config, "w", encoding="utf-8") as fh:
+    fh.write(sys.argv[1])
+assert "scipy" not in sys.modules, "import cascaded_fwm.cli loaded scipy"
+for argv in (["reproduce", "fig3"], ["reproduce", "fig8"], ["thresholds", config],
+             ["steady-state", config], ["spectrum", config], ["mc-validate", config]):
+    assert cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, f"{argv} loaded scipy"
+steady_state.sample_initial_conditions
+assert "scipy" in sys.modules, "the relaxation oracle did not load scipy"
+"""
+
+LAZY_EXPORT_SCRIPT = """
+import sys
+import cascaded_fwm
+
+assert "scipy" not in sys.modules, "import cascaded_fwm loaded scipy"
+cascaded_fwm.relax_to_steady_state
+assert "scipy" in sys.modules, "relax_to_steady_state did not load scipy"
+namespace = {}
+exec("from cascaded_fwm import *", namespace)
+missing = set(cascaded_fwm.__all__) - set(namespace)
+assert not missing, missing
+"""
+
+
+def _run_fresh(script, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_cli_verbs_run_without_scipy(tmp_path):
+    # The criterion-12 point.
+    mc_conf = BASE.replace("epsilon_ratio = 1.2", "epsilon_ratio = 0.8") + "branch = trivial\n"
+    _run_fresh(NUMPY_ONLY_SCRIPT, mc_conf, cwd=tmp_path)
+
+
+def test_relaxation_names_load_scipy_on_first_access(tmp_path):
+    _run_fresh(LAZY_EXPORT_SCRIPT, cwd=tmp_path)

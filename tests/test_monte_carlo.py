@@ -202,6 +202,39 @@ def test_simulation_input_validation():
         simulate_ou(model, steps=0, n_paths=1, seed=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.5), ("seed", -1), ("seed", 2.0), ("seed", True),
+    ("steps", 10.5), ("steps", 2.0), ("steps", True),
+    ("n_paths", 10.5), ("n_paths", 2.0), ("n_paths", True),
+])
+def test_simulate_ou_refuses_non_integral_or_negative_counts(name, value):
+    # Before these checks seed=1.5 ran silently as seed 1, a negative seed
+    # failed inside numpy, and a float or bool count raised a bare TypeError.
+    model = below_threshold_model()
+    args = {"steps": 8, "n_paths": 2, "seed": 0, name: value}
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        simulate_ou(model, **args)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.5), ("seed", -1), ("seed", True), ("n_paths", 2.0), ("n_paths", 10.5),
+    ("n_paths", True),
+])
+def test_mc_covariance_refuses_non_integral_or_negative_counts(name, value):
+    model = toy_model([[1.0]], [[2.0]])
+    args = {"n_paths": 2, "seed": 0, name: value}
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        mc_stationary_covariance(model, **args)
+
+
+def test_counts_accept_numpy_integers():
+    model = below_threshold_model()
+    ens = simulate_ou(model, steps=np.int64(8), n_paths=np.int32(2), seed=np.uint8(3))
+    ref = simulate_ou(model, steps=8, n_paths=2, seed=3)
+    assert np.array_equal(ens.paths, ref.paths)
+    assert type(ens.seed) is int and type(ens.count) is int
+
+
 def test_simulate_ou_matches_sequential_reference():
     model = below_threshold_model()
     steps = 3 * _CHUNK + 37

@@ -250,11 +250,11 @@ def test_convergence_event_reuses_the_right_hand_side_kernel_values(monkeypatch)
     # The event sees each accepted state right after DOP853's FSAL
     # right-hand side; evaluating the kernel there again cost one call per
     # step (~330 per fig6 relaxation).
-    from cascaded_fwm import steady_state
+    from cascaded_fwm import relaxation
 
     calls = 0
     nfev = []
-    make_kernel, solve = steady_state._drift_kernel, steady_state.solve_ivp
+    make_kernel, solve = relaxation._drift_kernel, relaxation.solve_ivp
 
     def counted_kernel(params):
         kernel = make_kernel(params)
@@ -270,8 +270,8 @@ def test_convergence_event_reuses_the_right_hand_side_kernel_values(monkeypatch)
         nfev.append(sol.nfev)
         return sol
 
-    monkeypatch.setattr(steady_state, "_drift_kernel", counted_kernel)
-    monkeypatch.setattr(steady_state, "solve_ivp", counted_solve)
+    monkeypatch.setattr(relaxation, "_drift_kernel", counted_kernel)
+    monkeypatch.setattr(relaxation, "solve_ivp", counted_solve)
     params = figure_config("fig6").system()
     initial = sample_initial_conditions(params, 4096, seed=12345)[0]
     result = relax_to_steady_state(params, initial)
