@@ -7,9 +7,10 @@ as D = B B^T, integrate
     d(delta) = -M delta dt + B dW
 
 with Euler-Maruyama, and estimate covariances and spectra from the sample
-paths.  D is symmetric but indefinite, so B is complex and the simulated
-(delta_alpha, delta_alpha*) components are not pointwise conjugate; that is
-a representation feature, and every comparison made here depends on B only
+paths.  D is real, as the steady-state amplitudes are, and symmetric but
+indefinite, so B is complex and the simulated (delta_alpha,
+delta_alpha*) components are not pointwise conjugate; that is a
+representation feature, and every comparison made here depends on B only
 through B B^T.
 
 Paths own deterministic random streams derived from (seed, path index), so
@@ -41,47 +42,32 @@ _TAKAGI_RTOL = 1e-12  # asymmetry and imaginary part below this count as roundin
 def takagi(matrix: np.ndarray):
     """Symmetric (Autonne-Takagi) factorization a = u diag(sigma) u^T.
 
-    Returns non-negative ``sigma`` (descending) and unitary ``u``.  Real
-    symmetric input reduces to an eigendecomposition with an imaginary-unit
-    phase absorbed into the columns for negative eigenvalues; general
-    complex symmetric input goes through the SVD, fixing the left/right
-    gauge blockwise on degenerate singular subspaces.
+    Takes a real symmetric matrix, the only kind this package's diffusion
+    matrices are (real amplitudes give a real D), and returns non-negative
+    ``sigma`` (descending) and unitary ``u``: an eigendecomposition with an
+    imaginary-unit phase absorbed into the columns of negative eigenvalues.
+    Raises ``ParameterError`` unless ``matrix`` is square, finite,
+    symmetric and real, the last two up to 1e-12 * max(1, max|a|); a
+    complex-typed input with a negligible imaginary part counts as real.
     """
     a = np.asarray(matrix)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ParameterError(f"matrix must be square, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ParameterError("matrix must be finite")
     scale = max(float(np.max(np.abs(a))), 1.0)
     if np.max(np.abs(a - a.T)) > _TAKAGI_RTOL * scale:
         raise ParameterError("matrix must be symmetric (a == a.T)")
+    imag = float(np.max(np.abs(a.imag)))
+    if imag > _TAKAGI_RTOL * scale:
+        raise ParameterError(f"matrix must be real, got max|Im| = {imag:.3e}")
     a = (a + a.T) / 2.0
-
-    if not np.iscomplexobj(a) or np.max(np.abs(a.imag)) <= _TAKAGI_RTOL * scale:
-        eigenvalues, q = np.linalg.eigh(a.real)
-        order = np.argsort(-np.abs(eigenvalues), kind="stable")
-        eigenvalues, q = eigenvalues[order], q[:, order]
-        phases = np.where(eigenvalues < 0.0, 1j, 1.0 + 0j)
-        return np.abs(eigenvalues), q.astype(complex) * phases[None, :]
-
-    # The one scipy use of the oracle, and no diffusion matrix of this
-    # package reaches it: at real amplitudes D is real.
-    import scipy.linalg
-
-    v, sigma, wh = np.linalg.svd(a)
-    w = wh.conj().T
-    u = np.zeros((n, n), dtype=complex)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and sigma[stop] > (1.0 - 1e-8) * sigma[start]:
-            stop += 1
-        block = slice(start, stop)
-        # On a degenerate singular subspace v^T w is unitary symmetric; its
-        # principal square root rotates v onto a valid Takagi factor.
-        z = v[:, block].T @ w[:, block]
-        u[:, block] = v[:, block] @ np.conj(scipy.linalg.sqrtm(z))
-        start = stop
-    return sigma, u
+    eigenvalues, q = np.linalg.eigh(a.real)
+    order = np.argsort(-np.abs(eigenvalues), kind="stable")
+    eigenvalues, q = eigenvalues[order], q[:, order]
+    phases = np.where(eigenvalues < 0.0, 1j, 1.0 + 0j)
+    return np.abs(eigenvalues), q.astype(complex) * phases[None, :]
 
 
 @dataclass(frozen=True)
@@ -93,11 +79,13 @@ class NoiseFactor:
 
 
 def factor_diffusion(d: np.ndarray) -> NoiseFactor:
-    """Factor a (complex) symmetric diffusion matrix as D = B B^T.
+    """Factor a real symmetric diffusion matrix as D = B B^T.
 
     Any factor with the right outer product is acceptable; this one is
-    B = u diag(sqrt(sigma)) from the Takagi factorization.  The residual
-    ||B B^T - D||_max is checked against 1e-10 * (1 + ||D||_max).
+    B = u diag(sqrt(sigma)) from the Takagi factorization, which raises
+    ``ParameterError`` on input that is not real, finite and symmetric.
+    The residual ||B B^T - D||_max is checked against
+    1e-10 * (1 + ||D||_max).
     """
     d = np.asarray(d, dtype=complex)
     sigma, u = takagi(d)
@@ -240,7 +228,8 @@ def simulate_ou(
     its own random stream seeded by (seed, path index).  Requires a stable
     drift matrix and dt * max|eig(M)| < 0.1; the default step is
     0.01 / max|Re eig(M)|.  ``steps`` and ``n_paths`` must be integers
-    >= 1 and ``seed`` an integer >= 0 (``ParameterError`` otherwise).
+    >= 1, ``seed`` an integer >= 0 and ``initial`` a finite vector of
+    shape (dim,) (``ParameterError`` otherwise).
     """
     _, dt = _checked_step(model, dt)
     steps = _require_count("steps", steps, 1)
@@ -249,7 +238,12 @@ def simulate_ou(
     dim = model.m.shape[0]
     x = np.zeros((n_paths, dim), dtype=complex)
     if initial is not None:
-        x[:] = np.asarray(initial, dtype=complex)
+        start = np.asarray(initial, dtype=complex)
+        if start.shape != (dim,):
+            raise ParameterError(f"initial must have shape ({dim},), got {start.shape}")
+        if not np.all(np.isfinite(start)):
+            raise ParameterError(f"initial must be finite, got {start!r}")
+        x[:] = start
     paths = np.empty((n_paths, steps + 1, dim), dtype=complex)
     paths[:, 0, :] = x
     done = 1
@@ -284,11 +278,14 @@ def estimate_spectrum(
     """Welch-style estimate of S(omega) from sample paths.
 
     Splits each path (after dropping ``skip`` >= 0 burn-in samples) into
-    non-overlapping Hann-windowed segments and averages the cross-periodograms
+    non-overlapping Hann-windowed segments of ``segment_length`` >= 8
+    samples and averages the cross-periodograms
     d t * F(omega) F(-omega)^T / sum(w**2), whose expectation is the
     two-sided spectral matrix in the e^{-i omega t} convention used by the
-    analytic side.  The ensemble must be long enough that segments span
-    several correlation times; that precondition is the caller's.
+    analytic side.  ``skip`` and ``segment_length`` must be integers
+    (``ParameterError`` otherwise).  The ensemble must be long enough that
+    segments span several correlation times; that precondition is the
+    caller's.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     dt = ensemble.dt
@@ -299,11 +296,11 @@ def estimate_spectrum(
         raise ParameterError(
             f"requested |omega| exceeds the Nyquist frequency {nyquist:.3e}"
         )
-    if skip < 0:
-        raise ParameterError(f"skip must be >= 0, got {skip!r}")
+    segment_length = _require_count("segment_length", segment_length, 8)
+    skip = _require_count("skip", skip, 0)
     data = ensemble.paths[:, skip:, :]
     usable = data.shape[1]
-    if segment_length < 8 or usable < segment_length:
+    if usable < segment_length:
         raise ParameterError(
             f"segment_length {segment_length} incompatible with "
             f"{usable} usable samples"

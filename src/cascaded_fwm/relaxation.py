@@ -30,6 +30,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import NumericalError, ParameterError
+from .monte_carlo import _require_count
 from .params import SystemParams
 from .steady_state import (
     Branch,
@@ -153,7 +154,11 @@ def sample_initial_conditions(params: SystemParams, count: int, seed: int) -> np
 
     Real and imaginary parts have standard deviation twice the largest
     analytic amplitude of the regime, or 1 when every amplitude is zero.
+    ``count`` and ``seed`` must be integers >= 0 (``ParameterError``
+    otherwise).
     """
+    count = _require_count("count", count, 0)
+    seed = _require_count("seed", seed, 0)
     scale = 2.0 * max(float(np.max(s.amplitudes)) for s in analytic_steady_states(params))
     if scale == 0.0:
         scale = 1.0
@@ -165,10 +170,11 @@ def basin_statistics(params: SystemParams, count: int, seed: int) -> dict:
     """Relax ``count`` random initial conditions and tally the endpoints.
 
     Each run relaxes with ``tol`` = 1e-10 and the default ``t_max`` and
-    ``match_radius``.  Returns a dict with one entry per branch name plus
-    "unmatched", "timeout" and "diverged".  The tallies are empirical
-    properties of this ensemble only; nothing here claims a physical
-    branch-selection law.
+    ``match_radius``; ``count`` and ``seed`` are checked as in
+    ``sample_initial_conditions``.  Returns a dict with one entry per
+    branch name plus "unmatched", "timeout" and "diverged".  The tallies
+    are empirical properties of this ensemble only; nothing here claims a
+    physical branch-selection law.
     """
     tallies = {b.value: 0 for b in Branch}
     tallies.update(unmatched=0, timeout=0, diverged=0)

@@ -195,8 +195,16 @@ def analytic_steady_states(params: SystemParams) -> list[SteadyState]:
 
 
 def state_for_branch(params: SystemParams, branch: Branch | str) -> SteadyState:
-    """The analytic steady state of one branch, if the regime provides it."""
-    want = Branch(branch) if not isinstance(branch, Branch) else branch
+    """The analytic steady state of one branch, if the regime provides it.
+
+    ``branch`` is a ``Branch`` or its value; anything else, like a branch
+    the regime lacks, raises ``ParameterError``.
+    """
+    try:
+        want = Branch(branch)
+    except ValueError:
+        valid = ", ".join(b.value for b in Branch)
+        raise ParameterError(f"unknown branch {branch!r} (valid: {valid})") from None
     states = analytic_steady_states(params)
     for state in states:
         if state.branch is want:

@@ -1,3 +1,4 @@
+import ast
 import gzip
 import math
 import os
@@ -554,3 +555,19 @@ def test_cli_verbs_run_without_scipy(tmp_path):
 
 def test_relaxation_names_load_scipy_on_first_access(tmp_path):
     _run_fresh(LAZY_EXPORT_SCRIPT, cwd=tmp_path)
+
+
+def _imports_scipy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "scipy")
+
+
+def test_relaxation_is_the_only_module_that_imports_scipy():
+    # Module level or inside a function: ast.walk sees every import.
+    package = SRC / "cascaded_fwm"
+    importers = sorted(path.name for path in package.rglob("*.py")
+                       if any(map(_imports_scipy, ast.walk(ast.parse(path.read_text(
+                           encoding="utf-8"))))))
+    assert importers == ["relaxation.py"]

@@ -13,6 +13,7 @@ from cascaded_fwm import (
     ParameterError,
     StabilityError,
     StepSizeError,
+    analytic_steady_states,
     build_fluctuation_model,
     default_step,
     estimate_spectrum,
@@ -26,7 +27,13 @@ from cascaded_fwm import (
     takagi,
 )
 from cascaded_fwm.monte_carlo import _CHUNK, _euler_maruyama
-from helpers import pumped, reference_mc_covariance, reference_simulate_ou, toy_model
+from helpers import (
+    pumped,
+    random_params,
+    reference_mc_covariance,
+    reference_simulate_ou,
+    toy_model,
+)
 
 
 def check_takagi(a, sigma, u):
@@ -47,29 +54,17 @@ def test_takagi_real_indefinite():
     check_takagi(a, sigma, u)
 
 
-def test_takagi_complex_symmetric():
-    rng = np.random.default_rng(6)
-    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    a = (g + g.T) / 2.0
-    sigma, u = takagi(a)
-    check_takagi(a, sigma, u)
-
-
-def test_takagi_degenerate_complex_scale():
-    # z * I has a fully degenerate singular spectrum; the gauge fix must
-    # still return an exactly symmetric factorization.
-    z = 0.8 - 0.6j
-    a = z * np.eye(2)
-    sigma, u = takagi(a)
-    check_takagi(a, sigma, u)
-    assert sigma == pytest.approx([abs(z), abs(z)])
-
-
 def test_takagi_rejects_bad_input():
     with pytest.raises(ParameterError, match="square"):
         takagi(np.zeros((2, 3)))
     with pytest.raises(ParameterError, match="symmetric"):
         takagi(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ParameterError, match="real"):
+        takagi((0.8 - 0.6j) * np.eye(2))
+    # max(nan, 1.0) is NaN, so a NaN entry slips past the symmetry test.
+    for nan in (np.nan, complex(np.nan, 0.0)):
+        with pytest.raises(ParameterError, match="finite"):
+            takagi(np.array([[1.0, 0.0], [0.0, nan]]))
 
 
 def test_factor_diffusion_cases():
@@ -84,6 +79,21 @@ def test_factor_diffusion_cases():
     noise = factor_diffusion(model.d)
     assert noise.residual < 1e-10
     assert np.max(np.abs(noise.b @ noise.b.T - model.d)) < 1e-10
+
+
+@pytest.mark.parametrize("regime", ["NoThreshold", "BelowThreshold",
+                                    "BetweenThresholds", "AboveUpperThreshold"])
+def test_every_model_is_real_and_factors_within_budget(regime):
+    # takagi factors real matrices only; real amplitudes must give a real
+    # M and D on every branch of every regime.
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        params = random_params(rng, regime)
+        for state in analytic_steady_states(params):
+            model = build_fluctuation_model(params, state)
+            assert not np.any(np.imag(model.m)) and not np.any(np.imag(model.d))
+            noise = factor_diffusion(model.d)
+            assert noise.residual <= 1e-10 * (1.0 + np.max(np.abs(model.d)))
 
 
 def below_threshold_model():
@@ -180,6 +190,18 @@ def test_estimate_spectrum_validation():
         estimate_spectrum(ens, [0.1], segment_length=256)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("segment_length", 256.0), ("segment_length", 4), ("segment_length", True),
+    ("skip", 1.5), ("skip", -1),
+])
+def test_estimate_spectrum_refuses_non_integral_lengths(name, value):
+    # A float length or skip used to fail inside numpy with a bare TypeError.
+    ens = simulate_ou(below_threshold_model(), steps=1024, n_paths=2, seed=3)
+    args = {"segment_length": 256, "skip": 0, name: value}
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        estimate_spectrum(ens, [0.1], **args)
+
+
 def test_estimate_spectrum_rejects_a_nan_frequency():
     # Cast to an FFT bin, NaN became bin 0 and returned the DC estimate.
     ens = simulate_ou(below_threshold_model(), steps=1024, n_paths=2, seed=3)
@@ -200,6 +222,12 @@ def test_simulation_input_validation():
     model = below_threshold_model()
     with pytest.raises(ParameterError, match=">= 1"):
         simulate_ou(model, steps=0, n_paths=1, seed=0)
+    # A NaN start ran to all-NaN paths; a wrong shape failed to broadcast.
+    with pytest.raises(ParameterError, match="finite"):
+        simulate_ou(model, steps=8, n_paths=2, seed=0, initial=np.full(12, np.nan))
+    for bad in (np.zeros(6), np.zeros((2, 12))):
+        with pytest.raises(ParameterError, match=r"shape \(12,\)"):
+            simulate_ou(model, steps=8, n_paths=2, seed=0, initial=bad)
 
 
 @pytest.mark.parametrize("name, value", [

@@ -7,6 +7,7 @@ from cascaded_fwm import (
     Regime,
     analytic_steady_states,
     basin_statistics,
+    build_branch_model,
     compute_thresholds,
     drift,
     relax_to_steady_state,
@@ -93,6 +94,14 @@ def test_missing_branch_is_an_error():
         state_for_branch(pumped(0.4, 1.5), Branch.UPPER)
     with pytest.raises(ParameterError, match="trivial"):
         state_for_branch(pumped(0.4, 0.5), Branch.LOWER)
+
+
+@pytest.mark.parametrize("build", [state_for_branch, build_branch_model])
+def test_unknown_branch_name_is_a_parameter_error(build):
+    # The enum lookup alone raised a bare ValueError ("'bogus' is not a
+    # valid Branch") that named none of the valid values.
+    with pytest.raises(ParameterError, match="valid: trivial, lower, upper"):
+        build(pumped(0.4, 1.2), "bogus")
 
 
 def test_relaxation_reaches_lower_branch():
@@ -237,6 +246,19 @@ def test_sample_initial_conditions_deterministic():
     b = sample_initial_conditions(params, 4, seed=3)
     assert np.array_equal(a, b)
     assert a.shape == (4, 6) and np.iscomplexobj(a)
+    assert np.array_equal(sample_initial_conditions(params, np.int64(4), np.uint8(3)), a)
+    assert sample_initial_conditions(params, 0, seed=3).shape == (0, 6)
+
+
+@pytest.mark.parametrize("sample", [sample_initial_conditions, basin_statistics])
+@pytest.mark.parametrize("name, value", [
+    ("count", 1.5), ("count", -1), ("count", True), ("seed", -1), ("seed", 2.0),
+])
+def test_initial_condition_counts_and_seeds_are_checked(sample, name, value):
+    # numpy refused these itself, with a TypeError or ValueError.
+    args = {"count": 2, "seed": 0, name: value}
+    with pytest.raises(ParameterError, match=f"{name} must be an integer >= 0"):
+        sample(pumped(0.4, 1.2), **args)
 
 
 def test_basin_statistics_tallies_every_run():
