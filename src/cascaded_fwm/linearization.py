@@ -7,14 +7,15 @@ Langevin system for the stacked fluctuation vector
     d(delta)/dt = -M delta + B eta,   B B^T = D,
 
 with M the negative Jacobian of the doubled drift and D the diffusion
-matrix of the P-representation Fokker-Planck equation.  Both inherit the
-conjugation block structure
+matrix of the P-representation Fokker-Planck equation.  At the real
+amplitudes of a ``SteadyState`` both are real, and built as float64:
 
-    M = [[m1, m2], [m2*, m1*]],    D = [[d, 0], [0, d*]].
+    M = [[m1, m2], [m2, m1]],    D = [[d, 0], [0, d]].
 
-``build_drift_matrix`` differentiates the drift analytically.  ``d`` comes
-straight from the second-derivative terms of the Fokker-Planck equation;
-it is symmetric but in general indefinite, which is why B may be complex.
+``jacobian_blocks`` stays complex: it differentiates the drift at any
+alpha, where the lower blocks are m2* and m1*.  ``d`` comes straight from
+the second-derivative terms of the Fokker-Planck equation; it is symmetric
+but in general indefinite, which is why B may be complex.
 
 ``stationary_covariance`` solves the Lyapunov equation M Sigma + Sigma M^T
 = D as the linear system (M (x) I + I (x) M) vec Sigma = vec D, of size 144
@@ -125,7 +126,7 @@ def jacobian_blocks(params: SystemParams, alpha: np.ndarray):
 
 
 def _require_stationary(params: SystemParams, ss: SteadyState):
-    residual = float(np.max(np.abs(drift(params, ss.alpha()))))
+    residual = float(np.max(np.abs(drift(params, ss.amplitudes))))
     if residual > _STALE_RESIDUAL:
         raise StaleSteadyStateError(
             f"state is not stationary for these parameters "
@@ -135,33 +136,28 @@ def _require_stationary(params: SystemParams, ss: SteadyState):
 
 
 def build_drift_matrix(params: SystemParams, ss: SteadyState) -> np.ndarray:
-    """12x12 fluctuation drift matrix M at a stationary point.
+    """12x12 float64 drift matrix M = [[m1, m2], [m2, m1]] at a stationary point.
 
-    Derived from the analytic Jacobian of the drift.  Real at real
-    amplitudes, returned as float64 then.
+    m1 and m2 are the analytic Jacobian blocks, real at the real amplitudes
+    of a ``SteadyState``.
     """
     _require_stationary(params, ss)
-    m1, m2 = jacobian_blocks(params, ss.alpha())
-
-    m = np.block([[m1, m2], [np.conj(m2), np.conj(m1)]])
-    if np.max(np.abs(m.imag)) == 0.0:
-        return m.real
-    return m
+    m1, m2 = (block.real for block in jacobian_blocks(params, ss.amplitudes))
+    return np.block([[m1, m2], [m2, m1]])
 
 
 def build_diffusion_matrix(params: SystemParams, ss: SteadyState) -> np.ndarray:
-    """12x12 diffusion matrix D = [[d, 0], [0, d*]] at a stationary point.
+    """12x12 float64 diffusion matrix D = [[d, 0], [0, d]] at a stationary point.
 
     The 6x6 block d collects the second-derivative coefficients of the
     Fokker-Planck equation; its only nonzero entries sit on the mode pairs
     created or annihilated together by one of the three processes.
     """
     _require_stationary(params, ss)
-    a = ss.alpha()
-    p2, p1, i1, s1, i2, s2 = a
+    p2, p1, i1, s1, i2, s2 = ss.amplitudes
     k1, k2, k3 = params.k1, params.k2, params.k3
 
-    d = np.zeros((6, 6), dtype=complex)
+    d = np.zeros((6, 6))
     d[P2, P1] = -k1 * s1 * i1
     d[P2, I1] = -k2 * i2 * p1
     d[P2, S2] = k3 * s1 * p1
@@ -170,8 +166,8 @@ def build_diffusion_matrix(params: SystemParams, ss: SteadyState) -> np.ndarray:
     d[I1, S1] = k1 * p1 * p2
     d = d + d.T
 
-    zero = np.zeros((6, 6), dtype=complex)
-    return np.block([[d, zero], [zero, np.conj(d)]])
+    zero = np.zeros((6, 6))
+    return np.block([[d, zero], [zero, d]])
 
 
 def build_fluctuation_model(params: SystemParams, ss: SteadyState) -> FluctuationModel:
@@ -216,7 +212,8 @@ def stationary_covariance(model: FluctuationModel) -> np.ndarray:
     """Stationary second moments Sigma with M Sigma + Sigma M^T = D.
 
     Solves the continuous Lyapunov equation for the unconjugated moments
-    <delta delta^T> of the stacked fluctuation vector.  Raises
+    <delta delta^T> of the stacked fluctuation vector, float64 for the real
+    M and D of ``build_fluctuation_model``.  Raises
     ``StabilityError`` unless the drift decisively decays (``stability``
     neither unstable nor indeterminate); the residual of the returned
     solution is verified.  With the row-major vec, M Sigma is

@@ -46,14 +46,13 @@ def takagi(matrix: np.ndarray):
     matrices are (real amplitudes give a real D), and returns non-negative
     ``sigma`` (descending) and unitary ``u``: an eigendecomposition with an
     imaginary-unit phase absorbed into the columns of negative eigenvalues.
-    Raises ``ParameterError`` unless ``matrix`` is square, finite,
+    Raises ``ParameterError`` unless ``matrix`` is square, non-empty, finite,
     symmetric and real, the last two up to 1e-12 * max(1, max|a|); a
     complex-typed input with a negligible imaginary part counts as real.
     """
     a = np.asarray(matrix)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ParameterError(f"matrix must be square, got {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ParameterError(f"matrix must be square and non-empty, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ParameterError("matrix must be finite")
     scale = max(float(np.max(np.abs(a))), 1.0)
@@ -87,7 +86,6 @@ def factor_diffusion(d: np.ndarray) -> NoiseFactor:
     The residual ||B B^T - D||_max is checked against
     1e-10 * (1 + ||D||_max).
     """
-    d = np.asarray(d, dtype=complex)
     sigma, u = takagi(d)
     b = u * np.sqrt(sigma)[None, :]
     residual = float(np.max(np.abs(b @ b.T - d)))

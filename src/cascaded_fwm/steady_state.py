@@ -69,7 +69,8 @@ class SteadyState:
     """A symmetric stationary solution with real, non-negative amplitudes.
 
     ``amplitudes`` holds (A_p2, A_p1, A_i1, A_s1, A_i2, A_s2) in canonical
-    mode order; on the symmetric manifold A_p2 = A_p1 = A_a and so on.
+    mode order as float64; on the symmetric manifold A_p2 = A_p1 = A_a and
+    so on.  A nonzero imaginary part raises ``ParameterError``.
     """
 
     amplitudes: np.ndarray
@@ -77,7 +78,10 @@ class SteadyState:
     regime: Regime
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=float)
+        amps = np.asarray(self.amplitudes)
+        if np.iscomplexobj(amps) and np.any(amps.imag != 0.0):
+            raise ParameterError("amplitudes must be real (nonzero imaginary part)")
+        amps = np.asarray(amps.real, dtype=float)
         if amps.shape != (6,):
             raise ParameterError(f"amplitudes must have shape (6,), got {amps.shape}")
         if np.any(amps < 0.0) or not np.all(np.isfinite(amps)):
@@ -95,10 +99,6 @@ class SteadyState:
     @property
     def a_c(self) -> float:
         return float(self.amplitudes[Mode.S2])
-
-    def alpha(self) -> np.ndarray:
-        """Amplitudes as a complex state vector usable by ``drift``."""
-        return self.amplitudes.astype(complex)
 
 
 def _drift_kernel(params: SystemParams):

@@ -410,7 +410,7 @@ def test_mc_validate_nan_gap_fails_and_still_writes_the_csv(tmp_path, capsys, mo
 
     def ensemble_with_a_nan(model, n_paths, seed):
         sigma = stationary_covariance(model).copy()
-        sigma[3, 5] = complex(math.nan, 0.0)
+        sigma[3, 5] = math.nan
         return sigma, np.ones((12, 12))
 
     monkeypatch.setattr(cli, "mc_stationary_covariance", ensemble_with_a_nan)

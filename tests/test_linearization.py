@@ -54,7 +54,7 @@ def test_drift_matrix_matches_finite_differences():
     for params in cases:
         for state in analytic_steady_states(params):
             m = build_drift_matrix(params, state)
-            fd = finite_difference_drift_matrix(params, state.alpha())
+            fd = finite_difference_drift_matrix(params, state.amplitudes)
             assert np.max(np.abs(m - fd)) < 1e-6
 
 
@@ -67,7 +67,7 @@ def test_drift_matrix_matches_finite_differences_in_every_regime():
             params = random_params(rng, regime)
             for state in analytic_steady_states(params):
                 m = build_drift_matrix(params, state)
-                fd = finite_difference_drift_matrix(params, state.alpha())
+                fd = finite_difference_drift_matrix(params, state.amplitudes)
                 bound = 1e-6 * max(1.0, np.max(np.abs(m)))
                 assert np.max(np.abs(m - fd)) < bound, (regime, params, state.branch)
                 checked += 1
@@ -84,7 +84,7 @@ def test_conjugation_block_structure():
     assert np.array_equal(d[:6, 6:], np.zeros((6, 6)))
     assert np.array_equal(d[6:, :6], np.zeros((6, 6)))
     assert np.array_equal(d[6:, 6:], np.conj(d[:6, :6]))
-    assert not np.iscomplexobj(m)  # real at a real operating point
+    assert m.dtype == d.dtype == np.float64  # real at a real operating point
 
 
 def test_reference_blocks_equal_jacobian_at_symmetric_points():
@@ -92,7 +92,7 @@ def test_reference_blocks_equal_jacobian_at_symmetric_points():
                            (pumped(0.4, 1.1, reference="eps_th_prime"), "upper"),
                            (pumped(0.5, 1.5), "lower")]:
         state = state_for_branch(params, branch)
-        j1, j2 = jacobian_blocks(params, state.alpha())
+        j1, j2 = jacobian_blocks(params, state.amplitudes)
         r1, r2 = reference_drift_blocks(params, state)
         scale = 1.0 + max(np.max(np.abs(j1)), np.max(np.abs(j2)))
         assert np.max(np.abs(j1 - r1)) < 1e-12 * scale
@@ -104,7 +104,7 @@ def test_trivial_branch_block_pattern():
     # (i1,i2) and (s1,s2) through +-k2 A_a^2 entries even at A_b = A_c = 0.
     params = pumped(0.4, 0.8)
     state = state_for_branch(params, Branch.TRIVIAL)
-    m1, m2 = jacobian_blocks(params, state.alpha())
+    m1, m2 = jacobian_blocks(params, state.amplitudes)
     aa2 = params.k2 * state.a_a**2
     g = params.gamma_a
     expected_m1 = np.diag([g, g, g, g, g, g]).astype(complex)
@@ -204,6 +204,27 @@ def test_stationary_covariance_solves_lyapunov():
     sigma = stationary_covariance(model)
     residual = np.max(np.abs(model.m @ sigma + sigma @ model.m.T - model.d))
     assert residual < 1e-10 * max(np.max(np.abs(model.d)), 1.0)
+
+
+@pytest.mark.parametrize("regime", ["NoThreshold", "BelowThreshold",
+                                    "BetweenThresholds", "AboveUpperThreshold"])
+def test_stationary_covariance_is_real_within_its_residual_budget(regime):
+    # Every branch either decays and has a float64 Sigma that solves the
+    # Lyapunov equation within the solver's own budget, or is refused.
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        params = random_params(rng, regime)
+        for state in analytic_steady_states(params):
+            model = build_fluctuation_model(params, state)
+            report = stability(model.m)
+            if not report.stable or report.indeterminate:
+                with pytest.raises(StabilityError):
+                    stationary_covariance(model)
+                continue
+            sigma = stationary_covariance(model)
+            assert sigma.dtype == np.float64
+            residual = np.max(np.abs(model.m @ sigma + sigma @ model.m.T - model.d))
+            assert residual <= max(1e-10 * np.max(np.abs(model.d)), 1e-14)
 
 
 def test_stationary_covariance_requires_decisive_stability():

@@ -55,8 +55,9 @@ def test_takagi_real_indefinite():
 
 
 def test_takagi_rejects_bad_input():
-    with pytest.raises(ParameterError, match="square"):
-        takagi(np.zeros((2, 3)))
+    for shape in ((2, 3), (), (0, 0), (2,), (2, 2, 2)):
+        with pytest.raises(ParameterError, match="square"):
+            takagi(np.zeros(shape))
     with pytest.raises(ParameterError, match="symmetric"):
         takagi(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ParameterError, match="real"):
@@ -84,14 +85,14 @@ def test_factor_diffusion_cases():
 @pytest.mark.parametrize("regime", ["NoThreshold", "BelowThreshold",
                                     "BetweenThresholds", "AboveUpperThreshold"])
 def test_every_model_is_real_and_factors_within_budget(regime):
-    # takagi factors real matrices only; real amplitudes must give a real
-    # M and D on every branch of every regime.
+    # takagi factors real matrices only; real amplitudes must give a
+    # float64 M and D on every branch of every regime.
     rng = np.random.default_rng(31)
     for _ in range(4):
         params = random_params(rng, regime)
         for state in analytic_steady_states(params):
             model = build_fluctuation_model(params, state)
-            assert not np.any(np.imag(model.m)) and not np.any(np.imag(model.d))
+            assert model.m.dtype == model.d.dtype == np.float64
             noise = factor_diffusion(model.d)
             assert noise.residual <= 1e-10 * (1.0 + np.max(np.abs(model.d)))
 

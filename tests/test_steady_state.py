@@ -5,6 +5,7 @@ from cascaded_fwm import (
     Branch,
     ParameterError,
     Regime,
+    SteadyState,
     analytic_steady_states,
     basin_statistics,
     build_branch_model,
@@ -48,7 +49,29 @@ def test_fig3_lower_branch_frozen():
     assert state.regime is Regime.BETWEEN_THRESHOLDS
     expected = [FIG3_A_A, FIG3_A_A, FIG3_A_B, FIG3_A_B, FIG3_A_C, FIG3_A_C]
     assert np.max(np.abs(state.amplitudes - expected)) < 1e-15
-    assert np.max(np.abs(drift(params, state.alpha()))) < 1e-10
+    assert np.max(np.abs(drift(params, state.amplitudes))) < 1e-10
+
+
+def test_steady_state_refuses_complex_amplitudes():
+    # A nonzero imaginary part, NaN included, is refused rather than dropped.
+    for bad in (1.0 + 1.0j, 0.5 - 1e-300j, complex(0.5, np.nan)):
+        amps = np.array([bad, 1.0, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ParameterError, match="real"):
+            SteadyState(amps, Branch.TRIVIAL, Regime.BELOW_THRESHOLD)
+
+
+def test_steady_state_stores_zero_imaginary_input_as_float64():
+    # Complex-typed input whose imaginary parts are all zero (of either
+    # sign) is stored as its real part, bit for bit.
+    real = np.array([0.2, 0.2, 0.1, 0.1, 0.05, 0.0])
+    for imag in (0.0, -0.0):
+        amps = real.astype(complex)
+        amps.imag = imag
+        state = SteadyState(amps, Branch.TRIVIAL, Regime.BELOW_THRESHOLD)
+        assert state.amplitudes.dtype == np.float64
+        assert np.array_equal(state.amplitudes, real)
+        assert not np.any(np.signbit(state.amplitudes))
+        assert not hasattr(state, "alpha")  # the amplitudes are the one state vector
 
 
 def test_residuals_on_randomized_grid():
@@ -60,7 +83,7 @@ def test_residuals_on_randomized_grid():
     for i in range(100):
         params = random_params(rng, regime=regimes[i % 4])
         for state in analytic_steady_states(params):
-            residual = np.max(np.abs(drift(params, state.alpha())))
+            residual = np.max(np.abs(drift(params, state.amplitudes)))
             assert residual < 1e-10, (params, state.branch, residual)
 
 
