@@ -178,6 +178,13 @@ def classify_regime(params: SystemParams, thresholds: Thresholds | None = None) 
     Pump amplitudes equal to a threshold are assigned to the regime below it,
     so eps == eps_th classifies as BelowThreshold and eps == eps_th_prime as
     BetweenThresholds.
+
+    The regime says nothing about stability.  In particular NoThreshold
+    does not mean stable: its only analytic state, the trivial branch,
+    loses stability to a complex eigenvalue pair (a Hopf bifurcation) as
+    the pump grows.  At k1 = 1, k2 = k3 = 0.6 and all dampings 0.03 the
+    stability margin is +0.0161 at eps = 0.005 and -0.0256 at eps = 0.01.
+    ``linearization.stability`` decides.
     """
     if thresholds is None:
         thresholds = compute_thresholds(params)

@@ -28,7 +28,9 @@ round with stacked solves.  The module imports numpy alone.
 ``output_spectra`` evaluates a whole frequency grid with stacked solves;
 ``spectral_matrix``, ``quadrature_transform`` and ``output_spectrum`` form
 the one-point chain of the same implementation, so both routes agree bit
-for bit.
+for bit.  The stacked stages write their temporaries into a ``_Workspace``
+that the caller owns, so a search that evaluates thousands of stacks
+allocates those buffers once.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import BasisConsistencyError, NumericalError, ParameterError
 from .linearization import FluctuationModel, _require_decaying
@@ -58,8 +61,10 @@ _SOLVE_BUDGET = 1e-8
 _GRID_CHUNK = 64
 
 _EYE6 = np.eye(6)
+_EYE12 = np.eye(12)
 _T = np.block([[_EYE6, _EYE6], [-1j * _EYE6, 1j * _EYE6]])
 _T.flags.writeable = False
+_EYE12.flags.writeable = False
 
 # The Gauss-Kronrod 21-point rule on [-1, 1] as scipy's quad_vec spells it:
 # the Kronrod nodes, the 10-point Gauss weights of the odd-indexed nodes and
@@ -113,7 +118,46 @@ class QuadratureSpectrum:
     v_out: np.ndarray
 
 
-def _spectral_stack(m: np.ndarray, d: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """Scratch stacks of the stacked spectral chain, for up to ``rows`` N x N matrices.
+
+    Five complex stacks and two real ones.  A caller that runs many stacked
+    evaluations makes one workspace and passes it to each of them, so the
+    stages write every temporary into the same memory instead of allocating
+    fresh (≤ 64, 12, 12) stacks on each call, which the allocator hands back
+    to the system on return and takes again, page by page, on the next call.
+    Each stage names the stacks it uses.  No result a public function returns
+    points into a workspace that outlives the call.
+    """
+
+    def __init__(self, dim: int = 12, rows: int = _GRID_CHUNK):
+        self.eye = np.eye(dim)
+        self.complex = np.empty((5, rows, dim, dim), dtype=complex)
+        self.real = np.empty((2, rows, dim, dim))
+
+    def take(self, n: int) -> tuple:
+        """The first ``n`` rows of every stack: five complex views, then two real."""
+        return (*self.complex[:, :n], *self.real[:, :n])
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _solve(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` of complex stacks a x = b, written into ``out``.
+
+    One call of the gufunc ``_umath_linalg.solve`` that ``np.linalg.solve``
+    wraps, with the same signature and error state, so it gives the same
+    floats and raises ``LinAlgError("Singular matrix")`` the same way.
+    """
+    with np.errstate(call=_raise_singular, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve(a, b, signature="DD->D", out=out)
+
+
+def _spectral_stack(m: np.ndarray, d: np.ndarray, omegas: np.ndarray,
+                    work: _Workspace | None = None) -> np.ndarray:
     """S(omega) for every entry of the 1-D array ``omegas``, shape (n, N, N).
 
     ``m`` and ``d`` are one (N, N) matrix each, or a stack of n with one
@@ -121,32 +165,48 @@ def _spectral_stack(m: np.ndarray, d: np.ndarray, omegas: np.ndarray) -> np.ndar
     one stacked LAPACK call, which solves slice by slice; the residual
     guard of ``spectral_matrix`` is applied to every frequency separately,
     with the budget scaled by its own 1 + max|D|, and names the first one
-    that fails it.
+    that fails it.  D is copied into a complex stack once, the values the
+    cast inside ``np.linalg.solve`` would give.  Writes the complex stacks
+    and the first real stack of ``work`` (one of n rows when it is None);
+    the result is a view of its third complex stack.
     """
-    shift = (1j * omegas)[:, None, None] * np.eye(m.shape[-1])
-    lhs = m + shift
-    x = np.linalg.solve(lhs, d)
-    residual = np.abs(lhs @ x - d).max(axis=(1, 2))
-    scale = 1.0 + np.abs(d).max(axis=(-2, -1))
-    failed = residual > _SOLVE_BUDGET * scale * (1.0 + np.abs(x).max(axis=(1, 2)))
+    n = omegas.size
+    if work is None:
+        work = _Workspace(m.shape[-1], n)
+    shift, lhs, dc, x, prod, absval, _ = work.take(n)
+    np.multiply((1j * omegas)[:, None, None], work.eye, out=shift)
+    np.add(m, shift, out=lhs)
+    np.copyto(dc, d)
+    _solve(lhs, dc, out=x)
+    np.subtract(np.matmul(lhs, x, out=prod), dc, out=prod)
+    residual = np.abs(prod, out=absval).max(axis=(1, 2))
+    scale = 1.0 + np.abs(d, out=absval).max(axis=(-2, -1))
+    failed = residual > _SOLVE_BUDGET * scale * (1.0 + np.abs(x, out=absval).max(axis=(1, 2)))
     if failed.any():
         k = int(failed.argmax())
         raise NumericalError(
             f"ill-conditioned spectral solve at omega={float(omegas[k])!r}: "
             f"residual {residual[k]:.3e}")
-    return np.linalg.solve(m - shift, x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    np.subtract(m, shift, out=lhs)
+    return _solve(lhs, x.transpose(0, 2, 1), out=dc).transpose(0, 2, 1)
 
 
-def _quadrature_stack(s: np.ndarray, omegas=None) -> np.ndarray:
+def _quadrature_stack(s: np.ndarray, omegas=None, work: _Workspace | None = None) -> np.ndarray:
     """Real symmetric part of T s T^T for a stack s of shape (n, 12, 12).
 
     The Hermitian-residue guard of ``quadrature_transform`` is applied to
     every matrix separately; when ``omegas`` is given, the error names the
-    first frequency that fails it.
+    first frequency that fails it.  Writes every stack of ``work`` (one of
+    n rows when it is None) except the third complex one, which may hold
+    ``s``; the result is a view of its second real stack.
     """
-    v = _T @ s @ _T.T
-    scale = 1.0 + np.abs(v).max(axis=(1, 2))
-    residue = np.abs(v - v.conj().transpose(0, 2, 1)).max(axis=(1, 2)) / 2.0
+    if work is None:
+        work = _Workspace(12, len(s))
+    left, v, _, conj, diff, absval, v_intra = work.take(len(s))
+    np.matmul(np.matmul(_T, s, out=left), _T.T, out=v)
+    scale = 1.0 + np.abs(v, out=absval).max(axis=(1, 2))
+    np.subtract(v, np.conjugate(v, out=conj).transpose(0, 2, 1), out=diff)
+    residue = np.abs(diff, out=absval).max(axis=(1, 2)) / 2.0
     failed = residue > _RESIDUE_BUDGET * scale
     if failed.any():
         k = int(failed.argmax())
@@ -159,21 +219,25 @@ def _quadrature_stack(s: np.ndarray, omegas=None) -> np.ndarray:
         k = int(np.argmax(residue / scale))
         logger.debug("quadrature transform residue %.3e (scale %.3e)",
                      residue[k], scale[k])
-    sym = (v + v.transpose(0, 2, 1)) / 2.0
-    return sym.real.copy()
+    sym = np.divide(np.add(v, v.transpose(0, 2, 1), out=left), 2.0, out=left)
+    np.copyto(v_intra, sym.real)
+    return v_intra
 
 
-def _input_output(v_intra: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """v_out = I + 2 G^(1/2) V G^(1/2) for one matrix or a stack.
+def _input_output(v_intra: np.ndarray, rates: np.ndarray, out=None) -> np.ndarray:
+    """v_out = I + 2 G^(1/2) V G^(1/2) for one matrix or a stack, into ``out``.
 
     ``rates`` holds the six mode damping rates, once or once per matrix.
+    ``out`` may be None (a new array) but not ``v_intra``.
     """
     gains = np.sqrt(np.tile(rates, 2))
-    return np.eye(12) + 2.0 * gains[..., :, None] * v_intra * gains[..., None, :]
+    out = np.multiply(2.0 * gains[..., :, None], v_intra, out=out)
+    np.multiply(out, gains[..., None, :], out=out)
+    return np.add(_EYE12, out, out=out)
 
 
 def _output_stack(m: np.ndarray, d: np.ndarray, rates: np.ndarray,
-                  omegas: np.ndarray) -> np.ndarray:
+                  omegas: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
     """v_out row by row: row k on drift m[k], diffusion d[k], rates[k] at omegas[k].
 
     ``m`` and ``d`` have shape (n, 12, 12), ``rates`` (n, 6) and ``omegas``
@@ -182,15 +246,35 @@ def _output_stack(m: np.ndarray, d: np.ndarray, rates: np.ndarray,
     stacks of at most 64 rows, so it equals that model's own evaluation at
     that frequency bit for bit.  A guard names the first row that fails
     it; when both guards fail inside one stack, the solve guard is
-    reported.
+    reported.  The stages take their temporaries from ``work``, which the
+    caller owns and may pass to call after call (a new one is made when it
+    is None); the returned array is new and never shares memory with it.
     """
+    # The result first: a workspace made here and freed on return then
+    # rejoins the free top of the heap instead of leaving a hole below
+    # v_out, which grows the heap past glibc's trim threshold on a
+    # 400-point sweep and costs ~630 page faults per call.
     v_out = np.empty((omegas.size, 12, 12))
+    if work is None:
+        work = _Workspace(12, min(omegas.size, _GRID_CHUNK))
     for start in range(0, omegas.size, _GRID_CHUNK):
         rows = slice(start, start + _GRID_CHUNK)
         chunk = omegas[rows]
-        v_intra = _quadrature_stack(_spectral_stack(m[rows], d[rows], chunk), chunk)
-        v_out[rows] = _input_output(v_intra, rates[rows])
+        s = _spectral_stack(m[rows], d[rows], chunk, work)
+        _input_output(_quadrature_stack(s, chunk, work), rates[rows], out=v_out[rows])
     return v_out
+
+
+def _require_decaying_at_zero(m: np.ndarray, omegas: np.ndarray) -> None:
+    """Raise ``StabilityError`` if ``omegas`` holds 0 and the drift ``m`` does not decay.
+
+    S(0) = M^-1 D M^-T diverges on a neutral mode, which every converted
+    branch has, and the solve then returns the rounding noise of a pole.
+    Away from omega = 0 the spectra keep their formal evaluation (see
+    ``spectral_matrix``).
+    """
+    if (omegas == 0.0).any():
+        _require_decaying(m, "a spectrum at omega = 0 needs")
 
 
 def output_spectra(model: FluctuationModel, omegas) -> np.ndarray:
@@ -202,13 +286,16 @@ def output_spectra(model: FluctuationModel, omegas) -> np.ndarray:
     and transforms, evaluated in stacks of at most 64 frequencies.  Each
     guard is applied per frequency and names the first frequency that fails
     it; when both guards fail inside one stack, the solve guard is reported.
-    ``omegas`` must be 1-D and finite.
+    ``omegas`` must be 1-D and finite.  A grid that holds omega = 0 needs a
+    decaying drift (see ``_require_decaying_at_zero``).  One workspace
+    serves the whole grid.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1:
         raise ParameterError(f"omegas must be 1-D, got shape {omegas.shape}")
     if not np.isfinite(omegas).all():
         raise ParameterError("omegas must be finite")
+    _require_decaying_at_zero(model.m, omegas)
     n = omegas.size
     return _output_stack(np.broadcast_to(model.m, (n, 12, 12)),
                          np.broadcast_to(model.d, (n, 12, 12)),
@@ -361,10 +448,14 @@ def integrated_spectrum(model: FluctuationModel) -> np.ndarray:
     if np.max(np.abs(model.d.imag)) > 1e-12 * (1.0 + np.max(np.abs(model.d))):
         raise NumericalError("integrated_spectrum assumes a real diffusion matrix")
 
+    work = _Workspace(model.m.shape[-1])
+
     def integrand(omegas):
-        return np.concatenate([
-            _spectral_stack(model.m, model.d, omegas[k:k + _GRID_CHUNK]).real
-            for k in range(0, omegas.size, _GRID_CHUNK)])
+        values = np.empty((omegas.size, *model.m.shape))
+        for k in range(0, omegas.size, _GRID_CHUNK):
+            chunk = omegas[k:k + _GRID_CHUNK]
+            values[k:k + chunk.size] = _spectral_stack(model.m, model.d, chunk, work).real
+        return values
 
     value, err = _quad_gk21(integrand, 0.0, half_width, epsabs=1e-10, epsrel=1e-10)
     logger.debug("spectral integral quadrature error estimate %.3e", err)

@@ -37,7 +37,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .errors import ParameterError, PhysicalityError
 from .linearization import FluctuationModel, build_fluctuation_model
 from .params import MODE_LABELS, SystemParams
-from .spectra import QuadratureSpectrum, _output_stack
+from .spectra import QuadratureSpectrum, _output_stack, _require_decaying_at_zero, _Workspace
 from .steady_state import Branch, state_for_branch
 
 _PSD_TOLERANCE = -1e-9
@@ -293,7 +293,7 @@ def _model_rows(models) -> tuple:
             np.array([model.params.gamma_a for model in models]))
 
 
-def _grid_spectra(rows: tuple, omega_norms) -> tuple:
+def _grid_spectra(rows: tuple, omega_norms, work: _Workspace | None = None) -> tuple:
     """Checked output spectra, row k at omega_norms[k] of its own model.
 
     ``rows`` comes from ``_model_rows``, with one row per entry of
@@ -301,18 +301,23 @@ def _grid_spectra(rows: tuple, omega_norms) -> tuple:
     one physicality check per spectrum.  Returns ``(omega, omega_norm,
     v_out)`` with omega_norm = omega / gamma_a; entry k equals
     ``output_spectra(model_k, [omega_norms[k] * gamma_a])[0]`` exactly.
+    ``work`` is the caller's workspace, passed down to ``_output_stack``
+    (which makes one when it is None); the returned arrays are new.
     """
     omega_norms = np.asarray(omega_norms, dtype=float)
     n = omega_norms.size
     m, d, rates, gamma_a = (np.broadcast_to(a, (n, *a.shape[1:])) for a in rows)
     omegas = omega_norms * gamma_a
-    v_out = _output_stack(m, d, rates, omegas)
+    v_out = _output_stack(m, d, rates, omegas, work)
     _require_physical(v_out)
     return omegas, omegas / gamma_a, v_out
 
 
 def _sweep_arrays(model: FluctuationModel, inequalities, omega_grid) -> tuple:
-    """``sweep_frequency`` as arrays omega, omega_norm (N,), values (N, P), gains (N, P, 4)."""
+    """``sweep_frequency`` as arrays omega, omega_norm (N,), values (N, P), gains (N, P, 4).
+
+    One workspace, made by ``_output_stack``, serves the whole grid.
+    """
     ineqs = _resolve_inequalities(inequalities)
     if omega_grid is None:
         omega_grid = _omega_grid(*_OMEGA_WINDOW, _OMEGA_POINTS, "log")
@@ -321,6 +326,7 @@ def _sweep_arrays(model: FluctuationModel, inequalities, omega_grid) -> tuple:
         raise ParameterError(f"omega_grid must be 1-D, got shape {omega_grid.shape}")
     if not (np.isfinite(omega_grid).all() and (omega_grid >= 0.0).all()):
         raise ParameterError("omega_grid values must be finite and >= 0")
+    _require_decaying_at_zero(model.m, omega_grid)
     omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), omega_grid)
     return (omega, omega_norm, *_gain_solves(*_problem_arrays(ineqs), v_out[:, None]))
 
@@ -376,19 +382,33 @@ def _golden_section(lo, hi, xtol):
     return (c, fc) if fc <= fd else (d, fd)
 
 
+def _gather(sources: tuple, index: np.ndarray, buffers: list) -> tuple:
+    """Rows ``index`` of every array of ``sources``, into the leading rows of ``buffers``.
+
+    ``mode="clip"`` (the indices are always valid) lets ``np.take`` write
+    straight into the buffer; its default mode stages a copy first.
+    """
+    return tuple(np.take(a, index, axis=0, out=buffer[:index.size], mode="clip")
+                 for a, buffer in zip(sources, buffers))
+
+
 def _refine_minima(rows: tuple, problems: tuple, grid: np.ndarray,
-                   coarse: list, xtol: float) -> list:
+                   coarse: list, xtol: float, work: _Workspace) -> list:
     """Golden-section refine of every search's best coarse bracket.
 
-    Search k minimizes row k of ``problems`` on the model in row k of
-    ``rows``; ``coarse[k]`` holds its best index on ``grid`` and the point
-    ``(omega, omega_norm, value, gains)`` there.  The searches run in
-    lockstep, one stacked spectral call per step, so every search sees
-    exactly the values it would see alone.  Each records the points it
-    evaluates, keyed by abscissa, and takes the one at the abscissa its
-    ``_golden_section`` returns, so the tie rule lives there alone.
-    Returns one point per search.
+    With P rows in ``problems``, search k minimizes row k % P of them on
+    the model in row k // P of ``rows``; ``coarse[k]`` holds its best index
+    on ``grid`` and the point ``(omega, omega_norm, value, gains)`` there.
+    The searches run in lockstep, one stacked spectral call per step, so
+    every search sees exactly the values it would see alone.  Each step
+    gathers the rows of its searches into buffers made once per call and
+    evaluates them in the caller's workspace ``work``.  Each search records
+    the points it evaluates, keyed by abscissa, and takes the one at the
+    abscissa its ``_golden_section`` returns, so the tie rule lives there
+    alone.  Returns one point per search.
     """
+    model_rows, problem_rows = ([np.empty((len(coarse), *a.shape[1:]), a.dtype) for a in arrays]
+                                for arrays in (rows, problems))
     minima, running = [], []
     for k, (best, point) in enumerate(coarse):
         minima.append(point)
@@ -396,10 +416,11 @@ def _refine_minima(rows: tuple, problems: tuple, grid: np.ndarray,
                                  float(grid[min(best + 1, grid.size - 1)]), xtol)
         running.append((k, search, next(search), {}))
     while running:
-        index = np.array([k for k, _, _, _ in running])
+        model_of, problem_of = divmod(np.array([k for k, _, _, _ in running]), len(problems[0]))
         abscissae = [x for _, _, x, _ in running]
-        omega, omega_norm, v_out = _grid_spectra(tuple(a[index] for a in rows), abscissae)
-        values, gains = _gain_solves(*(a[index] for a in problems), v_out)
+        omega, omega_norm, v_out = _grid_spectra(_gather(rows, model_of, model_rows),
+                                                 abscissae, work)
+        values, gains = _gain_solves(*_gather(problems, problem_of, problem_rows), v_out)
         points = zip(omega.tolist(), omega_norm.tolist(), values.tolist(), gains)
         still_running = []
         for (k, search, x, seen), point in zip(running, points):
@@ -435,6 +456,9 @@ def minima_over_models(
     one at a time after the arguments are checked.  Returns one list per
     model with one VlfResult per inequality, in the order given; each
     equals what the same call returns for that model and inequality alone.
+    The call owns one spectral workspace, which every coarse scan and every
+    refine step writes its temporaries into; no returned value or gain
+    vector shares memory with it, or with another call's results.
     """
     ineqs = _resolve_inequalities(inequalities)
     problems = _problem_arrays(ineqs)
@@ -447,18 +471,17 @@ def minima_over_models(
     if not (math.isfinite(xtol) and xtol > 0.0):
         raise ParameterError(f"xtol must be finite and > 0, got {xtol!r}")
     grid = _omega_grid(lo, hi, coarse_points, scale)
+    work = _Workspace()
     scanned, coarse = [], []
     for model in models:
-        omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), grid)
+        omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), grid, work)
         values, gains = _gain_solves(*(a[:, None] for a in problems), v_out)
         scanned.append(model)
         for best, row_values, row_gains in zip(values.argmin(axis=1).tolist(), values, gains):
             coarse.append((best, (float(omega[best]), float(omega_norm[best]),
                                   float(row_values[best]), row_gains[best])))
+    minima = _refine_minima(_model_rows(scanned), problems, grid, coarse, xtol, work)
     n = len(ineqs)
-    rows = tuple(a.repeat(n, axis=0) for a in _model_rows(scanned))
-    minima = _refine_minima(rows, tuple(np.tile(a, (len(scanned), 1)) for a in problems),
-                            grid, coarse, xtol)
     return [[_result(ineq, *point) for ineq, point in zip(ineqs, minima[i * n:(i + 1) * n])]
             for i in range(len(scanned))]
 

@@ -13,6 +13,8 @@ from cascaded_fwm import (
     QUADRATURE_LABELS,
     ConfigError,
     build_branch_model,
+    inequality_by_label,
+    optimize_gains,
     output_spectra,
     stationary_covariance,
     sweep_frequency,
@@ -26,6 +28,7 @@ from cascaded_fwm.cli import (
     main,
     parse_config,
 )
+from helpers import spectrum_at, toy_model
 
 # Reference figure CSVs written by bench/capture_reference.py; read only.
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
@@ -343,16 +346,18 @@ def test_pump_sweep_validation(tmp_path, capsys, mutate, message):
 
 
 def test_pump_sweep_needs_a_positive_omega_min(tmp_path, capsys, monkeypatch):
-    # A linear grid may start at 0 for vlf-sweep; the pump sweep's minimum
-    # search may not, and says so in its own words.
+    # A linear grid may start at 0 for vlf-sweep (on a decaying branch); the
+    # pump sweep's minimum search may not, and says so in its own words.
     monkeypatch.chdir(tmp_path)
-    text = (BASE.replace("epsilon_ratio = 1.2", "epsilon_ratio = 1.8")
-            + "branch = lower\nomega_scale = linear\nomega_min = 0\nomega_points = 8\n")
+    grid = "omega_scale = linear\nomega_min = 0\nomega_points = 8\n"
+    text = BASE.replace("epsilon_ratio = 1.2", "epsilon_ratio = 1.8") + "branch = lower\n" + grid
     cfg = write_config(tmp_path, text)
     assert main(["pump-sweep", cfg]) == 2
     assert capsys.readouterr().err == "error: pump-sweep needs omega_min > 0\n"
     assert not (tmp_path / "pump_sweep.csv").exists()
-    assert main(["vlf-sweep", cfg]) == 0
+    below = write_config(tmp_path, BASE.replace("epsilon_ratio = 1.2", "epsilon_ratio = 0.8")
+                         + "branch = trivial\n" + grid, name="below.conf")
+    assert main(["vlf-sweep", below]) == 0
     assert capsys.readouterr().out == "wrote vlf_sweep.csv\n"
 
 
@@ -426,6 +431,58 @@ def test_mc_validate_nan_gap_fails_and_still_writes_the_csv(tmp_path, capsys, mo
     assert "MC gap nan SE" in captured.err
     rows = (tmp_path / "mc.csv").read_text().splitlines()
     assert rows[1 + 3 * 12 + 5].split(",")[-1] == "nan"
+
+
+ZERO_OMEGA = "omega_scale = linear\nomega_min = 0\nomega_points = 3\nout = zero.csv\n"
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "vlf-sweep"])
+def test_zero_frequency_on_a_converted_branch_is_a_stability_error(verb, tmp_path, capsys,
+                                                                  monkeypatch):
+    # The lower branch has an exact neutral mode, so S(0) is a pole: a
+    # stability error instead of a CSV of its rounding noise.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, BASE + "branch = lower\n" + ZERO_OMEGA)
+    assert main([verb, cfg]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: a spectrum at omega = 0 needs a decisively decaying drift (margin ")
+    assert not (tmp_path / "zero.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "vlf-sweep"])
+def test_zero_frequency_on_the_trivial_branch_equals_the_one_point_chain(
+        verb, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = (BASE.replace("epsilon_ratio = 1.2", "epsilon_ratio = 0.8")
+            + "branch = trivial\n" + ZERO_OMEGA)
+    assert main([verb, write_config(tmp_path, text)]) == 0
+    capsys.readouterr()
+    row = (tmp_path / "zero.csv").read_text().splitlines()[1].split(",")
+    model = build_branch_model(parse_config(text).system(), "trivial")
+    v_out = spectrum_at(model, 0.0).v_out
+    if verb == "spectrum":
+        want = [v_out[i, j] for i in range(12) for j in range(i, 12)]
+    else:
+        results = [optimize_gains(inequality_by_label(label), spectrum_at(model, 0.0))
+                   for label in ("s1-i1", "p1+s1", "i2-p1")]
+        want = [res.value for res in results] + [g for res in results for g in res.gains]
+    assert row == [_fmt(0.0)] + [_fmt(x) for x in want]
+
+
+def test_singular_spectral_solve_exits_4(tmp_path, capsys, monkeypatch):
+    # A drift with a rotation block of rate w makes M + i w I exactly
+    # singular; LAPACK's LinAlgError is a numerical failure, exit 4.
+    monkeypatch.chdir(tmp_path)
+    w = 1.0 * 0.03  # the grid point omega_norm = 1 times gamma_a
+    m = np.eye(12)
+    m[0, 0] = m[6, 6] = 0.0
+    m[0, 6], m[6, 0] = w, -w
+    monkeypatch.setattr(cli, "build_branch_model", lambda *args: toy_model(m, np.eye(12)))
+    text = BASE + "omega_scale = linear\nomega_min = 0.5\nomega_max = 1.5\nomega_points = 3\n"
+    cfg = write_config(tmp_path, text + "branch = lower\nout = singular.csv\n")
+    assert main(["spectrum", cfg]) == 4
+    assert capsys.readouterr().err == "error: Singular matrix\n"
+    assert not (tmp_path / "singular.csv").exists()
 
 
 def test_mc_validate_refuses_marginal_branch(tmp_path, capsys):

@@ -4,12 +4,14 @@ import pytest
 from cascaded_fwm import (
     Branch,
     FluctuationModel,
+    Regime,
     StabilityError,
     StaleSteadyStateError,
     analytic_steady_states,
     build_diffusion_matrix,
     build_drift_matrix,
     build_fluctuation_model,
+    classify_regime,
     drift,
     integrated_spectrum,
     jacobian_blocks,
@@ -211,9 +213,14 @@ def test_stationary_covariance_solves_lyapunov():
 def test_stationary_covariance_is_real_within_its_residual_budget(regime):
     # Every branch either decays and has a float64 Sigma that solves the
     # Lyapunov equation within the solver's own budget, or is refused.
+    # Every NoThreshold draw is past its Hopf point, so that regime also
+    # takes the decaying point of test_no_threshold_hides_a_hopf_bifurcation.
     rng = np.random.default_rng(17)
-    for _ in range(6):
-        params = random_params(rng, regime)
+    draws = [random_params(rng, regime) for _ in range(6)]
+    if regime == "NoThreshold":
+        draws.append(make_params(0.6, epsilon=0.005))
+    decaying = 0
+    for params in draws:
         for state in analytic_steady_states(params):
             model = build_fluctuation_model(params, state)
             report = stability(model.m)
@@ -225,6 +232,27 @@ def test_stationary_covariance_is_real_within_its_residual_budget(regime):
             assert sigma.dtype == np.float64
             residual = np.max(np.abs(model.m @ sigma + sigma @ model.m.T - model.d))
             assert residual <= max(1e-10 * np.max(np.abs(model.d)), 1e-14)
+            decaying += 1
+    if regime == "NoThreshold":
+        assert decaying == 1
+
+
+def test_no_threshold_hides_a_hopf_bifurcation():
+    # Without a threshold the trivial state is the only analytic one and the
+    # regime reads NoThreshold at every pump, yet a complex pair of the
+    # drift crosses into the growing half plane between eps = 0.005 and 0.01.
+    for eps, margin in ((0.005, 0.016111), (0.01, -0.025556)):
+        params = make_params(0.6, epsilon=eps)
+        assert classify_regime(params) is Regime.NO_THRESHOLD
+        (state,) = analytic_steady_states(params)
+        assert state.branch is Branch.TRIVIAL
+        report = stability(build_fluctuation_model(params, state).m)
+        assert report.stable == (margin > 0.0)
+        assert report.margin == pytest.approx(margin, abs=1e-6)
+        # Every eigenvalue at the margin is complex: no real mode crosses.
+        edge = report.eigenvalues[np.isclose(report.eigenvalues.real, report.margin)]
+        assert edge.size >= 2 and (np.abs(edge.imag) > 1e-3).all()
+        assert np.isin(np.conj(edge), edge).all()
 
 
 def test_stationary_covariance_requires_decisive_stability():

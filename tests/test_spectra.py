@@ -20,7 +20,7 @@ from cascaded_fwm import (
     state_for_branch,
     stationary_covariance,
 )
-from cascaded_fwm.spectra import _T, _output_stack
+from cascaded_fwm.spectra import _T, _output_stack, _Workspace
 from helpers import pumped, random_params, spectrum_at, toy_model
 
 REGIMES = ("NoThreshold", "BelowThreshold", "BetweenThresholds",
@@ -257,8 +257,8 @@ def test_output_spectra_names_the_non_hermitian_frequency():
         output_spectra(model, [0.3, 1.0])
 
 
-def mixed_rows(rng):
-    """Models from every regime and branch, and 70 rows spread over them.
+def mixed_rows(rng, size=70):
+    """Models from every regime and branch, and ``size`` rows spread over them.
 
     Returns the models and, per row, the model index and omega; the rows
     interleave the models and their damping rates differ.
@@ -268,7 +268,7 @@ def mixed_rows(rng):
         params = random_params(rng, regime=regime)
         models.extend(build_fluctuation_model(params, state)
                       for state in analytic_steady_states(params))
-    index = rng.integers(len(models), size=70)
+    index = rng.integers(len(models), size=size)
     omegas = np.array([10.0 ** rng.uniform(-2.0, 2.0) * models[k].params.gamma_a
                        for k in index])
     return models, index, omegas
@@ -310,3 +310,84 @@ def test_output_stack_names_an_ill_conditioned_row_as_it_would_alone():
     with pytest.raises(NumericalError) as stacked:
         _output_stack(*stack_rows(models, index), omegas)
     assert str(stacked.value) == str(alone.value)
+
+
+def one_point_chain(model, omega):
+    return output_spectrum(quadrature_transform(spectral_matrix(model, omega)),
+                           model.params, omega).v_out
+
+
+def test_output_stack_in_one_workspace_equals_the_one_point_chain_at_chunk_edges():
+    # One workspace serves stacks of every length around the 64-row chunk;
+    # each row still equals its model's one-point chain bit for bit, and no
+    # result shares memory with the workspace or with an earlier result.
+    work = _Workspace()
+    rng = np.random.default_rng(31)
+    earlier = []
+    for n in (1, 63, 64, 65, 129):
+        models, index, omegas = mixed_rows(rng, size=n)
+        v_out = _output_stack(*stack_rows(models, index), omegas, work)
+        assert v_out.shape == (n, 12, 12)
+        for k, omega, row in zip(index, omegas, v_out):
+            assert np.array_equal(row, one_point_chain(models[k], omega))
+        for buffer in (work.complex, work.real, *(old for old, _ in earlier)):
+            assert not np.shares_memory(v_out, buffer)
+        earlier.append((v_out, v_out.copy()))
+    for v_out, snapshot in earlier:
+        assert np.array_equal(v_out, snapshot)
+
+
+def test_consecutive_output_spectra_share_no_memory():
+    params = pumped(0.4, 1.2)
+    model = build_fluctuation_model(params, state_for_branch(params, "lower"))
+    first = output_spectra(model, np.geomspace(0.01, 100.0, 70) * params.gamma_a)
+    snapshot = first.copy()
+    second = output_spectra(model, np.geomspace(0.02, 50.0, 70) * params.gamma_a)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, snapshot)
+
+
+def singular_at_zero():
+    """A toy model whose drift has a zero row: M + i omega I is exactly singular at 0.
+
+    Row 3 and its conjugate row 9 both vanish, so away from 0 the spectrum
+    keeps the conjugation structure the quadrature guard expects.
+    """
+    m = np.eye(12)
+    m[[3, 9]] = 0.0
+    return toy_model(m, np.eye(12))
+
+
+def test_exactly_singular_slice_raises_linalg_error():
+    model = singular_at_zero()
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        spectral_matrix(model, 0.0)
+    rates = np.broadcast_to(model.params.damping_rates(), (3, 6))
+    stack = (np.broadcast_to(model.m, (3, 12, 12)), np.broadcast_to(model.d, (3, 12, 12)), rates)
+    work = _Workspace()
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        _output_stack(*stack, np.array([1.0, 0.0, 2.0]), work)
+    # The same workspace goes on to serve the regular slices.
+    v_out = _output_stack(*stack, np.array([1.0, 2.0, 3.0]), work)
+    assert np.array_equal(v_out[1], one_point_chain(model, 2.0))
+
+
+def test_output_spectra_at_zero_frequency_needs_a_decaying_drift():
+    # A converted branch has an exact neutral mode, so S(0) sits on a pole;
+    # the stacked solve would return its rounding noise.
+    params = pumped(0.4, 1.2)
+    model = build_fluctuation_model(params, state_for_branch(params, "lower"))
+    with pytest.raises(StabilityError, match="omega = 0 needs a decisively decaying drift"):
+        output_spectra(model, [0.0, params.gamma_a])
+    output_spectra(model, [params.gamma_a])
+    # The zero-row drift is refused by the same gate before its solve fails.
+    with pytest.raises(StabilityError, match="omega = 0"):
+        output_spectra(singular_at_zero(), [0.0])
+
+
+def test_output_spectra_at_zero_frequency_on_a_decaying_branch():
+    params = pumped(0.4, 0.8)
+    model = build_fluctuation_model(params, state_for_branch(params, "trivial"))
+    omegas = np.array([0.0, 0.5, 1.0]) * params.gamma_a
+    for omega, v_out in zip(omegas, output_spectra(model, omegas)):
+        assert np.array_equal(v_out, one_point_chain(model, omega))

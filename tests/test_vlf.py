@@ -11,6 +11,7 @@ from cascaded_fwm import (
     ParameterError,
     PhysicalityError,
     QuadratureSpectrum,
+    StabilityError,
     VlfInequality,
     analytic_steady_states,
     build_branch_model,
@@ -350,11 +351,18 @@ def test_sweep_frequency_rejects_bad_grids(grid, message):
 
 
 def test_sweep_frequency_accepts_zero_frequency():
-    # A linear vlf-sweep grid may start at omega = 0.
-    results = sweep_frequency(pumped(0.4, 1.2), "lower", inequalities=["s1-i1"],
+    # A linear vlf-sweep grid may start at omega = 0 on a decaying branch.
+    results = sweep_frequency(pumped(0.4, 0.8), "trivial", inequalities=["s1-i1"],
                               omega_grid=[0.0, 1.0])
     assert [res.omega_norm for res in results] == [0.0, 1.0]
     assert all(math.isfinite(res.value) for res in results)
+
+
+def test_sweep_frequency_at_zero_frequency_needs_a_decaying_drift():
+    # The converted lower branch has an exact neutral mode: S(0) is a pole.
+    with pytest.raises(StabilityError, match="omega = 0 needs a decisively decaying drift"):
+        sweep_frequency(pumped(0.4, 1.2), "lower", omega_grid=[0.0, 1.0])
+    assert len(sweep_frequency(pumped(0.4, 1.2), "lower", omega_grid=[1e-3, 1.0])) == 10
 
 
 @pytest.mark.parametrize("omega_range", [(0.01, math.inf), (0.0, 1.0),
@@ -685,3 +693,37 @@ def test_sweep_frequency_without_inequalities_is_empty():
     params = pumped(0.4, 1.2)
     assert sweep_frequency(params, "lower", inequalities=[]) == []
     assert sweep_frequency(params, "lower", inequalities=(), omega_grid=[0.1, 1.0]) == []
+
+
+def assert_results_independent(first, second):
+    """No gain vector of ``first`` shares memory with one of ``second``."""
+    for res in first:
+        for other in second:
+            assert not np.shares_memory(res.gains, other.gains)
+
+
+def test_consecutive_sweeps_and_searches_share_no_memory():
+    # Each call owns its workspace: a second call neither aliases nor
+    # overwrites what the first returned.
+    model = build_branch_model(pumped(0.4, 1.2), "lower")
+    first = sweep_frequency(model.params, None, omega_grid=np.geomspace(0.01, 100.0, 70),
+                            model=model)
+    snapshot = [(res.value, res.gains.copy()) for res in first]
+    second = sweep_frequency(model.params, None, omega_grid=np.geomspace(0.02, 50.0, 70),
+                             model=model)
+    assert_results_independent(first, second)
+    for res, (value, gains) in zip(first, snapshot, strict=True):
+        assert res.value == value and np.array_equal(res.gains, gains)
+
+    other = build_branch_model(pumped(0.4, 1.5), "lower")
+    first = minima_over_models([model, other], coarse_points=16)
+    snapshot = [[(res.omega, res.value, res.gains.copy()) for res in row] for row in first]
+    second = minima_over_models([other, model], coarse_points=16)
+    assert_results_independent(sum(first, []), sum(second, []))
+    for row, row_snapshot in zip(first, snapshot, strict=True):
+        for res, (omega, value, gains) in zip(row, row_snapshot, strict=True):
+            assert (res.omega, res.value) == (omega, value)
+            assert np.array_equal(res.gains, gains)
+    # Same models, same results, in either order.
+    for res, ref in zip(sum(first, []), sum(second[::-1], []), strict=True):
+        assert_same_result(res, ref)

@@ -40,6 +40,11 @@ BELOW = RATES + "epsilon_mode = rel_eps_th\nepsilon_ratio = 0.8\n"
 NO_THRESHOLD = (RATES.replace("0.4", "0.6")
                 + "epsilon_mode = rel_eps_th\nepsilon_ratio = 1.8\nbranch = lower\n")
 
+# ω = 0 on a linear grid: the trivial branch below threshold decays; the
+# converted lower branch between the thresholds has an exact neutral mode.
+ZERO_TRIVIAL = BELOW + "branch = trivial\nomega_scale = linear\nomega_min = 0\nomega_points = 5\n"
+ZERO_LOWER = BETWEEN + "branch = lower\nomega_scale = linear\nomega_min = 0\nomega_points = 3\n"
+
 CLI = ("-m", "cascaded_fwm")
 DEMOS = ("fluctuation_spectra", "monte_carlo_check", "pump_sweep",
          "thresholds_and_branches", "vlf_sweep")
@@ -77,6 +82,14 @@ CASES = (
        Case("mc-validate", (*CLI, "mc-validate", "run.conf"),
             (("run.conf", BELOW + "branch = trivial\nseed = 12345\n"),))]
     + [Case(f"demo-{demo}", (f"{{tree}}/demos/{demo}.py",)) for demo in DEMOS]
+    # Grids one row either side of a 64-row stack boundary.
+    + [Case(f"{verb}-{scale}-{points}", (*CLI, verb, "run.conf"),
+            (("run.conf", BETWEEN + f"branch = lower\nomega_scale = {scale}\n"
+              f"omega_points = {points}\n"),))
+       for verb in ("spectrum", "vlf-sweep") for scale in ("log", "linear")
+       for points in (64, 65)]
+    + [Case(f"{verb}-zero-omega-trivial", (*CLI, verb, "run.conf"), (("run.conf", ZERO_TRIVIAL),))
+       for verb in ("spectrum", "vlf-sweep")]
     # Error paths.
     + [Case("error-inequalities-key", (*CLI, "vlf-sweep", "run.conf"),
             (("run.conf", BETWEEN + "omega_points = 4\ninequalities = all\n"),)),
@@ -86,6 +99,8 @@ CASES = (
             (("run.conf", BETWEEN + "branch = lower\n"),)),
        Case("error-unwritable-out", (*CLI, "vlf-sweep", "run.conf"),
             (("run.conf", BETWEEN + "omega_points = 4\nout = missing/x.csv\n"),))]
+    + [Case(f"error-{verb}-zero-omega-lower", (*CLI, verb, "run.conf"), (("run.conf", ZERO_LOWER),))
+       for verb in ("spectrum", "vlf-sweep")]
 )
 
 
