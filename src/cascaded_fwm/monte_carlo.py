@@ -15,13 +15,19 @@ through B B^T.
 
 Paths own deterministic random streams derived from (seed, path index), so
 ensembles are reproducible and embarrassingly parallel in structure.  The
-stepper works in chunks of 256 steps: it draws each path's normals for the
-chunk, forms the chunk's whole noise in one real product with the real and
-imaginary parts of B side by side, and then runs the sequential steps in
-place over that array, so each step is one small complex matrix product and
-one add.  The real product gives the complex one's values: that one only
-adds the products of the normals' zero imaginary parts, and the tests pin
-the two bit for bit, sign of zero included.
+stepper works in chunks of 256 steps.  A helper thread draws every path's
+normals one chunk ahead, into the second of two buffers, while the calling
+thread steps the chunk before; numpy's generators release the GIL while
+they fill, and each stream is still drawn in order, so every normal is the
+one a serial draw gives.  The stepper forms the chunk's noise in real
+products, 8 steps of rows at a time, with the real and imaginary parts of
+B side by side; products that small stay on one core, where one product of
+the whole chunk wakes OpenBLAS's own threads to compete with the helper.
+It then runs the sequential steps in place over that array, so each step is
+one small complex matrix product and one add.  The real product gives the
+complex one's values: that one only adds the products of the normals' zero
+imaginary parts, and the tests pin the two bit for bit, sign of zero
+included.  No thread outlives a public call.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .linearization import FluctuationModel, StabilityReport, _require_decaying,
 _FACTOR_BUDGET = 1e-10
 _STEP_LIMIT = 0.1  # dt * max|eig(M)| must stay below this
 _CHUNK = 256  # steps per block of normals drawn from each path's stream
+_PRODUCT_STEPS = 8  # steps of rows per real noise product
 _TAKAGI_RTOL = 1e-12  # asymmetry and imaginary part below this count as rounding
 
 
@@ -160,18 +167,26 @@ def _euler_maruyama(model: FluctuationModel, dt: float, steps: int,
     not written to.  Per chunk of ``block`` steps:
 
     * path p draws its real normals from its own (seed, p) stream into row
-      p of one reused (n_paths, block, dim) buffer, which gives the same
-      values as drawing the whole path at once;
-    * the normals are copied into one reused step-major buffer, and one
-      real product of its (block * n_paths, dim) rows with ``b_t``, whose
-      columns 2j and 2j + 1 hold Re and Im of row j of B, gives
+      p of an (n_paths, block, dim) buffer, which gives the same values as
+      drawing the whole path at once.  One helper thread makes every draw,
+      one chunk ahead: it fills chunk k + 1 into the second of two
+      buffers while this thread steps chunk k.  numpy's generators release
+      the GIL while they fill, each stream is drawn in chunk order by that
+      one thread, and a buffer is refilled only after this thread has
+      copied it out, so every normal is the one a serial draw gives;
+    * the normals are copied into one reused step-major buffer, and real
+      products of its (block * n_paths, dim) rows with ``b_t``, whose
+      columns 2j and 2j + 1 hold Re and Im of row j of B, give
       dW_t @ B^T as interleaved float pairs.  Viewed as complex and scaled
       by sqrt(dt) in place, that is the chunk's noise in a fresh
       (block, n_paths, dim) array, one (n_paths, dim) slice per step.  The
       complex product it replaces only adds terms of the normals' zero
       imaginary parts; that the BLAS sums the rest alike in its real and
       complex kernels is pinned by the tests, sign of zero included.
-      sqrt(dt) stays out of ``b_t``, which would round differently;
+      sqrt(dt) stays out of ``b_t``, which would round differently.  The
+      products run _PRODUCT_STEPS steps of rows at a time: one product of
+      the whole chunk is large enough for OpenBLAS to wake its own worker
+      threads, which then spin on the core the helper thread draws on;
     * step t overwrites its own slice in place with
       x (I - dt M)^T + noise_t and becomes the next x, so the array ends
       up holding the states.
@@ -181,8 +196,14 @@ def _euler_maruyama(model: FluctuationModel, dt: float, steps: int,
     bitwise what the per-step ``x @ decay.T + sqrt_dt * (dW_t @ b.T)``
     gives: each step's product has the operand shapes and layouts of the
     per-step one, which matters for one path, where numpy sends a (1, dim)
-    product through a vector kernel.
+    product through a vector kernel.  The helper thread is joined before
+    the generator finishes, whether it is exhausted, closed or left by an
+    exception; an error raised by a draw is raised here.
     """
+    # Imported here, not with the module: only the simulations use it, and
+    # its ~4 ms import would otherwise be paid by every command-line start.
+    from concurrent.futures import ThreadPoolExecutor
+
     b = factor_diffusion(model.d).b
     n_paths, dim = x.shape
     # C-ordered like the complex copy numpy casts from a real decay.T; a
@@ -191,25 +212,39 @@ def _euler_maruyama(model: FluctuationModel, dt: float, steps: int,
     sqrt_dt = np.sqrt(dt)
     b_t = np.stack((b.real.T, b.imag.T), axis=-1).reshape(dim, 2 * dim)
     rngs = [_path_rng(seed, p) for p in range(n_paths)]
+    starts = range(0, steps, _CHUNK)
     chunk = min(_CHUNK, steps)
-    normals = np.empty((n_paths, chunk, dim))
+    normals = np.empty((2, n_paths, chunk, dim))
     step_major = np.empty((chunk, n_paths, dim))
     tmp = np.empty((n_paths, dim), dtype=complex)
-    for start in range(0, steps, _CHUNK):
-        block = min(_CHUNK, steps - start)
-        increments = normals[:, :block, :]
+
+    def draw(k: int) -> np.ndarray:
+        increments = normals[k % 2, :, :min(_CHUNK, steps - starts[k]), :]
         for p, rng in enumerate(rngs):
             rng.standard_normal(out=increments[p])
-        step_normals = step_major[:block]
-        step_normals[...] = increments.transpose(1, 0, 2)
-        states = (step_normals.reshape(block * n_paths, dim) @ b_t).view(complex)
-        states = states.reshape(block, n_paths, dim)
-        states *= sqrt_dt
-        for row in states:
-            np.matmul(x, decay_t, out=tmp)
-            np.add(tmp, row, out=row)
-            x = row
-        yield states.transpose(1, 0, 2)
+        return increments
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(draw, 0)
+        for k in range(len(starts)):
+            increments = ahead.result()
+            if k + 1 < len(starts):
+                ahead = helper.submit(draw, k + 1)
+            block = increments.shape[1]
+            step_normals = step_major[:block]
+            step_normals[...] = increments.transpose(1, 0, 2)
+            noise = np.empty((block, n_paths, 2 * dim))
+            for s in range(0, block, _PRODUCT_STEPS):
+                rows = slice(s, s + _PRODUCT_STEPS)
+                np.matmul(step_normals[rows].reshape(-1, dim), b_t,
+                          out=noise[rows].reshape(-1, 2 * dim))
+            states = noise.view(complex)
+            states *= sqrt_dt
+            for row in states:
+                np.matmul(x, decay_t, out=tmp)
+                np.add(tmp, row, out=row)
+                x = row
+            yield states.transpose(1, 0, 2)
 
 
 def simulate_ou(

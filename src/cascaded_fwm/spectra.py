@@ -271,7 +271,7 @@ def _require_decaying_at_zero(m: np.ndarray, omegas: np.ndarray) -> None:
     S(0) = M^-1 D M^-T diverges on a neutral mode, which every converted
     branch has, and the solve then returns the rounding noise of a pole.
     Away from omega = 0 the spectra keep their formal evaluation (see
-    ``spectral_matrix``).
+    ``spectral_matrix``, which applies this gate too).
     """
     if (omegas == 0.0).any():
         _require_decaying(m, "a spectrum at omega = 0 needs")
@@ -313,9 +313,12 @@ def spectral_matrix(model: FluctuationModel, omega: float) -> np.ndarray:
     upper threshold have growing directions as well, so there the formula
     is evaluated in the same formal sense in which those spectra are
     usually reported; solve quality is guarded by a residual check instead
-    of a stability gate.
+    of a stability gate.  At omega = 0 alone the drift must decay (see
+    ``_require_decaying_at_zero``), as in ``output_spectra``.
     """
-    return _spectral_stack(model.m, model.d, np.array([omega], dtype=float))[0]
+    omegas = np.array([omega], dtype=float)
+    _require_decaying_at_zero(model.m, omegas)
+    return _spectral_stack(model.m, model.d, omegas)[0]
 
 
 def quadrature_transform(s: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ Every random test here uses a frozen seed and a tolerance of three standard
 errors measured from the ensemble itself, so the suite is deterministic.
 """
 
+import threading
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from cascaded_fwm import (
     stationary_covariance,
     takagi,
 )
+from cascaded_fwm import monte_carlo
 from cascaded_fwm.monte_carlo import _CHUNK, _euler_maruyama
 from helpers import (
     pumped,
@@ -352,3 +354,75 @@ def test_simulate_ou_matches_reference_down_to_the_sign_of_zero(n_paths):
     assert np.count_nonzero(want == 0.0) > want.size // 4
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_no_helper_thread_outlives_a_simulation():
+    # The stepper draws its normals on a helper thread; every public call
+    # joins it before it returns.
+    model = below_threshold_model()
+    before = threading.active_count()
+    simulate_ou(model, steps=3 * _CHUNK + 37, n_paths=3, seed=4)
+    assert threading.active_count() == before
+    mc_stationary_covariance(fast_relaxing_model(), n_paths=4, seed=5)
+    assert threading.active_count() == before
+
+
+def test_closing_the_stepper_early_joins_its_helper_thread():
+    model = below_threshold_model()
+    before = threading.active_count()
+    stepper = _euler_maruyama(model, default_step(model), 3 * _CHUNK + 37, 4,
+                              np.zeros((3, 12), dtype=complex))
+    first = next(stepper)
+    assert first.shape == (3, _CHUNK, 12)
+    # The next chunk's draw is under way (or done) on the helper thread.
+    assert threading.active_count() == before + 1
+    stepper.close()
+    assert threading.active_count() == before
+
+
+def test_a_failed_draw_is_raised_and_leaves_no_thread(monkeypatch):
+    error = RuntimeError("draw failed")
+
+    class FailsOnSecondDraw:
+        def __init__(self, rng):
+            self.rng, self.draws = rng, 0
+
+        def standard_normal(self, out):
+            self.draws += 1
+            if self.draws == 2:
+                raise error
+            return self.rng.standard_normal(out=out)
+
+    path_rng = monte_carlo._path_rng
+    monkeypatch.setattr(monte_carlo, "_path_rng",
+                        lambda seed, p: FailsOnSecondDraw(path_rng(seed, p)))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        simulate_ou(below_threshold_model(), steps=3 * _CHUNK + 37, n_paths=3, seed=4)
+    assert raised.value is error
+    assert threading.active_count() == before
+
+
+def test_concurrent_simulations_equal_sequential_ones():
+    # Two calls stepping at the same time from two threads share no buffer:
+    # each returns the bytes of the same call made alone.
+    model = below_threshold_model()
+    steps = 3 * _CHUNK + 37
+    alone = {seed: simulate_ou(model, steps=steps, n_paths=3, seed=seed).paths
+             for seed in (4, 5)}
+    together = {}
+    start = threading.Barrier(2)
+
+    def run(seed):
+        start.wait()
+        together[seed] = simulate_ou(model, steps=steps, n_paths=3, seed=seed).paths
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in (4, 5)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for seed in (4, 5):
+        assert np.array_equal(together[seed].view(float), alone[seed].view(float))
+        assert np.array_equal(np.signbit(together[seed].view(float)),
+                              np.signbit(alone[seed].view(float)))

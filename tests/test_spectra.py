@@ -20,7 +20,7 @@ from cascaded_fwm import (
     state_for_branch,
     stationary_covariance,
 )
-from cascaded_fwm.spectra import _T, _output_stack, _Workspace
+from cascaded_fwm.spectra import _T, _output_stack, _spectral_stack, _Workspace
 from helpers import pumped, random_params, spectrum_at, toy_model
 
 REGIMES = ("NoThreshold", "BelowThreshold", "BetweenThresholds",
@@ -359,9 +359,15 @@ def singular_at_zero():
 
 
 def test_exactly_singular_slice_raises_linalg_error():
-    model = singular_at_zero()
+    # The one-point chain refuses the zero-row drift at omega = 0 before its
+    # solve (see test_spectral_matrix_at_zero_frequency_needs_a_decaying_drift);
+    # a rotation block of rate 1 makes M + i omega I exactly singular at 1.
+    rotation = np.eye(12)
+    rotation[0, 0] = rotation[6, 6] = 0.0
+    rotation[0, 6], rotation[6, 0] = 1.0, -1.0
     with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-        spectral_matrix(model, 0.0)
+        spectral_matrix(toy_model(rotation, np.eye(12)), 1.0)
+    model = singular_at_zero()
     rates = np.broadcast_to(model.params.damping_rates(), (3, 6))
     stack = (np.broadcast_to(model.m, (3, 12, 12)), np.broadcast_to(model.d, (3, 12, 12)), rates)
     work = _Workspace()
@@ -391,3 +397,27 @@ def test_output_spectra_at_zero_frequency_on_a_decaying_branch():
     omegas = np.array([0.0, 0.5, 1.0]) * params.gamma_a
     for omega, v_out in zip(omegas, output_spectra(model, omegas)):
         assert np.array_equal(v_out, one_point_chain(model, omega))
+
+
+def test_spectral_matrix_at_zero_frequency_needs_a_decaying_drift():
+    # The one-point chain applies the gate of output_spectra: on the lower
+    # branch S(0) sits on the neutral mode's pole, and the solve used to
+    # return its rounding noise (entries up to 1e32) without an error.
+    params = pumped(0.4, 1.2)
+    model = build_fluctuation_model(params, state_for_branch(params, "lower"))
+    with pytest.raises(StabilityError, match="omega = 0 needs a decisively decaying drift"):
+        spectral_matrix(model, 0.0)
+    spectral_matrix(model, params.gamma_a)
+    with pytest.raises(StabilityError, match="omega = 0"):
+        spectral_matrix(singular_at_zero(), 0.0)
+
+
+def test_spectral_matrix_at_zero_frequency_on_a_decaying_branch():
+    # The gate passes a decaying drift through to the ungated solve.
+    params = pumped(0.4, 0.8)
+    model = build_fluctuation_model(params, state_for_branch(params, "trivial"))
+    want = _spectral_stack(model.m, model.d, np.zeros(1))[0]
+    got = spectral_matrix(model, 0.0)
+    for part in ("real", "imag"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))

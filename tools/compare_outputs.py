@@ -81,6 +81,10 @@ CASES = (
               + "branch = lower\nomega_scale = linear\nout = pump.csv\n"),)),
        Case("mc-validate", (*CLI, "mc-validate", "run.conf"),
             (("run.conf", BELOW + "branch = trivial\nseed = 12345\n"),))]
+    # Every Monte-Carlo column, away from the reference seed and pump.
+    + [Case(f"mc-validate-seed{seed}-eps{ratio}", (*CLI, "mc-validate", "run.conf"),
+            (("run.conf", BELOW.replace("0.8", ratio) + f"branch = trivial\nseed = {seed}\n"),))
+       for seed, ratio in ((7, "0.8"), (0, "0.5"))]
     + [Case(f"demo-{demo}", (f"{{tree}}/demos/{demo}.py",)) for demo in DEMOS]
     # Grids one row either side of a 64-row stack boundary.
     + [Case(f"{verb}-{scale}-{points}", (*CLI, verb, "run.conf"),
