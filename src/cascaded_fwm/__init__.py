@@ -20,6 +20,8 @@ oracle (``relax_to_steady_state``, ``RelaxationResult``,
 ``__getattr__`` (PEP 562) imports it with ``relaxation`` on first access.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BasisConsistencyError,
     ConfigError,
@@ -105,68 +107,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "BasisConsistencyError",
-    "Branch",
-    "ConfigError",
-    "FluctuationModel",
-    "INEQUALITIES",
-    "MODE_LABELS",
-    "Mode",
-    "NoiseFactor",
-    "NumericalError",
-    "ParameterError",
-    "PhysicalityError",
-    "QUADRATURE_LABELS",
-    "QuadratureSpectrum",
-    "Regime",
-    "RelaxationResult",
-    "SWAP_PERMUTATION",
-    "SYMMETRY_CLASSES",
-    "SpectrumEstimate",
-    "StabilityError",
-    "StabilityReport",
-    "StaleSteadyStateError",
-    "SteadyState",
-    "StepSizeError",
-    "SystemParams",
-    "Thresholds",
-    "TrajectoryEnsemble",
-    "VlfInequality",
-    "VlfResult",
-    "analytic_steady_states",
-    "basin_statistics",
-    "build_branch_model",
-    "build_diffusion_matrix",
-    "build_drift_matrix",
-    "build_fluctuation_model",
-    "class_members",
-    "classify_regime",
-    "compute_thresholds",
-    "drift",
-    "default_step",
-    "estimate_spectrum",
-    "evaluate_inequality",
-    "factor_diffusion",
-    "inequality_by_label",
-    "integrated_spectrum",
-    "jacobian_blocks",
-    "mc_stationary_covariance",
-    "min_over_frequency",
-    "minima_over_models",
-    "optimize_gains",
-    "output_spectra",
-    "output_spectrum",
-    "quadrature_transform",
-    "relax_to_steady_state",
-    "resolve_epsilon",
-    "sample_initial_conditions",
-    "simulate_ou",
-    "spectral_matrix",
-    "stability",
-    "state_for_branch",
-    "stationary_covariance",
-    "sweep_frequency",
-    "takagi",
-    "__version__",
-]
+# Every public name imported above, the lazy relaxation names and the version.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__ += [*sorted(_RELAXATION_NAMES), "__version__"]

@@ -8,9 +8,11 @@ in a deterministic order, and files are written atomically (no partial file
 survives a failure).
 
 Each decision is declared once.  ``_OPTIONAL_KEYS`` holds the default and
-the parser of every optional config key, and the known keys derive from it;
-only the cross-key rules (the epsilon pair, the omega window, k2 == k3) are
-spelled out in ``parse_config``.  ``_VERBS`` maps each verb to its handler
+the parser of every optional config key, and the known keys derive from it.
+``_PUMP_KEYS`` holds, for each ``epsilon_mode``, the pump key it needs and
+the one it refuses, and drives the one pump-spec path of ``parse_config``;
+only the omega window and k2 == k3 are spelled out there as cross-key
+rules.  ``_VERBS`` maps each verb to its handler
 and help text and drives both the argument parser and the one dispatch in
 ``main``; ``_FIGURE_VERBS`` maps each packaged figure to its handler.  Every
 CSV goes through ``_write_csv``.  The rules of the physics stay with the
@@ -205,6 +207,12 @@ _OPTIONAL_KEYS = {
     "seed": (12345, _int_at_least(0)),
     "out": (None, lambda key, entry: entry[1]),
 }
+# epsilon_mode -> (the pump key it needs, the key it refuses, what that key needs).
+_PUMP_KEYS = {
+    "absolute": ("epsilon_abs", "epsilon_ratio", "a threshold-relative epsilon_mode"),
+    "rel_eps_th": ("epsilon_ratio", "epsilon_abs", "epsilon_mode=absolute"),
+    "rel_eps_th_prime": ("epsilon_ratio", "epsilon_abs", "epsilon_mode=absolute"),
+}
 _KNOWN_KEYS = {*_RATE_KEYS, "epsilon_mode", "epsilon_ratio", "epsilon_abs", *_OPTIONAL_KEYS}
 
 
@@ -226,30 +234,17 @@ def parse_config(text: str) -> RunConfig:
             "is modeled")
     params = SystemParams(**rates)
 
-    mode = _one_of("absolute", "rel_eps_th", "rel_eps_th_prime")(
-        "epsilon_mode", _require(entries, "epsilon_mode"))
-    ratio_entry = entries.get("epsilon_ratio")
-    abs_entry = entries.get("epsilon_abs")
-    if mode == "absolute":
-        if abs_entry is None:
-            raise ConfigError("epsilon_mode=absolute requires epsilon_abs")
-        if ratio_entry is not None:
-            raise ConfigError(f"line {ratio_entry[0]}: epsilon_ratio is only "
-                              "valid with a threshold-relative epsilon_mode")
-        epsilon_abs = _as_float("epsilon_abs", abs_entry)
-        if epsilon_abs < 0.0:
-            raise ConfigError(f"line {abs_entry[0]}: epsilon_abs must be >= 0")
-        epsilon_ratio = None
-    else:
-        if ratio_entry is None:
-            raise ConfigError(f"epsilon_mode={mode} requires epsilon_ratio")
-        if abs_entry is not None:
-            raise ConfigError(f"line {abs_entry[0]}: epsilon_abs is only "
-                              "valid with epsilon_mode=absolute")
-        epsilon_ratio = _as_float("epsilon_ratio", ratio_entry)
-        if epsilon_ratio < 0.0:
-            raise ConfigError(f"line {ratio_entry[0]}: epsilon_ratio must be >= 0")
-        epsilon_abs = None
+    mode = _one_of(*_PUMP_KEYS)("epsilon_mode", _require(entries, "epsilon_mode"))
+    needed, refused, refused_needs = _PUMP_KEYS[mode]
+    if needed not in entries:
+        raise ConfigError(f"epsilon_mode={mode} requires {needed}")
+    if refused in entries:
+        raise ConfigError(f"line {entries[refused][0]}: {refused} is only "
+                          f"valid with {refused_needs}")
+    value = _as_float(needed, entries[needed])
+    if value < 0.0:
+        raise ConfigError(f"line {entries[needed][0]}: {needed} must be >= 0")
+    pump = {refused: None, needed: value}
 
     optional = {key: default if key not in entries else parse(key, entries[key])
                 for key, (default, parse) in _OPTIONAL_KEYS.items()}
@@ -262,8 +257,7 @@ def parse_config(text: str) -> RunConfig:
     if not optional["omega_min"] < optional["omega_max"]:
         raise ConfigError("omega_min must be smaller than omega_max")
 
-    return RunConfig(params=params, epsilon_mode=mode, epsilon_ratio=epsilon_ratio,
-                     epsilon_abs=epsilon_abs, **optional)
+    return RunConfig(params=params, epsilon_mode=mode, **pump, **optional)
 
 
 def load_config(path: str) -> RunConfig:
@@ -332,22 +326,19 @@ def _resolve_branches(system: SystemParams, branch: str):
 
 def cmd_thresholds(config: RunConfig) -> None:
     thresholds = compute_thresholds(config.params)
-    if thresholds.has_threshold:
-        print(f"eps_th={_fmt(thresholds.eps_th)}")
-        print(f"eps_th_prime={_fmt(thresholds.eps_th_prime)}")
-        print(f"threshold_ratio={_fmt(thresholds.eps_th_prime / thresholds.eps_th)}")
-    else:
-        print("eps_th=nan")
-        print("eps_th_prime=nan")
-        print("threshold_ratio=nan")
+    lo, hi = ((thresholds.eps_th, thresholds.eps_th_prime) if thresholds.has_threshold
+              else (math.nan, math.nan))
+    print(f"eps_th={_fmt(lo)}")
+    print(f"eps_th_prime={_fmt(hi)}")
+    print(f"threshold_ratio={_fmt(hi / lo)}")
     print(f"has_threshold={_fmt_bool(thresholds.has_threshold)}")
     if thresholds.has_threshold or config.epsilon_mode == "absolute":
         system = config.system()
-        print(f"epsilon={_fmt(system.epsilon)}")
-        print(f"regime={classify_regime(system, thresholds).value}")
+        epsilon, regime = system.epsilon, classify_regime(system, thresholds)
     else:
-        print("epsilon=nan")
-        print(f"regime={Regime.NO_THRESHOLD.value}")
+        epsilon, regime = math.nan, Regime.NO_THRESHOLD
+    print(f"epsilon={_fmt(epsilon)}")
+    print(f"regime={regime.value}")
 
 
 def cmd_steady_state(config: RunConfig) -> None:

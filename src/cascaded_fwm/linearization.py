@@ -227,7 +227,7 @@ def stationary_covariance(model: FluctuationModel) -> np.ndarray:
     sigma = np.linalg.solve(kron_sum, model.d.reshape(n * n)).reshape(n, n)
     residual = np.max(np.abs(model.m @ sigma + sigma @ model.m.T - model.d))
     budget = 1e-10 * max(np.max(np.abs(model.d)), 1e-300)
-    if residual > max(budget, 1e-14):
+    if not residual <= max(budget, 1e-14):  # NaN fails
         raise NumericalError(
             f"Lyapunov solve residual {residual:.3e} exceeds budget {budget:.3e}"
         )

@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError, StepSizeError
 from .linearization import FluctuationModel, StabilityReport, _require_decaying, stability
+from .params import _require_count
 
 _FACTOR_BUDGET = 1e-10
 _STEP_LIMIT = 0.1  # dt * max|eig(M)| must stay below this
@@ -140,19 +141,6 @@ def _checked_step(model: FluctuationModel, dt: float | None):
             f"(max|eig| = {fastest:.3e})"
         )
     return report, dt
-
-
-def _require_count(name: str, value, minimum: int, why: str = "") -> int:
-    """``value`` as an int; it must be an integer (not a bool) >= ``minimum``.
-
-    A float, even an integral one, is refused rather than truncated, so a
-    seed of 1.5 cannot quietly run as seed 1.
-    """
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < minimum):
-        raise ParameterError(f"{name} must be an integer >= {minimum}{why}, "
-                             f"got {value!r}")
-    return int(value)
 
 
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:

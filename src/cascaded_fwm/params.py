@@ -10,6 +10,8 @@ fixed mode order
     p2, p1, i1, s1, i2, s2
 
 so the canonical indices live here, next to the parameter container.
+The scalar argument checks every module shares (``_require_positive``,
+``_require_count``) live here too, in the base layer.
 
 Units are arbitrary but must be consistent: all rates (dampings,
 pump amplitude, coupling strengths times squared amplitudes) share one
@@ -26,6 +28,25 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ParameterError
+
+
+def _require_positive(name: str, value) -> None:
+    """Raise ``ParameterError`` unless the scalar ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _require_count(name: str, value, minimum: int, why: str = "") -> int:
+    """``value`` as an int; it must be an integer (not a bool) >= ``minimum``.
+
+    A float, even an integral one, is refused rather than truncated, so a
+    seed of 1.5 cannot quietly run as seed 1.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ParameterError(f"{name} must be an integer >= {minimum}{why}, "
+                             f"got {value!r}")
+    return int(value)
 
 
 class Mode(enum.IntEnum):
@@ -87,14 +108,8 @@ class SystemParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma_a", "gamma_b", "gamma_c"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
-        for name in ("k1", "k2", "k3"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+        for name in ("gamma_a", "gamma_b", "gamma_c", "k1", "k2", "k3"):
+            _require_positive(name, getattr(self, name))
         if self.k2 != self.k3:
             raise ParameterError(
                 "the symmetric model requires k2 == k3 exactly, got "

@@ -7,7 +7,8 @@ with scipy's DOP853 and reports which analytic branch, if any, the endpoint
 matches.  The equations carry a free relative phase between the generated
 pairs, so matching compares moduli.  It rejects a non-finite start, a
 non-finite or non-positive ``tol`` or ``t_max`` and a negative or NaN
-``match_radius`` before integrating.  ``sample_initial_conditions`` draws
+``match_radius`` before integrating, with the scalar checks that
+``params`` owns.  ``sample_initial_conditions`` draws
 seeded starts sized to the regime, and ``basin_statistics`` tallies where
 they end.
 
@@ -30,8 +31,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import NumericalError, ParameterError
-from .monte_carlo import _require_count
-from .params import SystemParams
+from .params import SystemParams, _require_count, _require_positive
 from .steady_state import (
     Branch,
     SteadyState,
@@ -92,9 +92,8 @@ def relax_to_steady_state(
         raise ParameterError(f"initial must have shape (6,), got {a0.shape}")
     if not np.all(np.isfinite(a0)):
         raise ParameterError(f"initial must be finite, got {a0!r}")
-    for name, value in (("tol", tol), ("t_max", t_max)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+    _require_positive("tol", tol)
+    _require_positive("t_max", t_max)
     if not match_radius >= 0.0:
         raise ParameterError(f"match_radius must be >= 0, got {match_radius!r}")
 

@@ -140,20 +140,26 @@ class _Workspace:
         return (*self.complex[:, :n], *self.real[:, :n])
 
 
-def _raise_singular(err, flag):
-    raise LinAlgError("Singular matrix")
+# The LinAlgError message of the numpy wrapper of each gufunc called here.
+_LINALG_ERRORS = {"solve": "Singular matrix",
+                  "lstsq": "SVD did not converge in Linear Least Squares"}
 
 
-def _solve(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve`` of complex stacks a x = b, written into ``out``.
+def _linalg(name: str, *args, **kwargs):
+    """Call the gufunc ``name`` of ``numpy.linalg._umath_linalg`` as numpy's wrapper does.
 
-    One call of the gufunc ``_umath_linalg.solve`` that ``np.linalg.solve``
-    wraps, with the same signature and error state, so it gives the same
-    floats and raises ``LinAlgError("Singular matrix")`` the same way.
+    ``np.linalg.solve`` and ``np.linalg.lstsq`` run these gufuncs under this
+    error state: a failed LAPACK call sets the invalid flag, which raises
+    ``LinAlgError`` with the wrapper's message, and the other flags are
+    ignored.  So the floats and errors are the wrapper's, without its
+    per-call checks and copies; ``out=`` and ``signature=`` pass through.
+    The one place in the package that calls numpy's private LAPACK module.
     """
-    with np.errstate(call=_raise_singular, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.solve(a, b, signature="DD->D", out=out)
+    def fail(err, flag):
+        raise LinAlgError(_LINALG_ERRORS[name])
+
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return getattr(_umath_linalg, name)(*args, **kwargs)
 
 
 def _spectral_stack(m: np.ndarray, d: np.ndarray, omegas: np.ndarray,
@@ -177,18 +183,20 @@ def _spectral_stack(m: np.ndarray, d: np.ndarray, omegas: np.ndarray,
     np.multiply((1j * omegas)[:, None, None], work.eye, out=shift)
     np.add(m, shift, out=lhs)
     np.copyto(dc, d)
-    _solve(lhs, dc, out=x)
+    _linalg("solve", lhs, dc, signature="DD->D", out=x)
     np.subtract(np.matmul(lhs, x, out=prod), dc, out=prod)
     residual = np.abs(prod, out=absval).max(axis=(1, 2))
     scale = 1.0 + np.abs(d, out=absval).max(axis=(-2, -1))
-    failed = residual > _SOLVE_BUDGET * scale * (1.0 + np.abs(x, out=absval).max(axis=(1, 2)))
+    # Written so that a NaN fails it too.
+    failed = ~(residual <= _SOLVE_BUDGET * scale * (1.0 + np.abs(x, out=absval).max(axis=(1, 2))))
     if failed.any():
         k = int(failed.argmax())
         raise NumericalError(
             f"ill-conditioned spectral solve at omega={float(omegas[k])!r}: "
             f"residual {residual[k]:.3e}")
     np.subtract(m, shift, out=lhs)
-    return _solve(lhs, x.transpose(0, 2, 1), out=dc).transpose(0, 2, 1)
+    return _linalg("solve", lhs, x.transpose(0, 2, 1), signature="DD->D",
+                   out=dc).transpose(0, 2, 1)
 
 
 def _quadrature_stack(s: np.ndarray, omegas=None, work: _Workspace | None = None) -> np.ndarray:
@@ -207,7 +215,7 @@ def _quadrature_stack(s: np.ndarray, omegas=None, work: _Workspace | None = None
     scale = 1.0 + np.abs(v, out=absval).max(axis=(1, 2))
     np.subtract(v, np.conjugate(v, out=conj).transpose(0, 2, 1), out=diff)
     residue = np.abs(diff, out=absval).max(axis=(1, 2)) / 2.0
-    failed = residue > _RESIDUE_BUDGET * scale
+    failed = ~(residue <= _RESIDUE_BUDGET * scale)  # NaN fails
     if failed.any():
         k = int(failed.argmax())
         where = "" if omegas is None else f" at omega={float(omegas[k])!r}"
@@ -265,16 +273,24 @@ def _output_stack(m: np.ndarray, d: np.ndarray, rates: np.ndarray,
     return v_out
 
 
-def _require_decaying_at_zero(m: np.ndarray, omegas: np.ndarray) -> None:
-    """Raise ``StabilityError`` if ``omegas`` holds 0 and the drift ``m`` does not decay.
+def _checked_omegas(m: np.ndarray, omegas) -> np.ndarray:
+    """``omegas`` as a float array, checked for spectra on the drift ``m``.
 
-    S(0) = M^-1 D M^-T diverges on a neutral mode, which every converted
-    branch has, and the solve then returns the rounding noise of a pole.
-    Away from omega = 0 the spectra keep their formal evaluation (see
-    ``spectral_matrix``, which applies this gate too).
+    Raises ``ParameterError`` unless ``omegas`` is 1-D and finite, and
+    ``StabilityError`` if it holds 0 and ``m`` does not decay: S(0) =
+    M^-1 D M^-T diverges on a neutral mode, which every converted branch
+    has, and the solve then returns the rounding noise of a pole.  Away
+    from omega = 0 the spectra keep their formal evaluation (see
+    ``spectral_matrix``).
     """
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 1:
+        raise ParameterError(f"omegas must be 1-D, got shape {omegas.shape}")
+    if not np.isfinite(omegas).all():
+        raise ParameterError("omegas must be finite")
     if (omegas == 0.0).any():
         _require_decaying(m, "a spectrum at omega = 0 needs")
+    return omegas
 
 
 def output_spectra(model: FluctuationModel, omegas) -> np.ndarray:
@@ -286,16 +302,11 @@ def output_spectra(model: FluctuationModel, omegas) -> np.ndarray:
     and transforms, evaluated in stacks of at most 64 frequencies.  Each
     guard is applied per frequency and names the first frequency that fails
     it; when both guards fail inside one stack, the solve guard is reported.
-    ``omegas`` must be 1-D and finite.  A grid that holds omega = 0 needs a
-    decaying drift (see ``_require_decaying_at_zero``).  One workspace
-    serves the whole grid.
+    ``omegas`` must be 1-D and finite, and a grid that holds omega = 0
+    needs a decaying drift (see ``_checked_omegas``).  One workspace serves
+    the whole grid.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    if omegas.ndim != 1:
-        raise ParameterError(f"omegas must be 1-D, got shape {omegas.shape}")
-    if not np.isfinite(omegas).all():
-        raise ParameterError("omegas must be finite")
-    _require_decaying_at_zero(model.m, omegas)
+    omegas = _checked_omegas(model.m, omegas)
     n = omegas.size
     return _output_stack(np.broadcast_to(model.m, (n, 12, 12)),
                          np.broadcast_to(model.d, (n, 12, 12)),
@@ -313,12 +324,11 @@ def spectral_matrix(model: FluctuationModel, omega: float) -> np.ndarray:
     upper threshold have growing directions as well, so there the formula
     is evaluated in the same formal sense in which those spectra are
     usually reported; solve quality is guarded by a residual check instead
-    of a stability gate.  At omega = 0 alone the drift must decay (see
-    ``_require_decaying_at_zero``), as in ``output_spectra``.
+    of a stability gate.  ``omega`` is checked as ``output_spectra`` checks
+    its grid (see ``_checked_omegas``): it must be finite, and at omega = 0
+    alone the drift must decay.
     """
-    omegas = np.array([omega], dtype=float)
-    _require_decaying_at_zero(model.m, omegas)
-    return _spectral_stack(model.m, model.d, omegas)[0]
+    return _spectral_stack(model.m, model.d, _checked_omegas(model.m, [omega]))[0]
 
 
 def quadrature_transform(s: np.ndarray) -> np.ndarray:
@@ -436,7 +446,8 @@ def integrated_spectrum(model: FluctuationModel) -> np.ndarray:
     """(1/2pi) Integral of S(omega) over the real line, by quadrature.
 
     Integrates adaptively over [-W, W] (folded onto [0, W] since
-    S(-omega) = S(omega)* at a real operating point) and adds the leading
+    S(-omega) = S(omega)* for real M and D, which it requires, raising
+    ``NumericalError`` otherwise) and adds the leading
     asymptotic tail D / (pi W); the remaining truncation error is O(W^-3).
     With W = 1e3 gamma_a this reproduces the Lyapunov stationary covariance
     to well below 1e-6.  The quadrature is ``_quad_gk21`` with absolute and
@@ -448,8 +459,9 @@ def integrated_spectrum(model: FluctuationModel) -> np.ndarray:
     # near zero; the quadrature would silently miss the divergence.
     _require_decaying(model.m, "spectral integral needs")
     half_width = 1e3 * model.params.gamma_a
-    if np.max(np.abs(model.d.imag)) > 1e-12 * (1.0 + np.max(np.abs(model.d))):
-        raise NumericalError("integrated_spectrum assumes a real diffusion matrix")
+    for name, a in (("diffusion", model.d), ("drift", model.m)):
+        if np.max(np.abs(a.imag)) > 1e-12 * (1.0 + np.max(np.abs(a))):
+            raise NumericalError(f"integrated_spectrum assumes a real {name} matrix")
 
     work = _Workspace(model.m.shape[-1])
 

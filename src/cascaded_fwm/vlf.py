@@ -28,16 +28,21 @@ VlfResult objects are made only where a public function returns them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import LinAlgError
 
 from .errors import ParameterError, PhysicalityError
 from .linearization import FluctuationModel, build_fluctuation_model
-from .params import MODE_LABELS, SystemParams
-from .spectra import QuadratureSpectrum, _output_stack, _require_decaying_at_zero, _Workspace
+from .params import MODE_LABELS, SystemParams, _require_count, _require_positive
+from .spectra import (
+    QuadratureSpectrum,
+    _checked_omegas,
+    _linalg,
+    _output_stack,
+    _Workspace,
+)
 from .steady_state import Branch, state_for_branch
 
 _PSD_TOLERANCE = -1e-9
@@ -215,20 +220,16 @@ def _require_physical(v: np.ndarray):
             ) from None
 
 
-def _raise_lstsq_error(err, flag):
-    raise LinAlgError("SVD did not converge in Linear Least Squares")
-
-
 def _gain_solves(a: np.ndarray, b0: np.ndarray, free: np.ndarray,
                  v: np.ndarray) -> tuple:
     """Optimized values (S) and gains (S, 4) of gain problems on checked spectra.
 
     ``a``, ``b0``, ``free`` are rows of ``_problem_arrays`` and ``v`` a
     stack of spectra; their leading axes broadcast to the shape S, and one
-    call of the gufunc ``_umath_linalg.lstsq``, which ``np.linalg.lstsq``
-    wraps, solves every row.  It runs the same ``dgelsd`` per slice with the
-    same rcond, so every gain and value is bitwise what the per-slice
-    ``lstsq`` gives.
+    call of the gufunc ``lstsq`` that ``np.linalg.lstsq`` wraps (through
+    ``spectra._linalg``) solves every row.  It runs the same ``dgelsd`` per
+    slice with the same rcond, so every gain and value is bitwise what the
+    per-slice ``lstsq`` gives.
     """
     shape = np.broadcast_shapes(a.shape[:-1], v.shape[:-2])
     a, b0, free = (np.broadcast_to(x, (*shape, x.shape[-1])).reshape(-1, x.shape[-1])
@@ -237,10 +238,8 @@ def _gain_solves(a: np.ndarray, b0: np.ndarray, free: np.ndarray,
     rows = np.arange(len(v))[:, None]
     rhs = -(v @ b0[:, :, None])[rows, free, 0]
     blocks = v[rows[:, :, None], free[:, :, None], free[:, None, :]]
-    with np.errstate(call=_raise_lstsq_error, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        gains = _umath_linalg.lstsq(blocks, rhs[:, :, None], _SINGULAR_RCOND,
-                                    signature="ddd->ddid")[0][:, :, 0]
+    gains = _linalg("lstsq", blocks, rhs[:, :, None], _SINGULAR_RCOND,
+                    signature="ddd->ddid")[0][:, :, 0]
     b = b0.copy()
     b[rows, free] = gains
     return _values(a, b, v).reshape(shape), gains.reshape(*shape, 4)
@@ -326,7 +325,7 @@ def _sweep_arrays(model: FluctuationModel, inequalities, omega_grid) -> tuple:
         raise ParameterError(f"omega_grid must be 1-D, got shape {omega_grid.shape}")
     if not (np.isfinite(omega_grid).all() and (omega_grid >= 0.0).all()):
         raise ParameterError("omega_grid values must be finite and >= 0")
-    _require_decaying_at_zero(model.m, omega_grid)
+    _checked_omegas(model.m, omega_grid)
     omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), omega_grid)
     return (omega, omega_norm, *_gain_solves(*_problem_arrays(ineqs), v_out[:, None]))
 
@@ -465,11 +464,8 @@ def minima_over_models(
     lo, hi = float(omega_range[0]), float(omega_range[1])
     if not (0.0 < lo < hi < math.inf):
         raise ParameterError(f"invalid omega_range {omega_range!r}")
-    if not isinstance(coarse_points, numbers.Integral) or coarse_points < 3:
-        raise ParameterError(
-            f"coarse_points must be an integer of at least 3, got {coarse_points!r}")
-    if not (math.isfinite(xtol) and xtol > 0.0):
-        raise ParameterError(f"xtol must be finite and > 0, got {xtol!r}")
+    coarse_points = _require_count("coarse_points", coarse_points, 3)
+    _require_positive("xtol", xtol)
     grid = _omega_grid(lo, hi, coarse_points, scale)
     work = _Workspace()
     scanned, coarse = [], []

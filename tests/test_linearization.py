@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cascaded_fwm import (
     Branch,
     FluctuationModel,
+    NumericalError,
     Regime,
     StabilityError,
     StaleSteadyStateError,
@@ -273,3 +276,12 @@ def test_moments_integral_and_simulation_share_one_decay_gate():
             call(model)
         assert str(info.value) == f"{needs} a decisively decaying drift (margin {margin:.3e})"
         assert info.value.margin == margin
+
+
+def test_a_nan_diffusion_fails_the_lyapunov_residual_guard():
+    # A NaN residual used to pass the "residual > budget" comparison, and
+    # an all-NaN Sigma came back without an error.
+    params = pumped(0.4, 0.8)
+    model = build_fluctuation_model(params, state_for_branch(params, "trivial"))
+    with pytest.raises(NumericalError, match="Lyapunov solve residual nan"):
+        stationary_covariance(replace(model, d=model.d * np.nan))

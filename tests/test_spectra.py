@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -421,3 +423,56 @@ def test_spectral_matrix_at_zero_frequency_on_a_decaying_branch():
     for part in ("real", "imag"):
         a, b = getattr(got, part), getattr(want, part)
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def nan_diffusion_model():
+    params = pumped(0.4, 0.8)
+    model = build_fluctuation_model(params, state_for_branch(params, "trivial"))
+    return replace(model, d=model.d * np.nan)
+
+
+def test_a_nan_diffusion_fails_the_spectral_solve_guard():
+    # A NaN residual used to pass the "residual > budget" comparison, and
+    # both routes returned an all-NaN spectrum without an error.
+    model = nan_diffusion_model()
+    omega = 0.5 * model.params.gamma_a
+    with pytest.raises(NumericalError, match="ill-conditioned spectral solve.*residual nan"):
+        output_spectra(model, [omega])
+    with pytest.raises(NumericalError, match="ill-conditioned spectral solve.*residual nan"):
+        spectral_matrix(model, omega)
+
+
+def test_a_nan_spectrum_fails_the_hermitian_residue_guard():
+    with pytest.raises(BasisConsistencyError, match="not Hermitian: residue nan"):
+        quadrature_transform(np.full((12, 12), np.nan + 0j))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectral_matrix_rejects_a_non_finite_frequency(bad):
+    params = pumped(0.4, 0.8)
+    model = build_fluctuation_model(params, state_for_branch(params, "trivial"))
+    with pytest.raises(ParameterError, match="finite"):
+        spectral_matrix(model, bad)
+
+
+def test_spectral_matrix_at_a_finite_frequency_is_the_unchecked_solve():
+    params = pumped(0.4, 1.2)
+    model = build_fluctuation_model(params, state_for_branch(params, "lower"))
+    for omega in (1e-3, 0.5, 40.0):
+        omega *= params.gamma_a
+        want = _spectral_stack(model.m, model.d, np.array([omega]))[0]
+        got = spectral_matrix(model, omega)
+        for part in ("real", "imag"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_integrated_spectrum_needs_a_real_drift():
+    # The fold S(-omega) = S(omega)* holds only for real M and D: with this
+    # complex drift the folded integral missed the Lyapunov Sigma by 3.45,
+    # its whole imaginary part.
+    params = pumped(0.4, 0.8)
+    model = build_fluctuation_model(params, state_for_branch(params, "trivial"))
+    complex_drift = replace(model, m=(0.05 + 0.02j) * np.eye(12), d=np.eye(12))
+    with pytest.raises(NumericalError, match="assumes a real drift matrix"):
+        integrated_spectrum(complex_drift)

@@ -37,8 +37,13 @@ BISTABLE = RATES + "epsilon_mode = rel_eps_th_prime\nepsilon_ratio = 2.2\n"
 BETWEEN = RATES + "epsilon_mode = rel_eps_th\nepsilon_ratio = 1.2\n"
 BELOW = RATES + "epsilon_mode = rel_eps_th\nepsilon_ratio = 0.8\n"
 # k1 < 2 k2 sqrt(gamma_b / gamma_c): the couplings have no threshold.
-NO_THRESHOLD = (RATES.replace("0.4", "0.6")
+NO_THRESHOLD_RATES = RATES.replace("0.4", "0.6")
+NO_THRESHOLD = (NO_THRESHOLD_RATES
                 + "epsilon_mode = rel_eps_th\nepsilon_ratio = 1.8\nbranch = lower\n")
+# epsilon_mode -> (the pump key it needs, the key it refuses).
+PUMP_KEYS = {"absolute": ("epsilon_abs", "epsilon_ratio"),
+             "rel_eps_th": ("epsilon_ratio", "epsilon_abs"),
+             "rel_eps_th_prime": ("epsilon_ratio", "epsilon_abs")}
 
 # ω = 0 on a linear grid: the trivial branch below threshold decays; the
 # converted lower branch between the thresholds has an exact neutral mode.
@@ -60,6 +65,19 @@ class Case:
     name: str
     args: tuple
     configs: tuple = ()
+
+
+def _pump_spec_error_cases() -> list:
+    """``thresholds`` on each pump-spec error: the needed key missing, the refused key set, < 0."""
+    cases = []
+    for mode, (needed, refused) in PUMP_KEYS.items():
+        head = RATES + f"epsilon_mode = {mode}\n"
+        for label, text in (("missing", head),
+                            ("refused", head + f"{needed} = 1.2\n{refused} = 1.2\n"),
+                            ("negative", head + f"{needed} = -0.5\n")):
+            cases.append(Case(f"error-pump-{mode}-{label}", (*CLI, "thresholds", "run.conf"),
+                              (("run.conf", text),)))
+    return cases
 
 
 def _verb_cases(label: str, text: str) -> list:
@@ -94,7 +112,14 @@ CASES = (
        for points in (64, 65)]
     + [Case(f"{verb}-zero-omega-trivial", (*CLI, verb, "run.conf"), (("run.conf", ZERO_TRIVIAL),))
        for verb in ("spectrum", "vlf-sweep")]
+    # thresholds on couplings without a threshold: eps_th, eps_th_prime and
+    # their ratio print nan, and so does epsilon unless the pump is absolute.
+    + [Case(f"thresholds-no-threshold-{mode}", (*CLI, "thresholds", "run.conf"),
+            (("run.conf", NO_THRESHOLD_RATES + text),))
+       for mode, text in (("relative", "epsilon_mode = rel_eps_th\nepsilon_ratio = 1.8\n"),
+                          ("absolute", "epsilon_mode = absolute\nepsilon_abs = 0.005\n"))]
     # Error paths.
+    + _pump_spec_error_cases()
     + [Case("error-inequalities-key", (*CLI, "vlf-sweep", "run.conf"),
             (("run.conf", BETWEEN + "omega_points = 4\ninequalities = all\n"),)),
        Case("error-pump-sweep-no-threshold", (*CLI, "pump-sweep", "run.conf"),
