@@ -130,6 +130,21 @@ CASES = (
             (("run.conf", BETWEEN + "omega_points = 4\nout = missing/x.csv\n"),))]
     + [Case(f"error-{verb}-zero-omega-lower", (*CLI, verb, "run.conf"), (("run.conf", ZERO_LOWER),))
        for verb in ("spectrum", "vlf-sweep")]
+    # The frequency window, the rates and couplings, and the choice keys.
+    + [Case(f"error-{name}", (*CLI, verb, "run.conf"), (("run.conf", text),))
+       for name, verb, text in (
+           ("omega-min-zero-log", "vlf-sweep", BETWEEN + "omega_min = 0\n"),
+           ("omega-min-negative-linear", "vlf-sweep",
+            BETWEEN + "omega_scale = linear\nomega_min = -0.5\n"),
+           ("omega-min-above-max", "vlf-sweep", BETWEEN + "omega_min = 5\nomega_max = 2\n"),
+           ("pump-sweep-omega-min-zero", "pump-sweep",
+            BETWEEN.replace("1.2", "1.8") + "branch = lower\nomega_scale = linear\n"
+            "omega_min = 0\n"),
+           ("rate-not-positive", "thresholds", BETWEEN.replace("gamma_b = 0.03", "gamma_b = 0")),
+           ("k3-not-k2", "thresholds", BETWEEN.replace("k3 = 0.4", "k3 = 0.5")),
+           ("unknown-epsilon-mode", "thresholds",
+            BETWEEN.replace("rel_eps_th", "rel_eps_squared")),
+           ("unknown-omega-scale", "vlf-sweep", BETWEEN + "omega_scale = sqrt\n"))]
 )
 
 
