@@ -9,16 +9,14 @@ survives a failure).
 
 Each decision is declared once.  ``_OPTIONAL_KEYS`` holds the default and
 the parser of every optional config key, and the known keys derive from it.
-``_PUMP_KEYS`` holds, for each ``epsilon_mode``, the pump key it needs and
-the one it refuses, and drives the one pump-spec path of ``parse_config``;
-only the omega window and k2 == k3 are spelled out there as cross-key
-rules.  ``_VERBS`` maps each verb to its handler
-and help text and drives both the argument parser and the one dispatch in
-``main``; ``_FIGURE_VERBS`` maps each packaged figure to its handler.  Every
-CSV goes through ``_write_csv``.  The rules of the physics stay with the
-library: the branches of a regime come from ``analytic_steady_states``, a
-threshold-relative pump from ``resolve_epsilon``, and the frequency window
-and grid from ``vlf``.
+``parse_config`` only types the values: ``SystemParams``, the pump spec of
+``params`` and the window of ``vlf`` check them, and their error gets the
+line of the key it names.  ``_VERBS`` maps each verb to its handler and
+help text and drives both the argument parser and the one dispatch in
+``main``; ``_FIGURE_VERBS`` maps each packaged figure to its handler.
+Every CSV goes through ``_write_csv``.  The branches of a regime come from
+``analytic_steady_states`` and a threshold-relative pump from
+``resolve_epsilon``.
 
 Exit codes: 0 success, 2 configuration or parameter error (an output file
 that cannot be written included), 3 stability or physicality error, 4
@@ -50,9 +48,11 @@ from .errors import (
 from .linearization import build_fluctuation_model, stability, stationary_covariance
 from .monte_carlo import mc_stationary_covariance
 from .params import (
+    _RATE_KEYS,
     MODE_LABELS,
     Regime,
     SystemParams,
+    _pump_value,
     classify_regime,
     compute_thresholds,
     resolve_epsilon,
@@ -62,14 +62,13 @@ from .steady_state import analytic_steady_states
 from .vlf import (
     _OMEGA_POINTS,
     _OMEGA_WINDOW,
+    _check_window,
     _omega_grid,
     _sweep_arrays,
     build_branch_model,
     inequality_by_label,
     minima_over_models,
 )
-
-_RATE_KEYS = ("gamma_a", "gamma_b", "gamma_c", "k1", "k2", "k3")
 
 # One representative per symmetry class feeds the fixed CSV schema; the
 # class partners are exactly degenerate at the symmetric working point.
@@ -91,7 +90,7 @@ def _fmt_bool(flag: bool) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed, validated run configuration.
+    """A run configuration, its pump spec and window checked on construction.
 
     ``params`` carries the rates and couplings with epsilon still unset;
     the pump is specified separately (absolute, or relative to one of the
@@ -110,6 +109,10 @@ class RunConfig:
     seed: int
     out: str | None
 
+    def __post_init__(self):
+        _pump_value(self.epsilon_mode, self.epsilon_ratio, self.epsilon_abs)
+        _check_window(self.omega_min, self.omega_max, self.omega_scale)
+
     def system(self) -> SystemParams:
         eps = resolve_epsilon(self.params, self.epsilon_mode,
                               self.epsilon_ratio, self.epsilon_abs)
@@ -125,9 +128,9 @@ class RunConfig:
 _COMMENT = re.compile(r"(?<!\S)#")
 
 
-def _parse_lines(text: str) -> dict:
-    """Raw key=value pairs as {key: (line number, value)}."""
-    pairs = {}
+def _parse_lines(text: str) -> tuple:
+    """Raw key=value pairs as {key: value}, and their lines as {key: line number}."""
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
@@ -139,81 +142,66 @@ def _parse_lines(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in pairs:
+        if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} "
-                              f"(first set on line {pairs[key][0]})")
+                              f"(first set on line {lines[key]})")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
-        pairs[key] = (lineno, value)
-    return pairs
+        values[key], lines[key] = value, lineno
+    return values, lines
 
 
-def _require(entries: dict, key: str):
-    entry = entries.get(key)
-    if entry is None:
+def _require(values: dict, key: str) -> str:
+    if key not in values:
         raise ConfigError(f"missing required key {key!r}")
-    return entry
+    return values[key]
 
 
-def _as_float(key: str, entry) -> float:
-    lineno, value = entry
+def _as_float(key: str, value: str) -> float:
     try:
-        parsed = float(value)
+        return float(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be a number, got {value!r}") from None
-    if not math.isfinite(parsed):
-        raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
-    return parsed
-
-
-def _as_positive_float(key: str, entry) -> float:
-    parsed = _as_float(key, entry)
-    if parsed <= 0.0:
-        raise ConfigError(f"line {entry[0]}: {key} must be > 0, got {parsed!r}")
-    return parsed
+        raise ConfigError(f"{key} must be a number, got {value!r}", key=key) from None
 
 
 def _int_at_least(minimum: int):
-    def parse(key: str, entry) -> int:
-        lineno, value = entry
+    def parse(key: str, value: str) -> int:
         try:
             parsed = int(value, 10)
         except ValueError:
-            raise ConfigError(f"line {lineno}: {key} must be an integer, "
-                              f"got {value!r}") from None
+            raise ConfigError(f"{key} must be an integer, got {value!r}", key=key) from None
         if parsed < minimum:
-            raise ConfigError(f"line {lineno}: {key} must be >= {minimum}")
+            raise ConfigError(f"{key} must be >= {minimum}", key=key)
         return parsed
     return parse
 
 
 def _one_of(*choices: str):
-    def parse(key: str, entry) -> str:
-        lineno, value = entry
+    def parse(key: str, value: str) -> str:
         if value not in choices:
-            raise ConfigError(f"line {lineno}: {key} must be one of "
-                              f"{', '.join(choices)}; got {value!r}")
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}; "
+                              f"got {value!r}", key=key)
         return value
     return parse
 
 
-# key -> (default, parser(key, (line number, value))); each is a RunConfig field.
+def _as_text(key: str, value: str) -> str:
+    return value
+
+
+# key -> (default, parser(key, value)); each is a RunConfig field.
 _OPTIONAL_KEYS = {
     "branch": ("auto", _one_of("lower", "upper", "trivial", "auto")),
-    "omega_scale": ("log", _one_of("log", "linear")),
+    "epsilon_ratio": (None, _as_float),
+    "epsilon_abs": (None, _as_float),
+    "omega_scale": ("log", _as_text),
     "omega_min": (_OMEGA_WINDOW[0], _as_float),
     "omega_max": (_OMEGA_WINDOW[1], _as_float),
     "omega_points": (_OMEGA_POINTS, _int_at_least(2)),
     "seed": (12345, _int_at_least(0)),
-    "out": (None, lambda key, entry: entry[1]),
+    "out": (None, _as_text),
 }
-# epsilon_mode -> (the pump key it needs, the key it refuses, what that key needs).
-_PUMP_KEYS = {
-    "absolute": ("epsilon_abs", "epsilon_ratio", "a threshold-relative epsilon_mode"),
-    "rel_eps_th": ("epsilon_ratio", "epsilon_abs", "epsilon_mode=absolute"),
-    "rel_eps_th_prime": ("epsilon_ratio", "epsilon_abs", "epsilon_mode=absolute"),
-}
-_KNOWN_KEYS = {*_RATE_KEYS, "epsilon_mode", "epsilon_ratio", "epsilon_abs", *_OPTIONAL_KEYS}
+_KNOWN_KEYS = {*_RATE_KEYS, "epsilon_mode", *_OPTIONAL_KEYS}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -224,40 +212,17 @@ def parse_config(text: str) -> RunConfig:
     three couplings, and an epsilon specification.  Everything else has
     defaults (branch=auto, log grid 0.01-100 with 400 points, seed 12345).
     """
-    entries = _parse_lines(text)
-
-    rates = {key: _as_positive_float(key, _require(entries, key)) for key in _RATE_KEYS}
-    if rates["k2"] != rates["k3"]:
-        raise ConfigError(
-            f"k3 = {rates['k3']!r} must equal k2 = {rates['k2']!r} exactly: "
-            "only the symmetric cascade (equal second and third couplings) "
-            "is modeled")
-    params = SystemParams(**rates)
-
-    mode = _one_of(*_PUMP_KEYS)("epsilon_mode", _require(entries, "epsilon_mode"))
-    needed, refused, refused_needs = _PUMP_KEYS[mode]
-    if needed not in entries:
-        raise ConfigError(f"epsilon_mode={mode} requires {needed}")
-    if refused in entries:
-        raise ConfigError(f"line {entries[refused][0]}: {refused} is only "
-                          f"valid with {refused_needs}")
-    value = _as_float(needed, entries[needed])
-    if value < 0.0:
-        raise ConfigError(f"line {entries[needed][0]}: {needed} must be >= 0")
-    pump = {refused: None, needed: value}
-
-    optional = {key: default if key not in entries else parse(key, entries[key])
-                for key, (default, parse) in _OPTIONAL_KEYS.items()}
-    min_entry = entries.get("omega_min")
-    if optional["omega_scale"] == "log" and optional["omega_min"] <= 0.0:
-        where = f"line {min_entry[0]}: " if min_entry else ""
-        raise ConfigError(f"{where}omega_min must be > 0 on a log grid")
-    if optional["omega_min"] < 0.0:
-        raise ConfigError(f"line {min_entry[0]}: omega_min must be >= 0")
-    if not optional["omega_min"] < optional["omega_max"]:
-        raise ConfigError("omega_min must be smaller than omega_max")
-
-    return RunConfig(params=params, epsilon_mode=mode, **pump, **optional)
+    values, lines = _parse_lines(text)
+    try:
+        rates = {key: _as_float(key, _require(values, key)) for key in _RATE_KEYS}
+        mode = _require(values, "epsilon_mode")
+        optional = {key: parse(key, values[key]) if key in values else default
+                    for key, (default, parse) in _OPTIONAL_KEYS.items()}
+        return RunConfig(params=SystemParams(**rates), epsilon_mode=mode, **optional)
+    except ParameterError as exc:
+        # The one place an error gets the line of the key it names.
+        line = lines.get(exc.key)
+        raise ConfigError(f"line {line}: {exc}" if line else str(exc)) from None
 
 
 def load_config(path: str) -> RunConfig:
@@ -390,7 +355,7 @@ def cmd_vlf_sweep(config: RunConfig, zero_diffusion: bool = False) -> None:
 
 
 def cmd_pump_sweep(config: RunConfig) -> None:
-    if config.epsilon_mode not in ("rel_eps_th", "rel_eps_th_prime"):
+    if config.epsilon_ratio is None:
         raise ConfigError("pump-sweep requires a threshold-relative "
                           "epsilon_mode; epsilon_ratio sets the sweep endpoint")
     if config.branch not in ("lower", "upper"):
@@ -402,8 +367,6 @@ def cmd_pump_sweep(config: RunConfig) -> None:
     if config.epsilon_ratio <= _PUMP_SWEEP_START:
         raise ConfigError(f"epsilon_ratio must exceed {_PUMP_SWEEP_START} "
                           "(the sweep start)")
-    if config.omega_min <= 0.0:
-        raise ConfigError("pump-sweep needs omega_min > 0")
     ratios = np.geomspace(_PUMP_SWEEP_START, config.epsilon_ratio,
                           _PUMP_SWEEP_POINTS)
     # One lockstep search over every pump point; the models are built one
@@ -516,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _EXIT_CODE_MAP = (
-    ((ConfigError, ParameterError, StaleSteadyStateError), 2),
+    ((ParameterError, StaleSteadyStateError), 2),
     ((StabilityError, PhysicalityError), 3),
     ((NumericalError, BasisConsistencyError, StepSizeError,
       np.linalg.LinAlgError), 4),

@@ -7,10 +7,14 @@ and numerical failures with 4.
 
 
 class ParameterError(ValueError):
-    """A model parameter set violates its constraints."""
+    """A model parameter set violates its constraints; ``key`` names the one at fault."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
-class ConfigError(ValueError):
+class ConfigError(ParameterError):
     """A run configuration (file or derived settings) is invalid."""
 
 

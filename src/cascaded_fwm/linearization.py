@@ -127,7 +127,7 @@ def jacobian_blocks(params: SystemParams, alpha: np.ndarray):
 
 def _require_stationary(params: SystemParams, ss: SteadyState):
     residual = float(np.max(np.abs(drift(params, ss.amplitudes))))
-    if residual > _STALE_RESIDUAL:
+    if not residual <= _STALE_RESIDUAL:  # NaN fails
         raise StaleSteadyStateError(
             f"state is not stationary for these parameters "
             f"(drift residual {residual:.3e} > {_STALE_RESIDUAL:.0e}); "

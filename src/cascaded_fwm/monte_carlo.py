@@ -98,7 +98,7 @@ def factor_diffusion(d: np.ndarray) -> NoiseFactor:
     b = u * np.sqrt(sigma)[None, :]
     residual = float(np.max(np.abs(b @ b.T - d)))
     budget = _FACTOR_BUDGET * (1.0 + float(np.max(np.abs(d))))
-    if residual > budget:
+    if not residual <= budget:  # NaN fails
         raise NumericalError(
             f"diffusion factorization residual {residual:.3e} exceeds {budget:.3e}"
         )
@@ -303,12 +303,14 @@ def estimate_spectrum(
     samples and averages the cross-periodograms
     d t * F(omega) F(-omega)^T / sum(w**2), whose expectation is the
     two-sided spectral matrix in the e^{-i omega t} convention used by the
-    analytic side.  ``skip`` and ``segment_length`` must be integers
-    (``ParameterError`` otherwise).  The ensemble must be long enough that
-    segments span several correlation times; that precondition is the
-    caller's.
+    analytic side.  ``omegas`` must be a scalar or 1-D, and ``skip`` and
+    ``segment_length`` integers (``ParameterError`` otherwise).  The
+    ensemble must be long enough that segments span several correlation
+    times; that precondition is the caller's.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if omegas.ndim != 1:
+        raise ParameterError(f"omegas must be a scalar or 1-D, got shape {omegas.shape}")
     dt = ensemble.dt
     nyquist = np.pi / dt
     if np.isnan(omegas).any():

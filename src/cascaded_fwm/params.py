@@ -11,7 +11,8 @@ fixed mode order
 
 so the canonical indices live here, next to the parameter container.
 The scalar argument checks every module shares (``_require_positive``,
-``_require_count``) live here too, in the base layer.
+``_require_non_negative``, ``_require_count``) live here too, in the base
+layer, and so does the pump-spec rule (``_PUMP_KEYS``, ``_pump_value``).
 
 Units are arbitrary but must be consistent: all rates (dampings,
 pump amplitude, coupling strengths times squared amplitudes) share one
@@ -31,9 +32,15 @@ from .errors import ConfigError, ParameterError
 
 
 def _require_positive(name: str, value) -> None:
-    """Raise ``ParameterError`` unless the scalar ``value`` is finite and > 0."""
+    """Raise ``ParameterError``, keyed by ``name``, unless ``value`` is finite and > 0."""
     if not (math.isfinite(value) and value > 0.0):
-        raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+        raise ParameterError(f"{name} must be finite and > 0, got {value!r}", key=name)
+
+
+def _require_non_negative(name: str, value) -> None:
+    """Raise ``ParameterError``, keyed by ``name``, unless ``value`` is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ParameterError(f"{name} must be finite and >= 0, got {value!r}", key=name)
 
 
 def _require_count(name: str, value, minimum: int, why: str = "") -> int:
@@ -61,6 +68,7 @@ class Mode(enum.IntEnum):
 
 
 MODE_LABELS = ("p2", "p1", "i1", "s1", "i2", "s2")
+_RATE_KEYS = ("gamma_a", "gamma_b", "gamma_c", "k1", "k2", "k3")
 
 # Mode swap that leaves the symmetric working point invariant:
 # p1 <-> p2, s1 <-> i1, s2 <-> i2.
@@ -108,15 +116,12 @@ class SystemParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma_a", "gamma_b", "gamma_c", "k1", "k2", "k3"):
+        for name in _RATE_KEYS:
             _require_positive(name, getattr(self, name))
         if self.k2 != self.k3:
-            raise ParameterError(
-                "the symmetric model requires k2 == k3 exactly, got "
-                f"k2={self.k2!r}, k3={self.k3!r}"
-            )
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+            raise ParameterError("the symmetric model requires k2 == k3 exactly, got "
+                                 f"k2={self.k2!r}, k3={self.k3!r}", key="k3")
+        _require_non_negative("epsilon", self.epsilon)
 
     def damping_rates(self) -> np.ndarray:
         """Per-mode amplitude damping rates in canonical mode order."""
@@ -212,6 +217,29 @@ def classify_regime(params: SystemParams, thresholds: Thresholds | None = None) 
     return Regime.ABOVE_UPPER_THRESHOLD
 
 
+# epsilon_mode -> (the pump value it needs, the one it refuses, what that one needs).
+_PUMP_KEYS = {
+    "absolute": ("epsilon_abs", "epsilon_ratio", "a threshold-relative epsilon_mode"),
+    "rel_eps_th": ("epsilon_ratio", "epsilon_abs", "epsilon_mode=absolute"),
+    "rel_eps_th_prime": ("epsilon_ratio", "epsilon_abs", "epsilon_mode=absolute"),
+}
+
+
+def _pump_value(mode: str, ratio: float | None, absolute: float | None) -> float:
+    """The value ``mode`` needs, ``absolute`` or ``ratio``; the other must be None."""
+    if mode not in _PUMP_KEYS:
+        raise ConfigError(f"epsilon_mode must be one of {', '.join(_PUMP_KEYS)}; "
+                          f"got {mode!r}", key="epsilon_mode")
+    needed, refused, refused_needs = _PUMP_KEYS[mode]
+    values = {"epsilon_abs": absolute, "epsilon_ratio": ratio}
+    if values[needed] is None:
+        raise ConfigError(f"epsilon_mode={mode} requires {needed}")
+    if values[refused] is not None:
+        raise ConfigError(f"{refused} is only valid with {refused_needs}", key=refused)
+    _require_non_negative(needed, values[needed])
+    return float(values[needed])
+
+
 def resolve_epsilon(
     params: SystemParams,
     mode: str,
@@ -220,23 +248,13 @@ def resolve_epsilon(
 ) -> float:
     """Turn a pump specification (absolute or threshold-relative) into a rate.
 
-    ``mode`` is one of ``absolute``, ``rel_eps_th``, ``rel_eps_th_prime``.
-    Relative modes require the thresholds to exist and a ratio >= 0;
-    requesting a threshold-relative pump for couplings without a threshold
-    is a configuration error, not a silent fallback.
+    ``mode`` is a key of ``_PUMP_KEYS``, and ``_pump_value`` checks the spec.
+    A threshold-relative pump for couplings without a threshold is a
+    configuration error, not a silent fallback.
     """
+    value = _pump_value(mode, ratio, absolute)
     if mode == "absolute":
-        if absolute is None:
-            raise ConfigError("epsilon_mode=absolute requires epsilon_abs")
-        if not (math.isfinite(absolute) and absolute >= 0.0):
-            raise ConfigError(f"epsilon_abs must be finite and >= 0, got {absolute!r}")
-        return float(absolute)
-    if mode not in ("rel_eps_th", "rel_eps_th_prime"):
-        raise ConfigError(f"unknown epsilon_mode {mode!r}")
-    if ratio is None:
-        raise ConfigError(f"epsilon_mode={mode} requires epsilon_ratio")
-    if not (math.isfinite(ratio) and ratio >= 0.0):
-        raise ConfigError(f"epsilon_ratio must be finite and >= 0, got {ratio!r}")
+        return value
     thresholds = compute_thresholds(params)
     if not thresholds.has_threshold:
         raise ConfigError(
@@ -244,4 +262,4 @@ def resolve_epsilon(
             "threshold (k1 < 2 k2 sqrt(gamma_b / gamma_c))"
         )
     reference = thresholds.eps_th if mode == "rel_eps_th" else thresholds.eps_th_prime
-    return float(ratio * reference)
+    return float(value * reference)

@@ -23,6 +23,7 @@ Internally every step passes stacked arrays: the checked spectra of
 ``_grid_spectra``, the gain problems of ``_problem_arrays`` and the values
 and gains of ``_gain_solves``, one row per (spectrum, inequality) pair.
 VlfResult objects are made only where a public function returns them.
+``_check_window`` is the one check of a frequency window and its scale.
 """
 
 from __future__ import annotations
@@ -50,15 +51,28 @@ _SINGULAR_RCOND = 1e-12
 # The default analysis window in omega / gamma_a and the default points of a grid on it.
 _OMEGA_WINDOW = (0.01, 100.0)
 _OMEGA_POINTS = 400
+_SCALES = ("log", "linear")
+
+
+def _check_window(lo: float, hi: float, scale: str) -> None:
+    """Raise ``ParameterError``, keyed by the config key at fault, unless ``scale``
+    is in ``_SCALES`` and 0 <= lo < hi < inf, with lo > 0 on a log scale."""
+    if scale not in _SCALES:
+        raise ParameterError(f"omega_scale must be one of {', '.join(_SCALES)}; "
+                             f"got {scale!r}", key="omega_scale")
+    for key, value in (("omega_min", lo), ("omega_max", hi)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{key} must be finite, got {value!r}", key=key)
+    if not (lo > 0.0 or (lo == 0.0 and scale == "linear")):
+        floor = "> 0 on a log grid" if scale == "log" else ">= 0"
+        raise ParameterError(f"omega_min must be {floor}, got {lo!r}", key="omega_min")
+    if not lo < hi:
+        raise ParameterError(f"omega_min must be smaller than omega_max, got {lo!r} >= {hi!r}")
 
 
 def _omega_grid(lo: float, hi: float, points: int, scale: str) -> np.ndarray:
-    """``points`` frequencies from ``lo`` to ``hi`` on a ``log`` or ``linear`` scale."""
-    if scale == "log":
-        return np.geomspace(lo, hi, points)
-    if scale == "linear":
-        return np.linspace(lo, hi, points)
-    raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
+    """``points`` frequencies from ``lo`` to ``hi``; ``_check_window`` passes the window."""
+    return (np.geomspace if scale == "log" else np.linspace)(lo, hi, points)
 
 
 @dataclass(frozen=True)
@@ -320,12 +334,9 @@ def _sweep_arrays(model: FluctuationModel, inequalities, omega_grid) -> tuple:
     ineqs = _resolve_inequalities(inequalities)
     if omega_grid is None:
         omega_grid = _omega_grid(*_OMEGA_WINDOW, _OMEGA_POINTS, "log")
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.ndim != 1:
-        raise ParameterError(f"omega_grid must be 1-D, got shape {omega_grid.shape}")
-    if not (np.isfinite(omega_grid).all() and (omega_grid >= 0.0).all()):
-        raise ParameterError("omega_grid values must be finite and >= 0")
-    _checked_omegas(model.m, omega_grid)
+    omega_grid = _checked_omegas(model.m, omega_grid)
+    if (omega_grid < 0.0).any():
+        raise ParameterError("omega_grid values must be >= 0")
     omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), omega_grid)
     return (omega, omega_norm, *_gain_solves(*_problem_arrays(ineqs), v_out[:, None]))
 
@@ -450,8 +461,8 @@ def minima_over_models(
     section to ``xtol`` in omega / gamma_a, all of them in one lockstep
     with one stacked spectral evaluation per step.  A minimum on the
     window edge is refined within the outermost cell and can land on the
-    edge itself.  The window ``omega_range = (lo, hi)`` must satisfy
-    0 < lo < hi < inf.  ``models`` is any iterable of FluctuationModels, taken
+    edge itself.  The window ``omega_range = (lo, hi)`` must pass
+    ``_check_window`` with lo > 0.  ``models`` is any iterable of FluctuationModels, taken
     one at a time after the arguments are checked.  Returns one list per
     model with one VlfResult per inequality, in the order given; each
     equals what the same call returns for that model and inequality alone.
@@ -462,8 +473,9 @@ def minima_over_models(
     ineqs = _resolve_inequalities(inequalities)
     problems = _problem_arrays(ineqs)
     lo, hi = float(omega_range[0]), float(omega_range[1])
-    if not (0.0 < lo < hi < math.inf):
-        raise ParameterError(f"invalid omega_range {omega_range!r}")
+    _check_window(lo, hi, scale)
+    if lo == 0.0:
+        raise ParameterError("a minimum search needs omega_min > 0", key="omega_min")
     coarse_points = _require_count("coarse_points", coarse_points, 3)
     _require_positive("xtol", xtol)
     grid = _omega_grid(lo, hi, coarse_points, scale)

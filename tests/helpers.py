@@ -67,6 +67,23 @@ def random_params(rng, regime=None):
     return params.with_epsilon(float(eps))
 
 
+REGIMES = ("NoThreshold", "BelowThreshold", "BetweenThresholds", "AboveUpperThreshold")
+
+
+def models_in_every_regime(draws=6, seed=5):
+    """(params, model) on every analytic branch of ``draws`` random points per regime.
+
+    At the defaults that is 30 models, drawn from one generator, regime by regime.
+    """
+    from cascaded_fwm import analytic_steady_states, build_fluctuation_model
+
+    rng = np.random.default_rng(seed)
+    return [(params, build_fluctuation_model(params, state))
+            for regime in REGIMES for params in (random_params(rng, regime)
+                                                 for _ in range(draws))
+            for state in analytic_steady_states(params)]
+
+
 def toy_model(m, d, k2=0.4):
     """FluctuationModel wrapper around an arbitrary small (M, D) pair."""
     from cascaded_fwm import Branch, FluctuationModel, state_for_branch

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from cascaded_fwm import (
     QUADRATURE_LABELS,
     ConfigError,
+    ParameterError,
     build_branch_model,
     inequality_by_label,
     optimize_gains,
@@ -111,11 +113,12 @@ def test_hash_glued_to_a_number_is_a_bad_float(tmp_path, capsys):
     (BASE + "seed = 1\nseed = 2\n", r"line 10: duplicate key 'seed' \(first set on line 9\)"),
     (BASE + "seed =\n", r"line 9: empty value for 'seed'"),
     (BASE + "just words\n", r"line 9: expected key=value"),
-    (BASE.replace("k3 = 0.4", "k3 = 0.5"), r"k3 = 0.5 must equal k2"),
-    (BASE.replace("k1 = 1.0", "k1 = -1.0"), r"k1 must be > 0"),
+    (BASE.replace("k3 = 0.4", "k3 = 0.5"),
+     r"line 6: the symmetric model requires k2 == k3 exactly, got k2=0.4, k3=0.5"),
+    (BASE.replace("k1 = 1.0", "k1 = -1.0"), r"line 4: k1 must be finite and > 0, got -1.0"),
     (BASE.replace("gamma_a = 0.03", "gamma_a = fast"), r"gamma_a must be a number"),
     (BASE.replace("epsilon_ratio = 1.2", "epsilon_ratio = -0.5"),
-     r"epsilon_ratio must be >= 0"),
+     r"line 8: epsilon_ratio must be finite and >= 0, got -0.5"),
     (BASE + "epsilon_abs = 0.01\n",
      r"line 9: epsilon_abs is only valid with epsilon_mode=absolute"),
     (BASE.replace("epsilon_ratio = 1.2", "epsilon_abs = 0.01"),
@@ -137,6 +140,31 @@ def test_hash_glued_to_a_number_is_a_bad_float(tmp_path, capsys):
 def test_config_errors(text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    (BASE.replace("gamma_b = 0.03", "gamma_b = 0"),
+     "line 2: gamma_b must be finite and > 0, got 0.0"),
+    (BASE.replace("epsilon_mode = rel_eps_th", "epsilon_mode = squared"),
+     "line 7: epsilon_mode must be one of absolute, rel_eps_th, rel_eps_th_prime; got 'squared'"),
+    (BASE + "omega_scale = sqrt\n", "line 9: omega_scale must be one of log, linear; got 'sqrt'"),
+    (BASE + "omega_scale = linear\nomega_min = -0.5\n",
+     "line 10: omega_min must be >= 0, got -0.5"),
+    # The default omega_min has no line.
+    (BASE + "omega_max = 0.005\n", "omega_min must be smaller than omega_max, got 0.01 >= 0.005"),
+])
+def test_library_rules_are_reported_at_the_line_of_their_key(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
+def test_run_config_checks_its_pump_spec_and_window():
+    config = parse_config(BASE)
+    with pytest.raises(ConfigError, match="epsilon_abs is only valid with epsilon_mode=absolute"):
+        replace(config, epsilon_abs=0.1)
+    with pytest.raises(ParameterError, match="omega_min must be > 0 on a log grid"):
+        replace(config, omega_min=0.0)
 
 
 def test_absolute_epsilon_mode():
@@ -347,13 +375,13 @@ def test_pump_sweep_validation(tmp_path, capsys, mutate, message):
 
 def test_pump_sweep_needs_a_positive_omega_min(tmp_path, capsys, monkeypatch):
     # A linear grid may start at 0 for vlf-sweep (on a decaying branch); the
-    # pump sweep's minimum search may not, and says so in its own words.
+    # pump sweep's minimum search may not, and the search says so.
     monkeypatch.chdir(tmp_path)
     grid = "omega_scale = linear\nomega_min = 0\nomega_points = 8\n"
     text = BASE.replace("epsilon_ratio = 1.2", "epsilon_ratio = 1.8") + "branch = lower\n" + grid
     cfg = write_config(tmp_path, text)
     assert main(["pump-sweep", cfg]) == 2
-    assert capsys.readouterr().err == "error: pump-sweep needs omega_min > 0\n"
+    assert capsys.readouterr().err == "error: a minimum search needs omega_min > 0\n"
     assert not (tmp_path / "pump_sweep.csv").exists()
     below = write_config(tmp_path, BASE.replace("epsilon_ratio = 1.2", "epsilon_ratio = 0.8")
                          + "branch = trivial\n" + grid, name="below.conf")

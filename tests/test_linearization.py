@@ -158,6 +158,16 @@ def test_stale_steady_state_rejected():
         build_diffusion_matrix(changed, state)
 
 
+def test_a_nan_drift_residual_fails_the_stationarity_guard():
+    # At amplitudes of 1e103 the drift overflows to inf - inf = NaN, which
+    # used to pass the "residual > budget" comparison and give a finite M, D.
+    params = pumped(0.4, 1.2)
+    state = replace(state_for_branch(params, Branch.LOWER), amplitudes=np.full(6, 1e103))
+    for build in (build_drift_matrix, build_diffusion_matrix, build_fluctuation_model):
+        with pytest.raises(StaleSteadyStateError, match="drift residual nan"):
+            build(params, state)
+
+
 def test_stability_of_diagonal_matrix():
     report = stability(np.diag([0.01, 0.02, 0.03]))
     assert report.stable and not report.indeterminate

@@ -214,6 +214,18 @@ def test_estimate_spectrum_rejects_a_nan_frequency():
             estimate_spectrum(ens, [0.1, np.nan], segment_length=256)
 
 
+def test_estimate_spectrum_takes_a_scalar_or_a_vector_of_frequencies():
+    # [[0.1]] used to come back as values of shape (1, 1, 12, 12).
+    ens = simulate_ou(below_threshold_model(), steps=1024, n_paths=2, seed=3)
+    for bad in ([[0.1]], np.zeros((2, 1))):
+        with pytest.raises(ParameterError, match="scalar or 1-D"):
+            estimate_spectrum(ens, bad, segment_length=256)
+    scalar = estimate_spectrum(ens, 0.1, segment_length=256)
+    vector = estimate_spectrum(ens, [0.1], segment_length=256)
+    assert scalar.values.shape == (1, 12, 12)
+    assert np.array_equal(scalar.values, vector.values)
+
+
 def test_estimate_spectrum_rejects_a_negative_skip():
     # As a slice start, skip=-512 kept only the last 512 samples of each path.
     ens = simulate_ou(below_threshold_model(), steps=1024, n_paths=2, seed=3)

@@ -140,6 +140,35 @@ def test_resolve_epsilon_modes():
         resolve_epsilon(make_params(0.6), "rel_eps_th", ratio=1.2)
 
 
+@pytest.mark.parametrize("mode, ratio, absolute, error, key", [
+    # The refused value used to be ignored: 0.1 came back.
+    ("absolute", 1.0, 0.1, ConfigError, "epsilon_ratio"),
+    ("rel_eps_th", 1.2, 0.1, ConfigError, "epsilon_abs"),
+    ("rel_eps_th", -0.5, None, ParameterError, "epsilon_ratio"),
+    ("absolute", None, float("inf"), ParameterError, "epsilon_abs"),
+    ("squared", 1.0, None, ConfigError, "epsilon_mode"),
+])
+def test_resolve_epsilon_names_the_key_at_fault(mode, ratio, absolute, error, key):
+    with pytest.raises(error) as info:
+        resolve_epsilon(make_params(0.4), mode, ratio=ratio, absolute=absolute)
+    assert info.value.key == key
+
+
+def test_parameter_errors_name_the_parameter_at_fault():
+    with pytest.raises(ParameterError) as info:
+        make_params(0.4, gamma=0.0)
+    assert info.value.key == "gamma_a"
+    assert str(info.value) == "gamma_a must be finite and > 0, got 0.0"
+    with pytest.raises(ParameterError) as info:
+        make_params(0.4, epsilon=math.nan)
+    assert info.value.key == "epsilon"
+    assert str(info.value) == "epsilon must be finite and >= 0, got nan"
+    with pytest.raises(ParameterError) as info:
+        make_params(0.4).__class__(gamma_a=0.03, gamma_b=0.03, gamma_c=0.03,
+                                   k1=1.0, k2=0.4, k3=0.41)
+    assert info.value.key == "k3"
+
+
 def test_mode_bookkeeping():
     assert MODE_LABELS == ("p2", "p1", "i1", "s1", "i2", "s2")
     perm = np.array(SWAP_PERMUTATION)

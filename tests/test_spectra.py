@@ -23,10 +23,7 @@ from cascaded_fwm import (
     stationary_covariance,
 )
 from cascaded_fwm.spectra import _T, _output_stack, _spectral_stack, _Workspace
-from helpers import pumped, random_params, spectrum_at, toy_model
-
-REGIMES = ("NoThreshold", "BelowThreshold", "BetweenThresholds",
-           "AboveUpperThreshold")
+from helpers import REGIMES, models_in_every_regime, pumped, random_params, spectrum_at, toy_model
 
 
 def test_scalar_lorentzian():
@@ -125,6 +122,31 @@ def test_mode_swap_invariance():
     for omega_norm in (0.05, 0.7, 12.0):
         v = spectrum_at(model, omega_norm).v_out
         assert np.max(np.abs(v[np.ix_(perm, perm)] - v)) < 1e-10
+
+
+# Worst cases over the 30 models of ``models_in_every_regime`` on a 64-point
+# grid, relative to max|v_out|: 8.0e-16 for the swap, 3.0e-16 for the X/Y
+# cross blocks (exactly zero at real amplitudes).  The bounds allow >= 12x.
+def test_swap_invariance_and_xy_decoupling_in_every_regime():
+    perm = np.concatenate([SWAP_PERMUTATION, 6 + np.array(SWAP_PERMUTATION)])
+    grid = np.geomspace(0.01, 100.0, 64)
+    for params, model in models_in_every_regime():
+        v = output_spectra(model, grid * params.gamma_a)
+        scale = np.abs(v).max()
+        assert np.abs(v[:, perm][:, :, perm] - v).max() <= 1e-14 * scale
+        assert np.abs(v[:, :6, 6:]).max() <= 5e-15 * scale
+        assert np.abs(v[:, 6:, :6]).max() <= 5e-15 * scale
+
+
+def test_shot_noise_limit_in_every_regime():
+    # Far above every rate the spectra fall to shot noise as 1 / omega^2:
+    # |v_out - I| <= c * 8 max(gamma) max|D| / omega^2, with c <= 0.51
+    # measured over the same 30 models; the test allows c = 1.
+    for params, model in models_in_every_regime():
+        omegas = np.array([1e3, 1e4, 1e5]) * params.gamma_a
+        v = output_spectra(model, omegas)
+        bound = 8.0 * params.damping_rates().max() * np.abs(model.d).max() / omegas**2
+        assert np.all(np.abs(v - np.eye(12)).max(axis=(1, 2)) <= bound)
 
 
 def test_linear_combination_consistency():
