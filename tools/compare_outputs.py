@@ -36,6 +36,8 @@ k3 = 0.4
 BISTABLE = RATES + "epsilon_mode = rel_eps_th_prime\nepsilon_ratio = 2.2\n"
 BETWEEN = RATES + "epsilon_mode = rel_eps_th\nepsilon_ratio = 1.2\n"
 BELOW = RATES + "epsilon_mode = rel_eps_th\nepsilon_ratio = 0.8\n"
+# k1 = 2 k2 sqrt(gamma_b / gamma_c): the two thresholds coincide.
+COINCIDENT = RATES.replace("0.4", "0.5")
 # k1 < 2 k2 sqrt(gamma_b / gamma_c): the couplings have no threshold.
 NO_THRESHOLD_RATES = RATES.replace("0.4", "0.6")
 NO_THRESHOLD = (NO_THRESHOLD_RATES
@@ -144,7 +146,19 @@ CASES = (
            ("k3-not-k2", "thresholds", BETWEEN.replace("k3 = 0.4", "k3 = 0.5")),
            ("unknown-epsilon-mode", "thresholds",
             BETWEEN.replace("rel_eps_th", "rel_eps_squared")),
-           ("unknown-omega-scale", "vlf-sweep", BETWEEN + "omega_scale = sqrt\n"))]
+           ("unknown-omega-scale", "vlf-sweep", BETWEEN + "omega_scale = sqrt\n"),
+           ("unknown-branch", "vlf-sweep", BETWEEN + "omega_points = 4\nbranch = middle\n"))]
+    # pump-sweep's branch: each one the regime at the first pump lacks, and auto.
+    + [Case(f"error-pump-sweep-{name}", (*CLI, "pump-sweep", "run.conf"),
+            (("run.conf", BETWEEN.replace("1.2", "1.8") + branch),))
+       for name, branch in (("trivial", "branch = trivial\n"), ("auto", ""),
+                            ("upper-rel-eps-th", "branch = upper\n"))]
+    # Coincident thresholds: the upper branch exists from the first pump on,
+    # whichever threshold the pump is measured against.
+    + [Case(f"pump-sweep-coincident-upper-{mode}", (*CLI, "pump-sweep", "run.conf"),
+            (("run.conf", COINCIDENT + f"epsilon_mode = {mode}\nepsilon_ratio = 3\n"
+              "branch = upper\n"),))
+       for mode in ("rel_eps_th", "rel_eps_th_prime")]
 )
 
 
