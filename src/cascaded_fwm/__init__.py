@@ -17,7 +17,8 @@ CLI turns the standard parameter sets into CSV data files.
 Importing the package, its CLI included, loads numpy alone.  The relaxation
 oracle (``relax_to_steady_state``, ``RelaxationResult``,
 ``sample_initial_conditions``, ``basin_statistics``) needs scipy; the module
-``__getattr__`` (PEP 562) imports it with ``relaxation`` on first access.
+``__getattr__`` (PEP 562) reads those names from ``steady_state``, whose own
+``__getattr__`` imports ``relaxation``, and with it scipy, on first access.
 """
 
 from types import ModuleType as _ModuleType
@@ -35,8 +36,6 @@ from .errors import (
 from .linearization import (
     FluctuationModel,
     StabilityReport,
-    build_diffusion_matrix,
-    build_drift_matrix,
     build_fluctuation_model,
     jacobian_blocks,
     stability,
@@ -101,9 +100,9 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     if name in _RELAXATION_NAMES:
-        from . import relaxation
+        from . import steady_state
 
-        return getattr(relaxation, name)
+        return getattr(steady_state, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -14,9 +14,10 @@ the parser of every optional config key, and the known keys derive from it.
 line of the key it names.  ``_VERBS`` maps each verb to its handler and
 help text and drives both the argument parser and the one dispatch in
 ``main``; ``_FIGURE_VERBS`` maps each packaged figure to its handler.
-Every CSV goes through ``_write_csv``.  The branches of a regime come from
-``analytic_steady_states`` and a threshold-relative pump from
-``resolve_epsilon``.
+Every CSV goes through ``_write_csv``.  The CLI names no branch, pump mode
+or witness: ``Branch`` lists the branches (``auto`` is the CLI's own),
+``state_for_branch`` refuses one a regime lacks, ``resolve_epsilon`` owns
+the pump modes and ``SYMMETRY_CLASSES`` gives the witness columns.
 
 Exit codes: 0 success, 2 configuration or parameter error (an output file
 that cannot be written included), 3 stability or physicality error, 4
@@ -58,22 +59,24 @@ from .params import (
     resolve_epsilon,
 )
 from .spectra import QUADRATURE_LABELS, integrated_spectrum, output_spectra
-from .steady_state import analytic_steady_states
+from .steady_state import Branch, analytic_steady_states
 from .vlf import (
     _OMEGA_POINTS,
     _OMEGA_WINDOW,
+    SYMMETRY_CLASSES,
     _check_window,
     _omega_grid,
     _sweep_arrays,
     build_branch_model,
-    inequality_by_label,
+    class_members,
     minima_over_models,
 )
 
-# One representative per symmetry class feeds the fixed CSV schema; the
-# class partners are exactly degenerate at the symmetric working point.
-_CLASS_REPRESENTATIVES = (("A", "s1-i1"), ("B", "p1+s1"), ("C", "i2-p1"))
-_REPRESENTATIVES = tuple(label for _, label in _CLASS_REPRESENTATIVES)
+# One representative per symmetry class, its first member, feeds the fixed
+# CSV schema; the class partners are exactly degenerate at the symmetric
+# working point.
+_REPRESENTATIVES = tuple(class_members(c)[0] for c in SYMMETRY_CLASSES)
+_VALUE_COLUMNS = tuple(f"V_{c}" for c in SYMMETRY_CLASSES)
 
 _MC_PATHS = 64
 _PUMP_SWEEP_POINTS = 21
@@ -191,7 +194,7 @@ def _as_text(key: str, value: str) -> str:
 
 # key -> (default, parser(key, value)); each is a RunConfig field.
 _OPTIONAL_KEYS = {
-    "branch": ("auto", _one_of("lower", "upper", "trivial", "auto")),
+    "branch": ("auto", _one_of(*(b.value for b in Branch), "auto")),
     "epsilon_ratio": (None, _as_float),
     "epsilon_abs": (None, _as_float),
     "omega_scale": ("log", _as_text),
@@ -297,7 +300,7 @@ def cmd_thresholds(config: RunConfig) -> None:
     print(f"eps_th_prime={_fmt(hi)}")
     print(f"threshold_ratio={_fmt(hi / lo)}")
     print(f"has_threshold={_fmt_bool(thresholds.has_threshold)}")
-    if thresholds.has_threshold or config.epsilon_mode == "absolute":
+    if thresholds.has_threshold or config.epsilon_ratio is None:
         system = config.system()
         epsilon, regime = system.epsilon, classify_regime(system, thresholds)
     else:
@@ -336,10 +339,9 @@ def cmd_spectrum(config: RunConfig) -> None:
 
 
 def _vlf_header() -> list:
-    cols = ["omega_norm", "V_A", "V_B", "V_C"]
-    for cls, label in _CLASS_REPRESENTATIVES:
-        ineq = inequality_by_label(label)
-        cols.extend(f"g{cls}_{mode}" for mode in ineq.free_mode_labels())
+    cols = ["omega_norm", *_VALUE_COLUMNS]
+    for ineq in _REPRESENTATIVES:
+        cols.extend(f"g{ineq.symmetry_class}_{mode}" for mode in ineq.free_mode_labels())
     return cols
 
 
@@ -358,19 +360,16 @@ def cmd_pump_sweep(config: RunConfig) -> None:
     if config.epsilon_ratio is None:
         raise ConfigError("pump-sweep requires a threshold-relative "
                           "epsilon_mode; epsilon_ratio sets the sweep endpoint")
-    if config.branch not in ("lower", "upper"):
-        raise ConfigError("pump-sweep requires branch=lower or branch=upper")
-    if config.branch == "upper" and config.epsilon_mode != "rel_eps_th_prime":
-        raise ConfigError("pump-sweep on the upper branch requires "
-                          "epsilon_mode=rel_eps_th_prime (the branch only "
-                          "exists above the upper threshold)")
+    if config.branch == "auto":
+        raise ConfigError("pump-sweep follows one branch; name it instead of branch=auto")
     if config.epsilon_ratio <= _PUMP_SWEEP_START:
         raise ConfigError(f"epsilon_ratio must exceed {_PUMP_SWEEP_START} "
                           "(the sweep start)")
     ratios = np.geomspace(_PUMP_SWEEP_START, config.epsilon_ratio,
                           _PUMP_SWEEP_POINTS)
     # One lockstep search over every pump point; the models are built one
-    # at a time as the search scans them.
+    # at a time as the search scans them, and the first refuses a branch
+    # its regime lacks.
     models = (build_branch_model(config.params.with_epsilon(
                   resolve_epsilon(config.params, config.epsilon_mode, float(ratio))),
                   config.branch)
@@ -378,7 +377,7 @@ def cmd_pump_sweep(config: RunConfig) -> None:
     minima = minima_over_models(models, _REPRESENTATIVES,
                                 omega_range=(config.omega_min, config.omega_max),
                                 scale=config.omega_scale)
-    _write_csv(config.out or "pump_sweep.csv", ("eps_ratio", "V_A", "V_B", "V_C"),
+    _write_csv(config.out or "pump_sweep.csv", ("eps_ratio", *_VALUE_COLUMNS),
                ([ratio, *(r.value for r in results)] for ratio, results in zip(ratios, minima)))
 
 

@@ -8,7 +8,9 @@ Langevin system for the stacked fluctuation vector
 
 with M the negative Jacobian of the doubled drift and D the diffusion
 matrix of the P-representation Fokker-Planck equation.  At the real
-amplitudes of a ``SteadyState`` both are real, and built as float64:
+amplitudes of a ``SteadyState`` both are real, and
+``build_fluctuation_model`` builds them as float64, behind one check that
+the state is stationary:
 
     M = [[m1, m2], [m2, m1]],    D = [[d, 0], [0, d]].
 
@@ -135,25 +137,18 @@ def _require_stationary(params: SystemParams, ss: SteadyState):
         )
 
 
-def build_drift_matrix(params: SystemParams, ss: SteadyState) -> np.ndarray:
-    """12x12 float64 drift matrix M = [[m1, m2], [m2, m1]] at a stationary point.
+def build_fluctuation_model(params: SystemParams, ss: SteadyState) -> FluctuationModel:
+    """M and D at one stationary point, float64 as the amplitudes are real.
 
-    m1 and m2 are the analytic Jacobian blocks, real at the real amplitudes
-    of a ``SteadyState``.
+    Raises ``StaleSteadyStateError`` unless ``ss`` is stationary for
+    ``params``.  M = [[m1, m2], [m2, m1]] holds the analytic Jacobian
+    blocks.  D = [[d, 0], [0, d]], where the 6x6 block d collects the
+    second-derivative coefficients of the Fokker-Planck equation; its only
+    nonzero entries sit on the mode pairs created or annihilated together
+    by one of the three processes.
     """
     _require_stationary(params, ss)
     m1, m2 = (block.real for block in jacobian_blocks(params, ss.amplitudes))
-    return np.block([[m1, m2], [m2, m1]])
-
-
-def build_diffusion_matrix(params: SystemParams, ss: SteadyState) -> np.ndarray:
-    """12x12 float64 diffusion matrix D = [[d, 0], [0, d]] at a stationary point.
-
-    The 6x6 block d collects the second-derivative coefficients of the
-    Fokker-Planck equation; its only nonzero entries sit on the mode pairs
-    created or annihilated together by one of the three processes.
-    """
-    _require_stationary(params, ss)
     p2, p1, i1, s1, i2, s2 = ss.amplitudes
     k1, k2, k3 = params.k1, params.k2, params.k3
 
@@ -167,17 +162,9 @@ def build_diffusion_matrix(params: SystemParams, ss: SteadyState) -> np.ndarray:
     d = d + d.T
 
     zero = np.zeros((6, 6))
-    return np.block([[d, zero], [zero, d]])
-
-
-def build_fluctuation_model(params: SystemParams, ss: SteadyState) -> FluctuationModel:
-    """Bundle M and D for one operating point."""
-    return FluctuationModel(
-        params=params,
-        steady_state=ss,
-        m=build_drift_matrix(params, ss),
-        d=build_diffusion_matrix(params, ss),
-    )
+    return FluctuationModel(params=params, steady_state=ss,
+                            m=np.block([[m1, m2], [m2, m1]]),
+                            d=np.block([[d, zero], [zero, d]]))
 
 
 def stability(m: np.ndarray) -> StabilityReport:

@@ -13,8 +13,13 @@ delta_alpha*) components are not pointwise conjugate; that is a
 representation feature, and every comparison made here depends on B only
 through B B^T.
 
+``_checked_step`` gates ``default_step`` and every simulation: the drift
+must decisively decay, and the step (0.01 / max|Re eig(M)| by default) must
+resolve its fastest eigenvalue.
+
 Paths own deterministic random streams derived from (seed, path index), so
-ensembles are reproducible and embarrassingly parallel in structure.  The
+ensembles are reproducible and embarrassingly parallel in structure; the
+caller names the path count and the seed.  The
 stepper works in chunks of 256 steps.  A helper thread draws every path's
 normals one chunk ahead, into the second of two buffers, while the calling
 thread steps the chunk before; numpy's generators release the GIL while
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, StepSizeError
-from .linearization import FluctuationModel, StabilityReport, _require_decaying, stability
+from .linearization import FluctuationModel, _require_decaying
 from .params import _require_count
 
 _FACTOR_BUDGET = 1e-10
@@ -115,24 +120,24 @@ class TrajectoryEnsemble:
     count: int
 
 
-def _default_step(report: StabilityReport) -> float:
-    return 0.01 / float(np.max(np.abs(report.eigenvalues.real)))
-
-
 def default_step(model: FluctuationModel) -> float:
-    """Default Euler-Maruyama step, 0.01 / max|Re eig(M)|."""
-    return _default_step(stability(model.m))
+    """Default Euler-Maruyama step, 0.01 / max|Re eig(M)|.
+
+    It passes the gate of every simulation: a drift that does not
+    decisively decay raises ``StabilityError``.
+    """
+    return _checked_step(model, None)[1]
 
 
 def _checked_step(model: FluctuationModel, dt: float | None):
     """The one stability report of a simulation and its checked step.
 
     Requires a decisively decaying drift and dt * max|eig(M)| < 0.1;
-    ``dt=None`` takes the default step.
+    ``dt=None`` takes the default step, 0.01 / max|Re eig(M)|.
     """
     report = _require_decaying(model.m, "will not simulate without")
     if dt is None:
-        dt = _default_step(report)
+        dt = 0.01 / float(np.max(np.abs(report.eigenvalues.real)))
     fastest = float(np.max(np.abs(report.eigenvalues)))
     # Written so that a NaN step fails it too.
     if not (0.0 < dt and dt * fastest < _STEP_LIMIT):
@@ -363,7 +368,7 @@ def estimate_spectrum(
     )
 
 
-def mc_stationary_covariance(model: FluctuationModel, n_paths: int = 64, seed: int = 0):
+def mc_stationary_covariance(model: FluctuationModel, n_paths: int, seed: int):
     """Monte-Carlo estimate of the stationary moments <delta delta^T>.
 
     Integrates at the default step and takes per-path time averages over

@@ -14,6 +14,9 @@ For the converted branches the daughter amplitudes follow from
     A_b = sqrt((eps - gamma_a A_a) / (k1 A_a)),
     A_c = k2 A_a**2 A_b / gamma_c.
 
+``Branch`` is the one list of branch names, which the CLI's ``branch`` key
+reads, and ``state_for_branch`` the one refusal of a branch a regime lacks.
+
 ``drift`` evaluates one scalar drift kernel in Python ``complex``
 arithmetic, built once per call.  It does the same IEEE operations as
 numpy's complex128 scalars, so it equals an ndarray drift bit for bit
@@ -177,7 +180,8 @@ def analytic_steady_states(params: SystemParams) -> list[SteadyState]:
         Below threshold (or without one): the trivial pumps-only solution.
         Between the thresholds: the single converted branch.
         Above the upper threshold: the lower and upper branches, in that
-        order.  Each branch computes A_b, A_c from its own A_a.
+        order, which is ascending A_a.  Each branch computes A_b, A_c from
+        its own A_a.
     """
     thresholds = compute_thresholds(params)
     regime = classify_regime(params, thresholds)
@@ -221,11 +225,11 @@ def _match_branch(params: SystemParams, endpoint: np.ndarray, match_radius: floa
 
     The branch is None unless the distance is within ``match_radius``.
     """
-    candidates = sorted(analytic_steady_states(params), key=lambda s: s.a_a)
     moduli = np.abs(endpoint)
     best = None
     best_dist = math.inf
-    for cand in candidates:  # sorted by A_a, so ties resolve to the smaller
+    # The branches come in ascending A_a, so ties resolve to the smaller.
+    for cand in analytic_steady_states(params):
         dist = float(np.max(np.abs(moduli - cand.amplitudes)))
         if dist < best_dist:
             best, best_dist = cand, dist

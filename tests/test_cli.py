@@ -356,12 +356,15 @@ def test_pump_sweep_verb(tmp_path, capsys, monkeypatch):
     (lambda t: t.replace("epsilon_mode = rel_eps_th", "epsilon_mode = absolute")
                .replace("epsilon_ratio = 1.8", "epsilon_abs = 0.01"),
      "threshold-relative"),
+    # A branch the regime lacks at the first pump, 1.05 eps_th, is refused
+    # by the library, whichever threshold the pump refers to.
     (lambda t: t.replace("branch = lower", "branch = trivial"),
-     "branch=lower or branch=upper"),
+     "branch 'trivial' does not exist in regime BetweenThresholds (available: lower)"),
+    (lambda t: t.replace("branch = lower\n", ""), "instead of branch=auto"),
     (lambda t: t.replace("epsilon_ratio = 1.8", "epsilon_ratio = 1.01"),
      "must exceed 1.05"),
     (lambda t: t.replace("branch = lower", "branch = upper"),
-     "requires epsilon_mode=rel_eps_th_prime"),
+     "branch 'upper' does not exist in regime BetweenThresholds (available: lower)"),
     # k1 < 2 k2 sqrt(gamma_b / gamma_c): no threshold to scale the pump by.
     (lambda t: t.replace("k2 = 0.4", "k2 = 0.6").replace("k3 = 0.4", "k3 = 0.6"),
      "threshold-relative pump requested but these couplings have no threshold"),
@@ -371,6 +374,22 @@ def test_pump_sweep_validation(tmp_path, capsys, mutate, message):
     cfg = write_config(tmp_path, mutate(base))
     assert main(["pump-sweep", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_coincident_upper_pump_sweep_runs_under_either_threshold(tmp_path, capsys,
+                                                                monkeypatch):
+    # At k2 = k3 = 0.5 the thresholds coincide, so rel_eps_th and
+    # rel_eps_th_prime give the same pumps, and the upper branch exists at
+    # all of them.
+    monkeypatch.chdir(tmp_path)
+    base = BASE.replace("0.4", "0.5").replace("epsilon_ratio = 1.2", "epsilon_ratio = 3")
+    tables = []
+    for mode in ("rel_eps_th", "rel_eps_th_prime"):
+        text = base.replace("rel_eps_th", mode) + f"branch = upper\nout = {mode}.csv\n"
+        assert main(["pump-sweep", write_config(tmp_path, text)]) == 0
+        tables.append((tmp_path / f"{mode}.csv").read_bytes())
+    assert capsys.readouterr().err == ""
+    assert tables[0] == tables[1]
 
 
 def test_pump_sweep_needs_a_positive_omega_min(tmp_path, capsys, monkeypatch):

@@ -11,8 +11,6 @@ from cascaded_fwm import (
     StabilityError,
     StaleSteadyStateError,
     analytic_steady_states,
-    build_diffusion_matrix,
-    build_drift_matrix,
     build_fluctuation_model,
     classify_regime,
     drift,
@@ -23,6 +21,7 @@ from cascaded_fwm import (
     state_for_branch,
     stationary_covariance,
 )
+from cascaded_fwm import linearization
 from helpers import make_params, pumped, random_params, reference_drift_blocks
 
 
@@ -58,7 +57,7 @@ def test_drift_matrix_matches_finite_differences():
         cases.append(random_params(rng, regime="BetweenThresholds"))
     for params in cases:
         for state in analytic_steady_states(params):
-            m = build_drift_matrix(params, state)
+            m = build_fluctuation_model(params, state).m
             fd = finite_difference_drift_matrix(params, state.amplitudes)
             assert np.max(np.abs(m - fd)) < 1e-6
 
@@ -71,7 +70,7 @@ def test_drift_matrix_matches_finite_differences_in_every_regime():
         for _ in range(5):
             params = random_params(rng, regime)
             for state in analytic_steady_states(params):
-                m = build_drift_matrix(params, state)
+                m = build_fluctuation_model(params, state).m
                 fd = finite_difference_drift_matrix(params, state.amplitudes)
                 bound = 1e-6 * max(1.0, np.max(np.abs(m)))
                 assert np.max(np.abs(m - fd)) < bound, (regime, params, state.branch)
@@ -128,7 +127,7 @@ def test_diffusion_entries_independent_transcription():
     # Entry-by-entry recomputation of the nonzero diffusion block.
     params = pumped(0.4, 1.2)
     state = state_for_branch(params, Branch.LOWER)
-    d = build_diffusion_matrix(params, state)[:6, :6]
+    d = build_fluctuation_model(params, state).d[:6, :6]
     aa, ab, ac = state.a_a, state.a_b, state.a_c
     k1, k2 = params.k1, params.k2
     expected = np.zeros((6, 6))
@@ -144,8 +143,7 @@ def test_diffusion_entries_independent_transcription():
 def test_diffusion_zero_at_zero_amplitudes():
     params = make_params(0.4, epsilon=0.0)
     state = state_for_branch(params, Branch.TRIVIAL)
-    assert np.array_equal(build_diffusion_matrix(params, state),
-                          np.zeros((12, 12)))
+    assert np.array_equal(build_fluctuation_model(params, state).d, np.zeros((12, 12)))
 
 
 def test_stale_steady_state_rejected():
@@ -153,9 +151,17 @@ def test_stale_steady_state_rejected():
     state = state_for_branch(params, Branch.LOWER)
     changed = params.with_epsilon(params.epsilon * 1.5)
     with pytest.raises(StaleSteadyStateError):
-        build_drift_matrix(changed, state)
-    with pytest.raises(StaleSteadyStateError):
-        build_diffusion_matrix(changed, state)
+        build_fluctuation_model(changed, state)
+
+
+def test_one_model_build_evaluates_the_drift_once(monkeypatch):
+    # M and D share one stationarity check; each used to run its own.
+    calls = []
+    monkeypatch.setattr(linearization, "drift",
+                        lambda *args: calls.append(args) or drift(*args))
+    params = pumped(0.4, 1.2)
+    build_fluctuation_model(params, state_for_branch(params, Branch.LOWER))
+    assert len(calls) == 1
 
 
 def test_a_nan_drift_residual_fails_the_stationarity_guard():
@@ -163,9 +169,8 @@ def test_a_nan_drift_residual_fails_the_stationarity_guard():
     # used to pass the "residual > budget" comparison and give a finite M, D.
     params = pumped(0.4, 1.2)
     state = replace(state_for_branch(params, Branch.LOWER), amplitudes=np.full(6, 1e103))
-    for build in (build_drift_matrix, build_diffusion_matrix, build_fluctuation_model):
-        with pytest.raises(StaleSteadyStateError, match="drift residual nan"):
-            build(params, state)
+    with pytest.raises(StaleSteadyStateError, match="drift residual nan"):
+        build_fluctuation_model(params, state)
 
 
 def test_stability_of_diagonal_matrix():

@@ -146,6 +146,16 @@ def test_refuses_marginal_and_unstable_drift():
         mc_stationary_covariance(model, n_paths=1, seed=0)
 
 
+@pytest.mark.parametrize("m", [[[0.0, 0.0], [0.0, 0.0]],   # no decay at all
+                               [[0.0, 1.0], [-1.0, 0.0]],  # a pure rotation
+                               [[-1.0, 0.0], [0.0, -1.0]]])  # growth
+def test_default_step_refuses_a_drift_without_decay(m):
+    # The first two divided by max|Re eig| = 0; the growing drift got a
+    # step, 0.01, that no simulation of it accepts.
+    with pytest.raises(StabilityError, match="decisively decaying"):
+        default_step(toy_model(m, np.eye(2)))
+
+
 def test_scalar_ou_variance():
     # d x = -x dt + sqrt(2) dW has unit stationary variance.
     model = toy_model([[1.0]], [[2.0]])

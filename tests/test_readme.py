@@ -13,7 +13,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # Public names retired in favour of one route each: minima_over_models([model])[0]
 # and output_spectra(model, [w])[0]; the quadrature basis is a private constant.
 REMOVED = {"vlf": ("min_over_frequencies",),
-           "spectra": ("output_spectrum_at", "quadrature_basis_matrix")}
+           "spectra": ("output_spectrum_at", "quadrature_basis_matrix"),
+           "linearization": ("build_drift_matrix", "build_diffusion_matrix")}
 
 
 def test_readme_quickstart_runs(capsys):
