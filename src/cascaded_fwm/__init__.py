@@ -14,11 +14,8 @@ A Monte-Carlo oracle (Takagi noise factorization plus Euler-Maruyama
 ensembles) cross-checks the analytic spectra and covariances, and a small
 CLI turns the standard parameter sets into CSV data files.
 
-Importing the package, its CLI included, loads numpy alone.  The relaxation
-oracle (``relax_to_steady_state``, ``RelaxationResult``,
-``sample_initial_conditions``, ``basin_statistics``) needs scipy; the module
-``__getattr__`` (PEP 562) reads those names from ``steady_state``, whose own
-``__getattr__`` imports ``relaxation``, and with it scipy, on first access.
+The package, its CLI and its relaxation oracle (``relax_to_steady_state``,
+a numpy port of scipy's DOP853) need numpy alone.
 """
 
 from types import ModuleType as _ModuleType
@@ -63,6 +60,12 @@ from .params import (
     compute_thresholds,
     resolve_epsilon,
 )
+from .relaxation import (
+    RelaxationResult,
+    basin_statistics,
+    relax_to_steady_state,
+    sample_initial_conditions,
+)
 from .spectra import (
     QUADRATURE_LABELS,
     QuadratureSpectrum,
@@ -73,7 +76,6 @@ from .spectra import (
     spectral_matrix,
 )
 from .steady_state import (
-    _RELAXATION_NAMES,
     Branch,
     SteadyState,
     analytic_steady_states,
@@ -97,16 +99,7 @@ from .vlf import (
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    if name in _RELAXATION_NAMES:
-        from . import steady_state
-
-        return getattr(steady_state, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# Every public name imported above, the lazy relaxation names and the version.
+# Every public name imported above and the version.
 __all__ = [name for name, value in globals().items()
            if not name.startswith("_") and not isinstance(value, _ModuleType)]
-__all__ += [*sorted(_RELAXATION_NAMES), "__version__"]
+__all__ += ["__version__"]

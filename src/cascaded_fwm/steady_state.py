@@ -24,10 +24,9 @@ without its per-operation dispatch; the relaxation oracle shares it.
 
 The relaxation oracle (``relax_to_steady_state``, ``RelaxationResult``,
 ``sample_initial_conditions`` and ``basin_statistics``) lives in
-``relaxation``, the one module that needs scipy at import.  Those four
-names are still readable here: the module ``__getattr__`` (PEP 562) loads
-``relaxation``, and with it scipy, on first access.  This module imports
-numpy alone.
+``relaxation``, which imports this module.  Those four names are still
+readable here: the module ``__getattr__`` (PEP 562) loads ``relaxation`` on
+first access, since importing it at the top would be circular.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from .params import (
     compute_thresholds,
 )
 
-# Read from ``relaxation`` on first access, which imports scipy.
+# Read from ``relaxation`` on first access.
 _RELAXATION_NAMES = frozenset(
     ("RelaxationResult", "basin_statistics", "relax_to_steady_state",
      "sample_initial_conditions"))

@@ -309,9 +309,10 @@ def reference_drift(params, alpha):
 
 
 def reference_relax(params, initial, t_max=1e5, tol=1e-9, match_radius=1e-6):
-    """Test oracle for relax_to_steady_state: the same integration on
-    ``reference_drift``, with the right-hand side and events rebuilding the
-    complex state as an ndarray at every call.
+    """Test oracle for relax_to_steady_state: scipy's ``solve_ivp`` DOP853,
+    which the package's integrator ports, on ``reference_drift``, with the
+    right-hand side and events rebuilding the complex state as an ndarray at
+    every call.
     """
     from cascaded_fwm.steady_state import _match_branch
 

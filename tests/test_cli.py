@@ -625,17 +625,25 @@ for argv in (["reproduce", "fig3"], ["reproduce", "fig8"], ["thresholds", config
              ["steady-state", config], ["spectrum", config], ["mc-validate", config]):
     assert cli.main(argv) == 0, argv
     assert "scipy" not in sys.modules, f"{argv} loaded scipy"
-steady_state.sample_initial_conditions
-assert "scipy" in sys.modules, "the relaxation oracle did not load scipy"
+params = cli.parse_config(sys.argv[1]).system()
+initial = steady_state.sample_initial_conditions(params, 1, seed=0)[0]
+result = steady_state.relax_to_steady_state(params, initial)
+assert result.status == "converged", result.status
+assert "scipy" not in sys.modules, "the relaxation oracle loaded scipy"
 """
 
-LAZY_EXPORT_SCRIPT = """
+EXPORT_SCRIPT = """
 import sys
 import cascaded_fwm
+from cascaded_fwm.cli import figure_config
 
 assert "scipy" not in sys.modules, "import cascaded_fwm loaded scipy"
-cascaded_fwm.relax_to_steady_state
-assert "scipy" in sys.modules, "relax_to_steady_state did not load scipy"
+params = figure_config("fig6").system()
+initial = cascaded_fwm.sample_initial_conditions(params, 1, seed=12345)[0]
+result = cascaded_fwm.relax_to_steady_state(params, initial)
+assert isinstance(result, cascaded_fwm.RelaxationResult), result
+assert result.status == "converged", result.status
+assert "scipy" not in sys.modules, "the relaxation oracle loaded scipy"
 namespace = {}
 exec("from cascaded_fwm import *", namespace)
 missing = set(cascaded_fwm.__all__) - set(namespace)
@@ -657,8 +665,8 @@ def test_cli_verbs_run_without_scipy(tmp_path):
     _run_fresh(NUMPY_ONLY_SCRIPT, mc_conf, cwd=tmp_path)
 
 
-def test_relaxation_names_load_scipy_on_first_access(tmp_path):
-    _run_fresh(LAZY_EXPORT_SCRIPT, cwd=tmp_path)
+def test_package_exports_run_without_scipy(tmp_path):
+    _run_fresh(EXPORT_SCRIPT, cwd=tmp_path)
 
 
 def _imports_scipy(node):
@@ -668,10 +676,10 @@ def _imports_scipy(node):
             and node.module.split(".")[0] == "scipy")
 
 
-def test_relaxation_is_the_only_module_that_imports_scipy():
+def test_no_module_imports_scipy():
     # Module level or inside a function: ast.walk sees every import.
     package = SRC / "cascaded_fwm"
     importers = sorted(path.name for path in package.rglob("*.py")
                        if any(map(_imports_scipy, ast.walk(ast.parse(path.read_text(
                            encoding="utf-8"))))))
-    assert importers == ["relaxation.py"]
+    assert importers == []

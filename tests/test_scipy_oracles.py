@@ -1,15 +1,22 @@
-"""scipy as a test oracle for the numpy-only quadrature and Lyapunov solve.
+"""scipy as a test oracle for the numpy-only quadrature, Lyapunov solve and ODE solver.
 
 ``integrated_spectrum`` runs a port of ``scipy.integrate.quad_vec`` and
 ``stationary_covariance`` a Kronecker-sum solve; both are checked here
 against the scipy routines they replace, on the decaying models of every
-regime that has one and on the criterion-12 Monte-Carlo point.
+regime that has one and on the criterion-12 Monte-Carlo point.  The
+relaxation oracle's port of ``solve_ivp``'s DOP853 is checked here by its
+coefficient tables and its ``brentq``; ``tests/test_steady_state.py``
+checks whole relaxations against ``solve_ivp``.
 """
+
+import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.linalg import solve_continuous_lyapunov
+from scipy.optimize import brentq
 
 from cascaded_fwm import (
     NumericalError,
@@ -21,6 +28,7 @@ from cascaded_fwm import (
     stability,
     stationary_covariance,
 )
+from cascaded_fwm import relaxation
 from cascaded_fwm.cli import parse_config
 from cascaded_fwm.spectra import _quad_gk21, _spectral_stack
 from cascaded_fwm.vlf import build_branch_model
@@ -109,3 +117,60 @@ def test_quadrature_refuses_to_return_before_converging():
 
     with pytest.raises(NumericalError, match="10000 intervals"):
         _quad_gk21(square_wave, 0.0, 1.0, 1e-10, 1e-10)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "E3", "E5"])
+def test_dop853_tables_equal_scipy(name):
+    ported, table = getattr(relaxation, f"_{name}"), getattr(dop853_coefficients, name)
+    assert ported.shape == table.shape
+    assert np.array_equal(ported, table)
+
+
+EPS4 = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),
+    (lambda x: math.exp(x) - 1e4, 0.0, 20.0),
+    (lambda x: x**9 - 1e-3, 0.0, 1.0),
+    (lambda x: math.sin(x) - 0.5, 0.0, 2.0),
+    (lambda x: 1e-12 * (x - 1.0 / 3.0), 0.0, 1.0),
+    (lambda x: x, -1.0, 1.0),
+    (lambda x: 1.0 - x, 0.0, 1.0),
+], ids=["cubic", "cos", "tanh", "exp", "ninth", "sin", "small", "zero-midpoint",
+        "zero-end"])
+def test_brentq_port_equals_scipy(f, a, b):
+    # solve_ivp's settings: xtol = rtol = 4 eps, 100 iterations.
+    got_calls, want_calls = [], []
+    got = relaxation._brentq(_logged(f, got_calls), a, b)
+    want = brentq(_logged(f, want_calls), a, b, xtol=EPS4, rtol=EPS4)
+    assert got == want
+    assert got_calls == want_calls
+
+
+def _logged(f, calls):
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g
+
+
+def test_brentq_port_stops_where_scipy_does():
+    # A fifth-order root defeats a relative tolerance of 4 eps: both search
+    # the same 102 points, and scipy's RuntimeError is a NumericalError here.
+    def quintic(x):
+        return (x - 0.7)**5
+
+    got_calls, want_calls = [], []
+    with pytest.raises(NumericalError, match="100 iterations"):
+        relaxation._brentq(_logged(quintic, got_calls), 0.0, 1.0)
+    brentq(_logged(quintic, want_calls), 0.0, 1.0, xtol=EPS4, rtol=EPS4, disp=False)
+    assert len(want_calls) == 102
+    assert got_calls == want_calls
+
+
+def test_brentq_port_refuses_an_unbracketed_root():
+    with pytest.raises(NumericalError, match="same sign"):
+        relaxation._brentq(lambda x: x + 1.0, 0.0, 1.0)
