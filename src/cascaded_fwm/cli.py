@@ -19,9 +19,10 @@ or witness: ``Branch`` lists the branches (``auto`` is the CLI's own),
 ``state_for_branch`` refuses one a regime lacks, ``resolve_epsilon`` owns
 the pump modes and ``SYMMETRY_CLASSES`` gives the witness columns.
 
-Exit codes: 0 success, 2 configuration or parameter error (an output file
-that cannot be written included), 3 stability or physicality error, 4
-numerical failure.
+Exit codes: 0 on success; otherwise ``main`` returns the ``exit_code`` of
+the error's family in ``errors`` (an output file that cannot be written is
+a ``ConfigError``), and ``NumericalError``'s for numpy's ``LinAlgError``.
+Any other exception propagates.
 """
 
 from __future__ import annotations
@@ -36,16 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BasisConsistencyError,
-    ConfigError,
-    NumericalError,
-    ParameterError,
-    PhysicalityError,
-    StabilityError,
-    StaleSteadyStateError,
-    StepSizeError,
-)
+from .errors import _FAMILIES, ConfigError, NumericalError, ParameterError
 from .linearization import build_fluctuation_model, stability, stationary_covariance
 from .monte_carlo import mc_stationary_covariance
 from .params import (
@@ -62,6 +54,7 @@ from .spectra import QUADRATURE_LABELS, integrated_spectrum, output_spectra
 from .steady_state import Branch, analytic_steady_states
 from .vlf import (
     _OMEGA_POINTS,
+    _OMEGA_SCALE,
     _OMEGA_WINDOW,
     SYMMETRY_CLASSES,
     _check_window,
@@ -197,7 +190,7 @@ _OPTIONAL_KEYS = {
     "branch": ("auto", _one_of(*(b.value for b in Branch), "auto")),
     "epsilon_ratio": (None, _as_float),
     "epsilon_abs": (None, _as_float),
-    "omega_scale": ("log", _as_text),
+    "omega_scale": (_OMEGA_SCALE, _as_text),
     "omega_min": (_OMEGA_WINDOW[0], _as_float),
     "omega_max": (_OMEGA_WINDOW[1], _as_float),
     "omega_points": (_OMEGA_POINTS, _int_at_least(2)),
@@ -477,14 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXIT_CODE_MAP = (
-    ((ParameterError, StaleSteadyStateError), 2),
-    ((StabilityError, PhysicalityError), 3),
-    ((NumericalError, BasisConsistencyError, StepSizeError,
-      np.linalg.LinAlgError), 4),
-)
-
-
 def main(argv=None) -> int:
     # Whatever argparse leaves after the verb and its input (--zero-diffusion)
     # goes to the handler as keyword arguments.
@@ -498,12 +483,10 @@ def main(argv=None) -> int:
             handler, config = _VERBS[verb][0], load_config(options.pop("config"))
         handler(config, **options)
         return 0
-    except BaseException as exc:
-        for types, code in _EXIT_CODE_MAP:
-            if isinstance(exc, types):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        raise
+    except (*_FAMILIES, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        # numpy's LinAlgError is the one foreign type: a numerical failure.
+        return getattr(exc, "exit_code", NumericalError.exit_code)
 
 
 if __name__ == "__main__":

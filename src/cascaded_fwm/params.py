@@ -67,7 +67,7 @@ class Mode(enum.IntEnum):
     S2 = 5
 
 
-MODE_LABELS = ("p2", "p1", "i1", "s1", "i2", "s2")
+MODE_LABELS = tuple(m.name.lower() for m in Mode)
 _RATE_KEYS = ("gamma_a", "gamma_b", "gamma_c", "k1", "k2", "k3")
 
 # Mode swap that leaves the symmetric working point invariant:
@@ -140,13 +140,16 @@ class Thresholds:
     """Oscillation thresholds of the pump amplitude.
 
     ``eps_th`` and ``eps_th_prime`` are the lower and upper threshold pump
-    amplitudes; both are None when ``has_threshold`` is false (couplings too
-    weak for the cascade to turn on).  When defined, 0 < eps_th <= eps_th_prime.
+    amplitudes; both are None when the couplings are too weak for the
+    cascade to turn on.  When defined, 0 < eps_th <= eps_th_prime.
     """
 
     eps_th: float | None
     eps_th_prime: float | None
-    has_threshold: bool
+
+    @property
+    def has_threshold(self) -> bool:
+        return self.eps_th is not None
 
 
 # Relative width below which the threshold discriminant is treated as an
@@ -184,12 +187,12 @@ def compute_thresholds(params: SystemParams) -> Thresholds:
     if abs(disc) <= _DISC_CLAMP * scale:
         disc = 0.0
     if disc < 0.0:
-        return Thresholds(eps_th=None, eps_th_prime=None, has_threshold=False)
+        return Thresholds(eps_th=None, eps_th_prime=None)
     root = math.sqrt(disc)
     denom = 2.0 * params.k2**2
     eps_lo = params.gamma_a * math.sqrt((kc - root) / denom)
     eps_hi = params.gamma_a * math.sqrt((kc + root) / denom)
-    return Thresholds(eps_th=eps_lo, eps_th_prime=eps_hi, has_threshold=True)
+    return Thresholds(eps_th=eps_lo, eps_th_prime=eps_hi)
 
 
 def classify_regime(params: SystemParams, thresholds: Thresholds | None = None) -> Regime:

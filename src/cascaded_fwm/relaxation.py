@@ -22,8 +22,9 @@ of Hairer, Norsett & Wanner (*Solving ODEs I*, II.10) with its step-size
 control, dense output and terminal events, whose roots Brent's method
 (1973) finds as scipy's C ``brentq`` does.  It makes the same numpy calls
 in the same order on arrays of the same layout, so its floats are scipy's
-bit for bit; it keeps only the last step, not every step.  The module
-imports numpy alone.
+bit for bit; it keeps only the last step, not every step, and unlike
+scipy it stops after a fixed budget of accepted steps.  The module imports
+numpy alone.
 """
 
 from __future__ import annotations
@@ -55,13 +56,18 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
+# Accepted steps after which a run ends as if at t_max: over 160 times the
+# most that any relaxation of the tests or the benchmark takes (1237).
+_MAX_STEPS = 200_000
 
 
 @dataclass(frozen=True)
 class RelaxationResult:
     """Outcome of one relaxation run.
 
-    ``status`` is "converged", "timeout" or "diverged".  ``matched`` holds the
+    ``status`` is "converged", "timeout" or "diverged"; a run that reaches
+    ``t_max`` or spends the step budget without converging timed out, and
+    ``elapsed`` is the time it reached.  ``matched`` holds the
     analytic branch whose amplitude moduli lie nearest the endpoint, provided
     the distance falls within the match radius; None otherwise.
     """
@@ -86,7 +92,10 @@ def relax_to_steady_state(
     Runs an adaptive high-order Runge-Kutta integration (DOP853) of the full
     complex equations from ``initial`` until the drift infinity-norm falls
     below ``tol`` (converged), an amplitude modulus exceeds 1e4 (diverged),
-    or ``t_max`` is reached (timeout; reported, not raised).
+    or ``t_max`` is reached or the budget of ``_MAX_STEPS`` accepted steps
+    is spent (timeout; reported, not raised).  The budget ends the runs an
+    explicit method cannot finish, such as large starts at a stiff
+    NoThreshold point.
     The right-hand side and the convergence event evaluate one scalar drift
     kernel on the six amplitudes; its values equal ``drift``'s bit for bit.
     At each accepted step the events reuse the values the right-hand side
@@ -213,7 +222,8 @@ def _dop853(fun, y0, t_bound, events, at_step):
     the events' values or values of the same signs (negative, zero or
     positive); it runs right after ``fun(t, y)``.  Returns ``(t, y, event)``:
     the end time and state, and the index of the event that ended the run,
-    or None at ``t_bound``.  A step below the spacing of floats or a failed
+    or None at ``t_bound`` or after ``_MAX_STEPS`` accepted steps, where
+    scipy has no budget.  A step below the spacing of floats or a failed
     root search raises ``NumericalError``.  t runs forward, so scipy's
     ``direction`` (1) is left out, as are its unbounded ``max_step`` and its
     record of steps.
@@ -224,7 +234,7 @@ def _dop853(fun, y0, t_bound, events, at_step):
     k_extended = np.empty((_N_STAGES_EXTENDED, y.size), dtype=y.dtype)
     k = k_extended[:_N_STAGES + 1]
     g = [event(t, y) for event, _ in events]
-    while True:
+    for _ in range(_MAX_STEPS):
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
@@ -268,6 +278,7 @@ def _dop853(fun, y0, t_bound, events, at_step):
         if t - t_bound >= 0:
             return t, y, None
         g = g_new
+    return t, y, None
 
 
 def _initial_step(fun, y0, f0, t_bound):

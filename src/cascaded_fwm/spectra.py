@@ -36,7 +36,6 @@ allocates those buffers once.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -47,8 +46,6 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .errors import BasisConsistencyError, NumericalError, ParameterError
 from .linearization import FluctuationModel, _require_decaying
 from .params import MODE_LABELS, SystemParams
-
-logger = logging.getLogger(__name__)
 
 QUADRATURE_LABELS = tuple(f"X{m}" for m in MODE_LABELS) + tuple(
     f"Y{m}" for m in MODE_LABELS
@@ -223,10 +220,6 @@ def _quadrature_stack(s: np.ndarray, omegas=None, work: _Workspace | None = None
             f"quadrature spectrum not Hermitian{where}: residue "
             f"{residue[k]:.3e} exceeds {_RESIDUE_BUDGET:.0e} * {scale[k]:.3e}"
         )
-    if logger.isEnabledFor(logging.DEBUG):
-        k = int(np.argmax(residue / scale))
-        logger.debug("quadrature transform residue %.3e (scale %.3e)",
-                     residue[k], scale[k])
     sym = np.divide(np.add(v, v.transpose(0, 2, 1), out=left), 2.0, out=left)
     np.copyto(v_intra, sym.real)
     return v_intra
@@ -472,7 +465,6 @@ def integrated_spectrum(model: FluctuationModel) -> np.ndarray:
             values[k:k + chunk.size] = _spectral_stack(model.m, model.d, chunk, work).real
         return values
 
-    value, err = _quad_gk21(integrand, 0.0, half_width, epsabs=1e-10, epsrel=1e-10)
-    logger.debug("spectral integral quadrature error estimate %.3e", err)
+    value, _ = _quad_gk21(integrand, 0.0, half_width, epsabs=1e-10, epsrel=1e-10)
     tail = model.d.real / (np.pi * half_width)
     return value / np.pi + tail

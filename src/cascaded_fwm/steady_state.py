@@ -38,13 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .params import (
-    Mode,
-    Regime,
-    SystemParams,
-    classify_regime,
-    compute_thresholds,
-)
+from .params import Regime, SystemParams, classify_regime, compute_thresholds
 
 # Read from ``relaxation`` on first access.
 _RELAXATION_NAMES = frozenset(
@@ -89,18 +83,6 @@ class SteadyState:
         if np.any(amps < 0.0) or not np.all(np.isfinite(amps)):
             raise ParameterError("amplitudes must be finite and >= 0")
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def a_a(self) -> float:
-        return float(self.amplitudes[Mode.P1])
-
-    @property
-    def a_b(self) -> float:
-        return float(self.amplitudes[Mode.S1])
-
-    @property
-    def a_c(self) -> float:
-        return float(self.amplitudes[Mode.S2])
 
 
 def _drift_kernel(params: SystemParams):

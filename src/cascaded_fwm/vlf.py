@@ -23,7 +23,9 @@ Internally every step passes stacked arrays: the checked spectra of
 ``_grid_spectra``, the gain problems of ``_problem_arrays`` and the values
 and gains of ``_gain_solves``, one row per (spectrum, inequality) pair.
 VlfResult objects are made only where a public function returns them.
-``_check_window`` is the one check of a frequency window and its scale.
+``_check_window`` is the one check of a frequency window and its scale,
+and the ``_OMEGA_*``, ``_COARSE_POINTS`` and ``_XTOL`` constants are the
+one statement of the default grid and the minimum search's defaults.
 """
 
 from __future__ import annotations
@@ -48,10 +50,16 @@ from .steady_state import Branch, state_for_branch
 
 _PSD_TOLERANCE = -1e-9
 _SINGULAR_RCOND = 1e-12
-# The default analysis window in omega / gamma_a and the default points of a grid on it.
+# The default analysis window in omega / gamma_a, and the default points and
+# scale of a grid on it.
 _OMEGA_WINDOW = (0.01, 100.0)
 _OMEGA_POINTS = 400
+_OMEGA_SCALE = "log"
 _SCALES = ("log", "linear")
+# The default coarse grid of a minimum search and its golden-section
+# tolerance in omega / gamma_a.
+_COARSE_POINTS = 64
+_XTOL = 1e-6
 
 
 def _check_window(lo: float, hi: float, scale: str) -> None:
@@ -120,7 +128,8 @@ INEQUALITIES = (
     VlfInequality("p2-s2", "C", (1, 0, 0, 0, 0, -1), (1, 0, 0, 0, 0, 1)),
 )
 
-SYMMETRY_CLASSES = ("A", "B", "C")
+# Sorted, so the CSV columns read V_A, V_B, V_C.
+SYMMETRY_CLASSES = tuple(sorted({i.symmetry_class for i in INEQUALITIES}))
 
 
 def inequality_by_label(label: str) -> VlfInequality:
@@ -333,7 +342,7 @@ def _sweep_arrays(model: FluctuationModel, inequalities, omega_grid) -> tuple:
     """
     ineqs = _resolve_inequalities(inequalities)
     if omega_grid is None:
-        omega_grid = _omega_grid(*_OMEGA_WINDOW, _OMEGA_POINTS, "log")
+        omega_grid = _omega_grid(*_OMEGA_WINDOW, _OMEGA_POINTS, _OMEGA_SCALE)
     omega_grid = _checked_omegas(model.m, omega_grid)
     if (omega_grid < 0.0).any():
         raise ParameterError("omega_grid values must be >= 0")
@@ -449,9 +458,9 @@ def minima_over_models(
     models,
     inequalities=None,
     omega_range=_OMEGA_WINDOW,
-    coarse_points: int = 64,
-    scale: str = "log",
-    xtol: float = 1e-6,
+    coarse_points: int = _COARSE_POINTS,
+    scale: str = _OMEGA_SCALE,
+    xtol: float = _XTOL,
 ) -> list:
     """Global minimum of each optimized inequality over a frequency window, per model.
 
@@ -499,9 +508,9 @@ def min_over_frequency(
     branch: Branch | str,
     inequality,
     omega_range=_OMEGA_WINDOW,
-    coarse_points: int = 64,
-    scale: str = "log",
-    xtol: float = 1e-6,
+    coarse_points: int = _COARSE_POINTS,
+    scale: str = _OMEGA_SCALE,
+    xtol: float = _XTOL,
 ) -> VlfResult:
     """Global minimum of one optimized inequality over a frequency window.
 

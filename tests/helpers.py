@@ -185,7 +185,7 @@ def reference_drift_blocks(params, ss):
     A_i2 = A_s2 = A_c and k2 = k3.  A test oracle for the general
     Jacobian, never the primary construction.
     """
-    aa, ab, ac = ss.a_a, ss.a_b, ss.a_c
+    aa, ab, ac = (float(ss.amplitudes[m]) for m in (Mode.P1, Mode.S1, Mode.S2))
     ga, gb, gc = params.gamma_a, params.gamma_b, params.gamma_c
     k1, k2 = params.k1, params.k2
     kab = k1 * aa * ab

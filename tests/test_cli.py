@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cascaded_fwm
 from cascaded_fwm import (
     QUADRATURE_LABELS,
     ConfigError,
@@ -566,6 +567,45 @@ def test_figure_configs_parse():
 def test_missing_config_exit_code(tmp_path, capsys):
     assert main(["thresholds", str(tmp_path / "nope.conf")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+# The exit code of every exception type the package exports: 2, 3 and 4 are
+# the codes of the ParameterError, StabilityError and NumericalError families.
+EXIT_CODES = {"ParameterError": 2, "ConfigError": 2, "StaleSteadyStateError": 2,
+              "StabilityError": 3, "PhysicalityError": 3,
+              "NumericalError": 4, "BasisConsistencyError": 4, "StepSizeError": 4}
+EXPORTED_ERRORS = [value for value in map(vars(cascaded_fwm).get, cascaded_fwm.__all__)
+                   if isinstance(value, type) and issubclass(value, BaseException)]
+
+
+def raising_handler(monkeypatch, error):
+    """Make the thresholds verb raise ``error("boom")`` after its config loads."""
+    def handler(config):
+        raise error("boom")
+    monkeypatch.setitem(cli._VERBS, "thresholds", (handler, "raises"))
+
+
+def test_every_exported_error_has_an_exit_code():
+    assert sorted(error.__name__ for error in EXPORTED_ERRORS) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(error, EXIT_CODES[error.__name__]) for error in EXPORTED_ERRORS]
+    + [(np.linalg.LinAlgError, 4)],  # numpy's, the one foreign type main maps
+    ids=lambda value: getattr(value, "__name__", str(value)))
+def test_main_exits_with_the_code_of_the_error_family(error, code, tmp_path, capsys,
+                                                      monkeypatch):
+    raising_handler(monkeypatch, error)
+    assert main(["thresholds", write_config(tmp_path, BASE)]) == code
+    assert capsys.readouterr() == ("", "error: boom\n")
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError, ZeroDivisionError])
+def test_an_error_outside_the_families_propagates(error, tmp_path, monkeypatch):
+    raising_handler(monkeypatch, error)
+    with pytest.raises(error, match="boom"):
+        main(["thresholds", write_config(tmp_path, BASE)])
 
 
 @pytest.mark.parametrize("figure", [f"fig{n}" for n in range(2, 10)])

@@ -6,6 +6,7 @@ import pytest
 from cascaded_fwm import (
     Branch,
     FluctuationModel,
+    Mode,
     NumericalError,
     Regime,
     StabilityError,
@@ -109,7 +110,8 @@ def test_trivial_branch_block_pattern():
     params = pumped(0.4, 0.8)
     state = state_for_branch(params, Branch.TRIVIAL)
     m1, m2 = jacobian_blocks(params, state.amplitudes)
-    aa2 = params.k2 * state.a_a**2
+    a_a = float(state.amplitudes[Mode.P1])
+    aa2 = params.k2 * a_a**2
     g = params.gamma_a
     expected_m1 = np.diag([g, g, g, g, g, g]).astype(complex)
     expected_m1[2, 4] = aa2   # i1 <- i2
@@ -118,8 +120,8 @@ def test_trivial_branch_block_pattern():
     expected_m1[5, 3] = -aa2  # s2 <- s1
     assert np.max(np.abs(m1 - expected_m1)) < 1e-15
     expected_m2 = np.zeros((6, 6), dtype=complex)
-    expected_m2[2, 3] = -params.k1 * state.a_a**2
-    expected_m2[3, 2] = -params.k1 * state.a_a**2
+    expected_m2[2, 3] = -params.k1 * a_a**2
+    expected_m2[3, 2] = -params.k1 * a_a**2
     assert np.max(np.abs(m2 - expected_m2)) < 1e-15
 
 
@@ -128,7 +130,7 @@ def test_diffusion_entries_independent_transcription():
     params = pumped(0.4, 1.2)
     state = state_for_branch(params, Branch.LOWER)
     d = build_fluctuation_model(params, state).d[:6, :6]
-    aa, ab, ac = state.a_a, state.a_b, state.a_c
+    aa, ab, ac = (float(state.amplitudes[m]) for m in (Mode.P1, Mode.S1, Mode.S2))
     k1, k2 = params.k1, params.k2
     expected = np.zeros((6, 6))
     expected[0, 1] = expected[1, 0] = -k1 * ab * ab

@@ -9,6 +9,7 @@ from cascaded_fwm import (
     ConfigError,
     ParameterError,
     Regime,
+    Thresholds,
     classify_regime,
     compute_thresholds,
     resolve_epsilon,
@@ -20,6 +21,18 @@ from helpers import make_params, random_params
 EPS_TH_K2_04 = 0.0058094750193111245
 EPS_TH_PRIME_K2_04 = 0.011618950038622249
 EPS_COINCIDENT_K2_05 = 0.0073484692283495336
+
+
+def test_has_threshold_follows_eps_th():
+    # A property of eps_th, not a field stored beside it.
+    for k2 in (0.4, 0.5, 0.6):
+        th = compute_thresholds(make_params(k2))
+        assert th.has_threshold is (th.eps_th is not None)
+    assert compute_thresholds(make_params(0.6)).eps_th is None
+    assert Thresholds(eps_th=None, eps_th_prime=None).has_threshold is False
+    assert Thresholds(eps_th=0.1, eps_th_prime=0.2).has_threshold is True
+    with pytest.raises(TypeError):
+        Thresholds(eps_th=None, eps_th_prime=None, has_threshold=True)
 
 
 def test_threshold_frozen_values():

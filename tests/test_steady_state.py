@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from cascaded_fwm import (
     Branch,
+    Mode,
     ParameterError,
     Regime,
     SteadyState,
@@ -91,15 +94,15 @@ def test_residuals_on_randomized_grid():
 def test_branch_count_per_regime():
     below = analytic_steady_states(pumped(0.4, 0.7))
     assert [s.branch for s in below] == [Branch.TRIVIAL]
-    assert below[0].a_a == pytest.approx(0.7 * compute_thresholds(
+    assert below[0].amplitudes[Mode.P1] == pytest.approx(0.7 * compute_thresholds(
         make_params(0.4)).eps_th / 0.03)
     between = analytic_steady_states(pumped(0.4, 1.5))
     assert [s.branch for s in between] == [Branch.LOWER]
     above = analytic_steady_states(pumped(0.4, 1.1, reference="eps_th_prime"))
     assert [s.branch for s in above] == [Branch.LOWER, Branch.UPPER]
     th = compute_thresholds(make_params(0.4))
-    assert above[0].a_a == pytest.approx(th.eps_th / 0.03, rel=1e-14)
-    assert above[1].a_a == pytest.approx(th.eps_th_prime / 0.03, rel=1e-14)
+    assert above[0].amplitudes[Mode.P1] == pytest.approx(th.eps_th / 0.03, rel=1e-14)
+    assert above[1].amplitudes[Mode.P1] == pytest.approx(th.eps_th_prime / 0.03, rel=1e-14)
 
 
 def test_branch_continuity_at_threshold():
@@ -107,10 +110,10 @@ def test_branch_continuity_at_threshold():
     # trivial one.
     params = pumped(0.4, 1.0 + 1e-12)
     state = state_for_branch(params, Branch.LOWER)
-    assert state.a_b < 1e-5
-    assert state.a_c < 1e-5
+    assert state.amplitudes[Mode.S1] < 1e-5
+    assert state.amplitudes[Mode.S2] < 1e-5
     trivial_a = params.epsilon / params.gamma_a
-    assert abs(state.a_a - trivial_a) < 1e-11
+    assert abs(state.amplitudes[Mode.P1] - trivial_a) < 1e-11
 
 
 def test_missing_branch_is_an_error():
@@ -126,6 +129,14 @@ def test_unknown_branch_name_is_a_parameter_error(build):
     # valid Branch") that named none of the valid values.
     with pytest.raises(ParameterError, match="valid: trivial, lower, upper"):
         build(pumped(0.4, 1.2), "bogus")
+
+
+def test_steady_state_has_no_symmetric_accessors():
+    # The symmetric ansatz is _converted_state's alone; readers index
+    # amplitudes by Mode, which also holds on a pump-asymmetric state.
+    state = state_for_branch(pumped(0.4, 1.2), Branch.LOWER)
+    for name in ("a_a", "a_b", "a_c"):
+        assert not hasattr(state, name)
 
 
 def test_relaxation_reaches_lower_branch():
@@ -153,6 +164,23 @@ def test_relaxation_timeout_reported():
                                    tol=1e-13)
     assert result.status == "timeout"
     assert result.matched is None
+
+
+def test_step_budget_ends_a_stiff_relaxation_as_a_timeout(monkeypatch):
+    # Starts of ~1e3 at this NoThreshold point make the equations stiff for an
+    # explicit method: 5463 steps reach only t = 0.01, so without a step budget
+    # the default t_max = 1e5 never ends, and neither does basin_statistics.
+    from cascaded_fwm import relaxation
+
+    params = random_params(np.random.default_rng(11), "NoThreshold")
+    monkeypatch.setattr(relaxation, "_MAX_STEPS", 500)
+    start = time.perf_counter()
+    result = relax_to_steady_state(params, sample_initial_conditions(params, 1, seed=3)[0])
+    assert result.status == "timeout"
+    assert result.matched is None
+    assert 0.0 < result.elapsed < 0.01
+    assert basin_statistics(params, count=2, seed=3)["timeout"] == 2
+    assert time.perf_counter() - start < 10.0
 
 
 def test_relaxation_endpoint_breaks_pump_symmetry_above_upper_threshold():
