@@ -20,11 +20,18 @@ The integrator is a numpy port of the part of scipy 1.17.1's
 ``solve_ivp(method="DOP853")`` that the oracle uses: the Runge-Kutta pair
 of Hairer, Norsett & Wanner (*Solving ODEs I*, II.10) with its step-size
 control, dense output and terminal events, whose roots Brent's method
-(1973) finds as scipy's C ``brentq`` does.  It makes the same numpy calls
-in the same order on arrays of the same layout, so its floats are scipy's
-bit for bit; it keeps only the last step, not every step, and unlike
-scipy it stops after a fixed budget of accepted steps.  The module imports
-numpy alone.
+(1973) finds as scipy's C ``brentq`` does.  It makes scipy's BLAS calls
+on arrays of the same layout: the ``dot`` of the transposed stage rows
+with each row of the tables, and the ``ddot`` inside each error norm.
+Around them it replaces scipy's numpy calls only where the floats stay
+the same: the stage views are built once per run and the right-hand side
+writes each stage's row in place; ``sqrt(x.dot(x))`` stands for
+``linalg.norm(x)``, which runs exactly that on a real 1-D array, and
+``math.nextafter`` for ``np.nextafter``; the kernel gets one
+``complex(re, im)`` per amplitude, and the residual is
+``np.abs(...).max()``.  So its floats are scipy's bit for bit.  It keeps
+only the last step, not every step, and unlike scipy it stops after a
+fixed budget of accepted steps.  The module imports numpy alone.
 """
 
 from __future__ import annotations
@@ -93,9 +100,9 @@ def relax_to_steady_state(
     complex equations from ``initial`` until the drift infinity-norm falls
     below ``tol`` (converged), an amplitude modulus exceeds 1e4 (diverged),
     or ``t_max`` is reached or the budget of ``_MAX_STEPS`` accepted steps
-    is spent (timeout; reported, not raised).  The budget ends the runs an
-    explicit method cannot finish, such as large starts at a stiff
-    NoThreshold point.
+    is spent (timeout; reported, not raised).  The budget ends the runs
+    that accuracy holds to tiny steps, such as starts of ~1e3 at a
+    NoThreshold point, whose fast dynamics hold the mean step near 2e-6.
     The right-hand side and the convergence event evaluate one scalar drift
     kernel on the six amplitudes; its values equal ``drift``'s bit for bit.
     At each accepted step the events reuse the values the right-hand side
@@ -123,26 +130,30 @@ def relax_to_steady_state(
 
     kernel = _drift_kernel(params)
 
+    # The kernel on the 12 real components (Re alpha, Im alpha).
+    def kernel_at(r0, r1, r2, r3, r4, r5, i0, i1, i2, i3, i4, i5):
+        return kernel(complex(r0, i0), complex(r1, i1), complex(r2, i2),
+                      complex(r3, i3), complex(r4, i4), complex(r5, i5))
+
     # The last right-hand side input (as a list) and its kernel values.
     last = [None, None]
 
     # Integrate the 12 real components u = (Re alpha, Im alpha) rather than
     # relying on complex support in the stepper.
-    def rhs(t, u):
+    def rhs(t, u, out):
         v = u.tolist()
-        f = kernel(*map(complex, v[:6], v[6:]))
+        f = kernel_at(*v)
         last[:] = v, f
         f0, f1, f2, f3, f4, f5 = f
-        return np.array([f0.real, f1.real, f2.real, f3.real, f4.real, f5.real,
-                         f0.imag, f1.imag, f2.imag, f3.imag, f4.imag, f5.imag])
+        out[:] = (f0.real, f1.real, f2.real, f3.real, f4.real, f5.real,
+                  f0.imag, f1.imag, f2.imag, f3.imag, f4.imag, f5.imag)
 
     # numpy's complex abs, not Python's abs: the two may differ in the last bit.
     def residual_event(f):
-        return float(np.max(np.abs(np.array(f)))) - tol
+        return float(np.abs(np.array(f)).max()) - tol
 
     def converged(t, u):
-        v = u.tolist()
-        return residual_event(kernel(*map(complex, v[:6], v[6:])))
+        return residual_event(kernel_at(*u.tolist()))
 
     def diverged(t, u):
         a = u[:6] + 1j * u[6:]
@@ -216,29 +227,49 @@ def _dop853(fun, y0, t_bound, events, at_step):
 
     The floats of ``solve_ivp(fun, (0.0, t_bound), y0, method="DOP853",
     rtol=1e-9, atol=1e-12, events=...)`` in scipy 1.17.1, where every event
-    is terminal.  ``events`` holds (g, direction) pairs, direction +1 or
-    -1, as ``solve_ivp`` takes them; g(t, y) is evaluated at the start and
-    inside root finding.  ``at_step(t, y)`` returns, for an accepted state,
-    the events' values or values of the same signs (negative, zero or
-    positive); it runs right after ``fun(t, y)``.  Returns ``(t, y, event)``:
-    the end time and state, and the index of the event that ended the run,
-    or None at ``t_bound`` or after ``_MAX_STEPS`` accepted steps, where
-    scipy has no budget.  A step below the spacing of floats or a failed
-    root search raises ``NumericalError``.  t runs forward, so scipy's
-    ``direction`` (1) is left out, as are its unbounded ``max_step`` and its
-    record of steps.
+    is terminal.  ``fun(t, y, out)`` writes the right-hand side into the
+    1-D float array ``out``.  ``events`` holds (g, direction) pairs,
+    direction +1 or -1, as ``solve_ivp`` takes them; g(t, y) is evaluated
+    at the start and inside root finding.  ``at_step(t, y)`` returns, for an
+    accepted state, the events' values or values of the same signs
+    (negative, zero or positive); it runs right after ``fun(t, y, out)``.
+    Returns ``(t, y, event)``: the end time and state, and the index of the
+    event that ended the run, or None at ``t_bound`` or after ``_MAX_STEPS``
+    accepted steps, where scipy has no budget.  A step below the spacing of
+    floats or a failed root search raises ``NumericalError``.  t runs
+    forward, so scipy's ``direction`` (1) is left out, as are its unbounded
+    ``max_step`` and its record of steps.
+
+    A step makes scipy's BLAS calls on views of the stage array ``k``
+    built once per run: each stage s is ``fun(t + c * h, y + np.dot(kt, a)
+    * h)`` with ``kt = k[:s].T``, ``a = A[s, :s]`` and ``c = C[s]``, written
+    into ``k[s]``.  ``sqrt(x.dot(x))**2`` stands for scipy's
+    ``linalg.norm(x)**2`` and ``math.nextafter`` for ``np.nextafter``; both
+    give the same floats.
     """
+    # _initial_step and _dense_output take a right-hand side that returns its values.
+    def fresh(t, y):
+        out = np.empty_like(y)
+        fun(t, y, out)
+        return out
+
     t, y = 0.0, y0
-    f = fun(t, y)
-    h_abs = _initial_step(fun, y, f, t_bound)
+    f = fresh(t, y)
+    h_abs = _initial_step(fresh, y, f, t_bound)
     k_extended = np.empty((_N_STAGES_EXTENDED, y.size), dtype=y.dtype)
     k = k_extended[:_N_STAGES + 1]
+    stages = [(k[s], k[:s].T, _A_STEP[s, :s], c)
+              for s, c in enumerate(_C_STEP[1:], start=1)]
+    k_b, k_t, f_new = k[:-1].T, k.T, k[-1]
     g = [event(t, y) for event, _ in events]
     for _ in range(_MAX_STEPS):
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
+        # Row 0 serves every attempt of the step: an attempt writes rows
+        # 1-12 only, and f, once a step is accepted, is row 12 itself.
+        k[0] = f
         while True:
             if h_abs < min_step:
                 raise NumericalError("relaxation integrator failed: Required step "
@@ -248,9 +279,22 @@ def _dop853(fun, y0, t_bound, events, at_step):
                 t_new = t_bound
             h = t_new - t
             h_abs = np.abs(h)
-            y_new, f_new = _rk_step(fun, t, y, f, h, k)
+            for row, k_s, a, c in stages:
+                fun(t + c * h, y + np.dot(k_s, a) * h, row)
+            y_new = y + h * np.dot(k_b, _B)
+            fun(t + h, y_new, f_new)
+            # The RMS error of the step: the 5th-order estimate, with the
+            # 3rd-order one as a filter.
             scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
-            error_norm = _error_norm(k, h, scale)
+            err5 = np.dot(k_t, _E5) / scale
+            err3 = np.dot(k_t, _E3) / scale
+            err5_norm_2 = np.sqrt(err5.dot(err5))**2
+            err3_norm_2 = np.sqrt(err3.dot(err3))**2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = h_abs * err5_norm_2 / np.sqrt(denom * y.size)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -269,7 +313,7 @@ def _dop853(fun, y0, t_bound, events, at_step):
                   in enumerate(zip(events, g, g_new))
                   if (before <= 0 <= after if direction > 0 else before >= 0 >= after)]
         if active:
-            sol = _dense_output(fun, k_extended, h, t_old, y_old, t, y, f)
+            sol = _dense_output(fresh, k_extended, h, t_old, y_old, t, y, f)
             roots = [_brentq(lambda s, event=events[i][0]: event(s, sol(s)), t_old, t)
                      for i in active]
             # The earliest root ends the run; equal roots go to the lower index.
@@ -303,32 +347,6 @@ def _initial_step(fun, y0, f0, t_bound):
 
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
-
-
-def _rk_step(fun, t, y, f, h, k):
-    """One step of the 12-stage pair; fills the rows of ``k`` and returns
-    (y_new, f_new), f_new being the last row (first same as last)."""
-    k[0] = f
-    for s, (a, c) in enumerate(zip(_A_STEP[1:], _C_STEP[1:]), start=1):
-        dy = np.dot(k[:s].T, a[:s]) * h
-        k[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(k[:-1].T, _B)
-    f_new = fun(t + h, y_new)
-    k[-1] = f_new
-    return y_new, f_new
-
-
-def _error_norm(k, h, scale):
-    """The RMS error of the step, the 5th-order estimate with the 3rd-order
-    one as a filter."""
-    err5 = np.dot(k.T, _E5) / scale
-    err3 = np.dot(k.T, _E3) / scale
-    err5_norm_2 = np.linalg.norm(err5)**2
-    err3_norm_2 = np.linalg.norm(err3)**2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
 def _dense_output(fun, k_extended, h, t_old, y_old, t, y, f):

@@ -1,4 +1,7 @@
+import gzip
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +36,9 @@ from helpers import (
 FIG3_A_A = 0.19364916731037084
 FIG3_A_B = 0.07745966692414831
 FIG3_A_C = 0.03872983346207415
+
+# The benchmark's reference endpoints, written by bench/capture_reference.py; read only.
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 def test_drift_at_zero_amplitudes():
@@ -167,9 +173,11 @@ def test_relaxation_timeout_reported():
 
 
 def test_step_budget_ends_a_stiff_relaxation_as_a_timeout(monkeypatch):
-    # Starts of ~1e3 at this NoThreshold point make the equations stiff for an
-    # explicit method: 5463 steps reach only t = 0.01, so without a step budget
-    # the default t_max = 1e5 never ends, and neither does basin_statistics.
+    # Starts of ~1e3 at this NoThreshold point move so fast that accuracy
+    # holds DOP853 to tiny steps (not stiffness: Hairer's estimate h*lambda
+    # stays near 0.3, far below 6.1): 5463 steps reach only t = 0.01, so
+    # without a step budget the default t_max = 1e5 never ends, and neither
+    # does basin_statistics.
     from cascaded_fwm import relaxation
 
     params = random_params(np.random.default_rng(11), "NoThreshold")
@@ -274,6 +282,28 @@ def test_relaxation_equals_numpy_reference_at_fig6():
                                 reference_relax(params, initial))
 
 
+def test_relaxation_endpoints_match_the_basin_relax_reference():
+    # The first 16 draws of the basin-relax pool against the endpoints the
+    # benchmark stores, at its rel_tol scaled by max(1, |reference|), as it
+    # compares them. Not bit for bit: another OpenBLAS core type (Haswell)
+    # moves every one of these endpoints, by up to 3.5e-14.
+    meta = json.loads((REFERENCE_DIR / "meta.json").read_text())
+    with gzip.open(REFERENCE_DIR / "basin_endpoints.csv.gz", "rt") as fh:
+        header, *rows = [line.split(",") for line in fh.read().splitlines()]
+    modes = ("p2", "p1", "i1", "s1", "i2", "s2")
+    assert header == ["unit", *(f"re_{m}" for m in modes), *(f"im_{m}" for m in modes)]
+    params = figure_config("fig6").system()
+    pool = sample_initial_conditions(params, 4096, seed=meta["seed"])
+    for i, (initial, row) in enumerate(zip(pool[:16], rows)):
+        assert row[0] == str(i)
+        result = relax_to_steady_state(params, initial)
+        assert result.status == "converged"
+        got = np.concatenate([result.amplitudes.real, result.amplitudes.imag])
+        reference = np.array(row[1:], dtype=float)
+        deviation = np.abs(got - reference) / np.maximum(1.0, np.abs(reference))
+        assert deviation.max() <= meta["rel_tol"], (i, deviation.max())
+
+
 def test_relaxation_equals_numpy_reference_at_criterion_4_draws():
     params = pumped(0.4, 2.2, reference="eps_th_prime")
     for initial in sample_initial_conditions(params, 50, seed=20260814)[:4]:
@@ -340,10 +370,10 @@ def test_convergence_event_reuses_the_right_hand_side_kernel_values(monkeypatch)
         return counted
 
     def counted_integrate(fun, *args):
-        def counted_fun(t, y):
+        def counted_fun(t, y, out):
             nonlocal nfev
             nfev += 1
-            return fun(t, y)
+            fun(t, y, out)
         return integrate(counted_fun, *args)
 
     monkeypatch.setattr(relaxation, "_drift_kernel", counted_kernel)

@@ -52,6 +52,39 @@ PUMP_KEYS = {"absolute": ("epsilon_abs", "epsilon_ratio"),
 ZERO_TRIVIAL = BELOW + "branch = trivial\nomega_scale = linear\nomega_min = 0\nomega_points = 5\n"
 ZERO_LOWER = BETWEEN + "branch = lower\nomega_scale = linear\nomega_min = 0\nomega_points = 3\n"
 
+# Full-precision relaxation results: repr of every field a relaxation
+# returns, so a change in any bit of the integrator's floats shows.
+RELAX = """\
+from cascaded_fwm import SystemParams, relax_to_steady_state, sample_initial_conditions
+from cascaded_fwm.cli import figure_config, parse_config
+
+
+def show(result):
+    branch = None if result.matched is None else result.matched.branch.value
+    print(repr(result.status), repr(result.elapsed), repr(result.residual),
+          repr(result.distance), repr(branch))
+    print(repr(result.amplitudes.tolist()))
+
+
+fig6 = figure_config("fig6").system()
+pool = sample_initial_conditions(fig6, 4096, 12345)
+"""
+RELAX_CASES = {
+    # The basin-relax pool: draws 0-7, and draw 31, one ulp sensitive in its
+    # convergence event time.
+    "fig6-pool": "for i in (*range(8), 31):\n    show(relax_to_steady_state(fig6, pool[i]))\n",
+    "fig6-timeout": "show(relax_to_steady_state(fig6, pool[0], t_max=1.0))\n",
+    # Criterion 4's first draw, at 2.2 eps_th_prime.
+    "criterion-4": (f"params = parse_config({BISTABLE!r}).system()\n"
+                    "initial = sample_initial_conditions(params, 50, 20260814)[0]\n"
+                    "show(relax_to_steady_state(params, initial, match_radius=1e-6))\n"),
+    # Couplings of 1e-9 leave the pumps heading for eps / gamma_a = 2e4, past
+    # the divergence bound of 1e4.
+    "diverged": ("params = SystemParams(gamma_a=0.03, gamma_b=0.03, gamma_c=0.03,\n"
+                 "                      k1=1e-9, k2=1e-9, k3=1e-9, epsilon=600.0)\n"
+                 "show(relax_to_steady_state(params, [0.01 + 0.02j] * 6))\n"),
+}
+
 CLI = ("-m", "cascaded_fwm")
 DEMOS = ("fluctuation_spectra", "monte_carlo_check", "pump_sweep",
          "thresholds_and_branches", "vlf_sweep")
@@ -106,6 +139,7 @@ CASES = (
             (("run.conf", BELOW.replace("0.8", ratio) + f"branch = trivial\nseed = {seed}\n"),))
        for seed, ratio in ((7, "0.8"), (0, "0.5"))]
     + [Case(f"demo-{demo}", (f"{{tree}}/demos/{demo}.py",)) for demo in DEMOS]
+    + [Case(f"relax-{name}", ("-c", RELAX + body)) for name, body in RELAX_CASES.items()]
     # Grids one row either side of a 64-row stack boundary.
     + [Case(f"{verb}-{scale}-{points}", (*CLI, verb, "run.conf"),
             (("run.conf", BETWEEN + f"branch = lower\nomega_scale = {scale}\n"
