@@ -207,7 +207,13 @@ def classify_regime(params: SystemParams, thresholds: Thresholds | None = None) 
     loses stability to a complex eigenvalue pair (a Hopf bifurcation) as
     the pump grows.  At k1 = 1, k2 = k3 = 0.6 and all dampings 0.03 the
     stability margin is +0.0161 at eps = 0.005 and -0.0256 at eps = 0.01.
-    ``linearization.stability`` decides.
+    Nor does BelowThreshold: where k2 (gamma_b + gamma_c) > k1 gamma_c the
+    trivial state has a Hopf point at eps_H = gamma_a sqrt((gamma_b +
+    gamma_c) / k1), which at unequal dampings can lie below eps_th.  At
+    gamma_a = gamma_b = 0.03, gamma_c = 0.003, k1 = 1 and k2 = k3 = 0.15,
+    eps_H = 5.450e-3 < eps_th = 6.405e-3, and the margin is +3.28e-4 at
+    0.99 eps_H and -3.32e-4 at 1.01 eps_H.  ``linearization.stability``
+    decides.
     """
     if thresholds is None:
         thresholds = compute_thresholds(params)

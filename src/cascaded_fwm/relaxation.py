@@ -24,12 +24,16 @@ control, dense output and terminal events, whose roots Brent's method
 on arrays of the same layout: the ``dot`` of the transposed stage rows
 with each row of the tables, and the ``ddot`` inside each error norm.
 Around them it replaces scipy's numpy calls only where the floats stay
-the same: the stage views are built once per run and the right-hand side
-writes each stage's row in place; ``sqrt(x.dot(x))`` stands for
-``linalg.norm(x)``, which runs exactly that on a real 1-D array, and
-``math.nextafter`` for ``np.nextafter``; the kernel gets one
-``complex(re, im)`` per amplitude, and the residual is
-``np.abs(...).max()``.  So its floats are scipy's bit for bit.  It keeps
+the same: the stage views are built once per run; each stage's state is
+formed in one buffer made once per run, and the right-hand side packs
+its row in place with ``struct``, which copies the raw doubles; the step
+size and time are Python floats, not numpy scalars, with the same IEEE
+operations and C ``pow``; ``math.sqrt(x.dot(x))`` stands for
+``linalg.norm(x)``, which runs exactly that on a real 1-D array,
+``math.sqrt`` for ``np.sqrt`` on a scalar and ``math.nextafter`` for
+``np.nextafter``; the kernel gets one ``complex(re, im)`` per amplitude,
+and the residual is ``np.abs(...).max()``.  So its floats are scipy's bit
+for bit, and every time it returns is a Python float.  It keeps
 only the last step, not every step, and unlike scipy it stops after a
 fixed budget of accepted steps.  The module imports numpy alone.
 """
@@ -37,6 +41,7 @@ fixed budget of accepted steps.  The module imports numpy alone.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +71,8 @@ _ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
 # Accepted steps after which a run ends as if at t_max: over 160 times the
 # most that any relaxation of the tests or the benchmark takes (1237).
 _MAX_STEPS = 200_000
+# Copies the 12 raw doubles of a right-hand side row into a float array.
+_pack_row = struct.Struct("12d").pack_into
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,8 @@ def relax_to_steady_state(
 
     kernel = _drift_kernel(params)
 
-    # The kernel on the 12 real components (Re alpha, Im alpha).
+    # The kernel on the 12 real components (Re alpha, Im alpha), for the
+    # convergence event.
     def kernel_at(r0, r1, r2, r3, r4, r5, i0, i1, i2, i3, i4, i5):
         return kernel(complex(r0, i0), complex(r1, i1), complex(r2, i2),
                       complex(r3, i3), complex(r4, i4), complex(r5, i5))
@@ -142,10 +150,12 @@ def relax_to_steady_state(
     # relying on complex support in the stepper.
     def rhs(t, u, out):
         v = u.tolist()
-        f = kernel_at(*v)
+        r0, r1, r2, r3, r4, r5, i0, i1, i2, i3, i4, i5 = v
+        f = kernel(complex(r0, i0), complex(r1, i1), complex(r2, i2),
+                   complex(r3, i3), complex(r4, i4), complex(r5, i5))
         last[:] = v, f
         f0, f1, f2, f3, f4, f5 = f
-        out[:] = (f0.real, f1.real, f2.real, f3.real, f4.real, f5.real,
+        _pack_row(out, 0, f0.real, f1.real, f2.real, f3.real, f4.real, f5.real,
                   f0.imag, f1.imag, f2.imag, f3.imag, f4.imag, f5.imag)
 
     # numpy's complex abs, not Python's abs: the two may differ in the last bit.
@@ -228,7 +238,8 @@ def _dop853(fun, y0, t_bound, events, at_step):
     The floats of ``solve_ivp(fun, (0.0, t_bound), y0, method="DOP853",
     rtol=1e-9, atol=1e-12, events=...)`` in scipy 1.17.1, where every event
     is terminal.  ``fun(t, y, out)`` writes the right-hand side into the
-    1-D float array ``out``.  ``events`` holds (g, direction) pairs,
+    1-D float array ``out``; it must not keep ``y``, whose buffer the next
+    stage overwrites.  ``events`` holds (g, direction) pairs,
     direction +1 or -1, as ``solve_ivp`` takes them; g(t, y) is evaluated
     at the start and inside root finding.  ``at_step(t, y)`` returns, for an
     accepted state, the events' values or values of the same signs
@@ -243,9 +254,14 @@ def _dop853(fun, y0, t_bound, events, at_step):
     A step makes scipy's BLAS calls on views of the stage array ``k``
     built once per run: each stage s is ``fun(t + c * h, y + np.dot(kt, a)
     * h)`` with ``kt = k[:s].T``, ``a = A[s, :s]`` and ``c = C[s]``, written
-    into ``k[s]``.  ``sqrt(x.dot(x))**2`` stands for scipy's
-    ``linalg.norm(x)**2`` and ``math.nextafter`` for ``np.nextafter``; both
-    give the same floats.
+    into ``k[s]``.  The stage state is formed in one buffer made once per
+    run, as ``np.dot(kt, a, out=buf); buf *= h; buf += y``: the same
+    ``dgemv``, product and sum, and IEEE addition commutes.  The step size
+    and time are Python floats where scipy's are numpy scalars; the
+    operations are the same IEEE ones, and ``**`` is C ``pow`` in both.
+    ``math.sqrt(x.dot(x))**2`` stands for scipy's ``linalg.norm(x)**2``,
+    ``math.sqrt`` for ``np.sqrt`` on a scalar and ``math.nextafter`` for
+    ``np.nextafter``; all give the same floats.
     """
     # _initial_step and _dense_output take a right-hand side that returns its values.
     def fresh(t, y):
@@ -261,6 +277,7 @@ def _dop853(fun, y0, t_bound, events, at_step):
     stages = [(k[s], k[:s].T, _A_STEP[s, :s], c)
               for s, c in enumerate(_C_STEP[1:], start=1)]
     k_b, k_t, f_new = k[:-1].T, k.T, k[-1]
+    buf = np.empty_like(y)
     g = [event(t, y) for event, _ in events]
     for _ in range(_MAX_STEPS):
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -278,9 +295,12 @@ def _dop853(fun, y0, t_bound, events, at_step):
             if t_new - t_bound > 0:
                 t_new = t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             for row, k_s, a, c in stages:
-                fun(t + c * h, y + np.dot(k_s, a) * h, row)
+                np.dot(k_s, a, out=buf)
+                buf *= h
+                buf += y
+                fun(t + c * h, buf, row)
             y_new = y + h * np.dot(k_b, _B)
             fun(t + h, y_new, f_new)
             # The RMS error of the step: the 5th-order estimate, with the
@@ -288,13 +308,13 @@ def _dop853(fun, y0, t_bound, events, at_step):
             scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
             err5 = np.dot(k_t, _E5) / scale
             err3 = np.dot(k_t, _E3) / scale
-            err5_norm_2 = np.sqrt(err5.dot(err5))**2
-            err3_norm_2 = np.sqrt(err3.dot(err3))**2
+            err5_norm_2 = math.sqrt(err5.dot(err5))**2
+            err3_norm_2 = math.sqrt(err3.dot(err3))**2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
                 denom = err5_norm_2 + 0.01 * err3_norm_2
-                error_norm = h_abs * err5_norm_2 / np.sqrt(denom * y.size)
+                error_norm = h_abs * err5_norm_2 / math.sqrt(denom * y.size)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -342,7 +362,7 @@ def _initial_step(fun, y0, f0, t_bound):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, t_bound)
+    return float(min(100 * h0, h1, t_bound))
 
 
 def _rms(x):

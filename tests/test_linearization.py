@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,11 @@ from cascaded_fwm import (
     Regime,
     StabilityError,
     StaleSteadyStateError,
+    SystemParams,
     analytic_steady_states,
     build_fluctuation_model,
     classify_regime,
+    compute_thresholds,
     drift,
     integrated_spectrum,
     jacobian_blocks,
@@ -273,6 +276,29 @@ def test_no_threshold_hides_a_hopf_bifurcation():
         edge = report.eigenvalues[np.isclose(report.eigenvalues.real, report.margin)]
         assert edge.size >= 2 and (np.abs(edge.imag) > 1e-3).all()
         assert np.isin(np.conj(edge), edge).all()
+
+
+def test_below_threshold_hides_a_hopf_bifurcation():
+    # With k2 (gamma_b + gamma_c) > k1 gamma_c the trivial state loses
+    # stability at eps_H = gamma_a sqrt((gamma_b + gamma_c) / k1), which at
+    # these unequal dampings lies below eps_th: the regime still reads
+    # BelowThreshold on both sides of it.
+    params = SystemParams(gamma_a=0.03, gamma_b=0.03, gamma_c=0.003,
+                          k1=1.0, k2=0.15, k3=0.15)
+    eps_th = compute_thresholds(params).eps_th
+    eps_h = params.gamma_a * math.sqrt((params.gamma_b + params.gamma_c) / params.k1)
+    assert eps_th == pytest.approx(6.405e-3, abs=1e-6)
+    assert eps_h == pytest.approx(5.450e-3, abs=1e-6)
+    for ratio, margin in ((0.99, 3.2835e-4), (1.01, -3.3165e-4)):
+        point = params.with_epsilon(ratio * eps_h)
+        assert classify_regime(point) is Regime.BELOW_THRESHOLD
+        (state,) = analytic_steady_states(point)
+        assert state.branch is Branch.TRIVIAL
+        report = stability(build_fluctuation_model(point, state).m)
+        assert report.stable == (margin > 0.0)
+        assert report.margin == pytest.approx(margin, abs=1e-8)
+        edge = report.eigenvalues[np.isclose(report.eigenvalues.real, report.margin)]
+        assert edge.size >= 2 and (np.abs(edge.imag) > 1e-3).all()
 
 
 def test_stationary_covariance_requires_decisive_stability():

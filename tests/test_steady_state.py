@@ -12,6 +12,7 @@ from cascaded_fwm import (
     ParameterError,
     Regime,
     SteadyState,
+    SystemParams,
     analytic_steady_states,
     basin_statistics,
     build_branch_model,
@@ -186,9 +187,32 @@ def test_step_budget_ends_a_stiff_relaxation_as_a_timeout(monkeypatch):
     result = relax_to_steady_state(params, sample_initial_conditions(params, 1, seed=3)[0])
     assert result.status == "timeout"
     assert result.matched is None
+    assert type(result.elapsed) is float
     assert 0.0 < result.elapsed < 0.01
     assert basin_statistics(params, count=2, seed=3)["timeout"] == 2
     assert time.perf_counter() - start < 10.0
+
+
+def test_relaxation_result_fields_are_python_floats_at_every_status(monkeypatch):
+    # elapsed, residual and distance are floats however the run ends: by the
+    # convergence event, at t_max, by divergence or when the step budget is spent.
+    from cascaded_fwm import relaxation
+
+    fig6 = figure_config("fig6").system()
+    start = sample_initial_conditions(fig6, 1, 12345)[0]
+    blowup = SystemParams(gamma_a=0.03, gamma_b=0.03, gamma_c=0.03,
+                          k1=1e-9, k2=1e-9, k3=1e-9, epsilon=600.0)
+    results = [("converged", relax_to_steady_state(fig6, start)),
+               ("timeout", relax_to_steady_state(fig6, start, t_max=1.0)),
+               ("diverged", relax_to_steady_state(blowup, np.full(6, 0.01 + 0.02j)))]
+    monkeypatch.setattr(relaxation, "_MAX_STEPS", 5)
+    results.append(("timeout", relax_to_steady_state(fig6, start)))
+    for status, result in results:
+        assert result.status == status
+        for value in (result.elapsed, result.residual, result.distance):
+            assert type(value) is float, (status, value)
+    assert results[1][1].elapsed == 1.0
+    assert 0.0 < results[3][1].elapsed < 1.0
 
 
 def test_relaxation_endpoint_breaks_pump_symmetry_above_upper_threshold():

@@ -74,6 +74,10 @@ RELAX_CASES = {
     # convergence event time.
     "fig6-pool": "for i in (*range(8), 31):\n    show(relax_to_steady_state(fig6, pool[i]))\n",
     "fig6-timeout": "show(relax_to_steady_state(fig6, pool[0], t_max=1.0))\n",
+    # A run that the step budget ends, 5 accepted steps in.
+    "fig6-budget": ("import cascaded_fwm.relaxation\n"
+                    "cascaded_fwm.relaxation._MAX_STEPS = 5\n"
+                    "show(relax_to_steady_state(fig6, pool[0]))\n"),
     # Criterion 4's first draw, at 2.2 eps_th_prime.
     "criterion-4": (f"params = parse_config({BISTABLE!r}).system()\n"
                     "initial = sample_initial_conditions(params, 50, 20260814)[0]\n"
