@@ -12,30 +12,11 @@ non-finite or non-positive ``tol`` or ``t_max`` and a negative or NaN
 seeded starts sized to the regime, and ``basin_statistics`` tallies where
 they end.
 
-The integrator's right-hand side and its convergence event share the scalar
-drift kernel of ``steady_state.drift``, so they equal the ndarray drift bit
-for bit.
-
-The integrator is a numpy port of the part of scipy 1.17.1's
-``solve_ivp(method="DOP853")`` that the oracle uses: the Runge-Kutta pair
-of Hairer, Norsett & Wanner (*Solving ODEs I*, II.10) with its step-size
-control, dense output and terminal events, whose roots Brent's method
-(1973) finds as scipy's C ``brentq`` does.  It makes scipy's BLAS calls
-on arrays of the same layout: the ``dot`` of the transposed stage rows
-with each row of the tables, and the ``ddot`` inside each error norm.
-Around them it replaces scipy's numpy calls only where the floats stay
-the same: the stage views are built once per run; each stage's state is
-formed in one buffer made once per run, and the right-hand side packs
-its row in place with ``struct``, which copies the raw doubles; the step
-size and time are Python floats, not numpy scalars, with the same IEEE
-operations and C ``pow``; ``math.sqrt(x.dot(x))`` stands for
-``linalg.norm(x)``, which runs exactly that on a real 1-D array,
-``math.sqrt`` for ``np.sqrt`` on a scalar and ``math.nextafter`` for
-``np.nextafter``; the kernel gets one ``complex(re, im)`` per amplitude,
-and the residual is ``np.abs(...).max()``.  So its floats are scipy's bit
-for bit, and every time it returns is a Python float.  It keeps
-only the last step, not every step, and unlike scipy it stops after a
-fixed budget of accepted steps.  The module imports numpy alone.
+The integrator, ``_dop853``, is a numpy port of the part of scipy 1.17.1's
+``solve_ivp(method="DOP853")`` that the oracle uses, with scipy's floats
+(its docstring says how).  Its right-hand side and the convergence event
+share the scalar drift kernel of ``steady_state.drift``, so they equal the
+ndarray drift bit for bit.  The module imports numpy alone.
 """
 
 from __future__ import annotations
@@ -105,15 +86,19 @@ def relax_to_steady_state(
 
     Runs an adaptive high-order Runge-Kutta integration (DOP853) of the full
     complex equations from ``initial`` until the drift infinity-norm falls
-    below ``tol`` (converged), an amplitude modulus exceeds 1e4 (diverged),
+    through ``tol`` (converged), an amplitude modulus exceeds 1e4 (diverged),
     or ``t_max`` is reached or the budget of ``_MAX_STEPS`` accepted steps
-    is spent (timeout; reported, not raised).  The budget ends the runs
-    that accuracy holds to tiny steps, such as starts of ~1e3 at a
-    NoThreshold point, whose fast dynamics hold the mean step near 2e-6.
+    is spent (timeout; reported, not raised).  The events fire on a
+    crossing, as ``solve_ivp``'s do, so a start already below ``tol`` never
+    ends the run: it runs on to ``t_max`` and reports "converged", with
+    ``elapsed`` = ``t_max``, if its residual is still below ``tol`` there,
+    as a start on fig6's lower branch does.  The budget ends the runs that
+    accuracy holds to tiny steps, such as starts of ~1e3 at a NoThreshold
+    point, whose fast dynamics hold the mean step near 2e-6.
     The right-hand side and the convergence event evaluate one scalar drift
     kernel on the six amplitudes; its values equal ``drift``'s bit for bit.
-    At each accepted step the events reuse the values the right-hand side
-    just computed at the same state.
+    At the start and at each accepted step the events reuse the values the
+    right-hand side just computed at the same state.
 
     The generated pairs carry a free relative phase, so branch matching
     compares amplitude moduli against the closed-form branches; an endpoint
@@ -137,12 +122,6 @@ def relax_to_steady_state(
 
     kernel = _drift_kernel(params)
 
-    # The kernel on the 12 real components (Re alpha, Im alpha), for the
-    # convergence event.
-    def kernel_at(r0, r1, r2, r3, r4, r5, i0, i1, i2, i3, i4, i5):
-        return kernel(complex(r0, i0), complex(r1, i1), complex(r2, i2),
-                      complex(r3, i3), complex(r4, i4), complex(r5, i5))
-
     # The last right-hand side input (as a list) and its kernel values.
     last = [None, None]
 
@@ -162,16 +141,22 @@ def relax_to_steady_state(
     def residual_event(f):
         return float(np.abs(np.array(f)).max()) - tol
 
+    # Inside root finding the event runs the right-hand side itself, into a
+    # row of its own, and reads the kernel values it leaves in ``last``.
+    scratch = np.empty(12)
+
     def converged(t, u):
-        return residual_event(kernel_at(*u.tolist()))
+        rhs(t, u, scratch)
+        return residual_event(last[1])
 
     def diverged(t, u):
         a = u[:6] + 1j * u[6:]
         return float(np.max(np.abs(a))) - _DIVERGENCE_BOUND
 
-    # An accepted state is the one DOP853 evaluated the right-hand side at
-    # last (its FSAL stage), so its kernel values are at hand; the divergence
-    # event's sign needs its modulus only near the bound.
+    # The start and each accepted state are where DOP853 evaluated the
+    # right-hand side last (its first call and its FSAL stage), so their
+    # kernel values are at hand; the divergence event's sign needs the
+    # modulus only near the bound.
     def at_step(t, u):
         v, f = last
         if all(-_SAFE_PART < x < _SAFE_PART for x in v):
@@ -237,48 +222,51 @@ def _dop853(fun, y0, t_bound, events, at_step):
 
     The floats of ``solve_ivp(fun, (0.0, t_bound), y0, method="DOP853",
     rtol=1e-9, atol=1e-12, events=...)`` in scipy 1.17.1, where every event
-    is terminal.  ``fun(t, y, out)`` writes the right-hand side into the
-    1-D float array ``out``; it must not keep ``y``, whose buffer the next
-    stage overwrites.  ``events`` holds (g, direction) pairs,
-    direction +1 or -1, as ``solve_ivp`` takes them; g(t, y) is evaluated
-    at the start and inside root finding.  ``at_step(t, y)`` returns, for an
-    accepted state, the events' values or values of the same signs
-    (negative, zero or positive); it runs right after ``fun(t, y, out)``.
+    is terminal: the Runge-Kutta pair of Hairer, Norsett & Wanner (*Solving
+    ODEs I*, II.10) with its step-size control, dense output and events,
+    whose roots ``_brentq`` finds as scipy's C ``brentq`` does.
+    ``fun(t, y, out)`` writes the right-hand side into the 1-D float array
+    ``out``; it must not keep ``y``, whose buffer the next stage
+    overwrites.  ``events`` holds (g, direction) pairs, direction +1 or -1,
+    as ``solve_ivp`` takes them; g(t, y) is evaluated only inside root
+    finding.  ``at_step(t, y)`` returns, for the start and each accepted
+    state, the events' values or values of the same signs (negative, zero
+    or positive); it runs right after ``fun(t, y, out)`` at that state.
     Returns ``(t, y, event)``: the end time and state, and the index of the
     event that ended the run, or None at ``t_bound`` or after ``_MAX_STEPS``
     accepted steps, where scipy has no budget.  A step below the spacing of
     floats or a failed root search raises ``NumericalError``.  t runs
     forward, so scipy's ``direction`` (1) is left out, as are its unbounded
-    ``max_step`` and its record of steps.
+    ``max_step`` and its record of steps: only the last step is kept.
 
-    A step makes scipy's BLAS calls on views of the stage array ``k``
-    built once per run: each stage s is ``fun(t + c * h, y + np.dot(kt, a)
-    * h)`` with ``kt = k[:s].T``, ``a = A[s, :s]`` and ``c = C[s]``, written
-    into ``k[s]``.  The stage state is formed in one buffer made once per
-    run, as ``np.dot(kt, a, out=buf); buf *= h; buf += y``: the same
+    It makes scipy's BLAS calls on arrays of the same layout: the ``dot`` of
+    the transposed stage rows with each row of the tables, and the ``ddot``
+    inside each norm.  Around them it replaces scipy's numpy calls only
+    where the floats stay the same.  Each of the 11 stages of a step and the
+    3 of the dense output, s = 1-11 and 13-15, is ``fun(t + C[s] * h, y +
+    np.dot(k[:s].T, A[s, :s]) * h)`` written into ``k[s]``, where the dense
+    output's t and y are the step's start.  Its views are built once per
+    run, and its state is formed in one buffer made once per run, as
+    ``np.dot(k[:s].T, A[s, :s], out=buf); buf *= h; buf += y``: the same
     ``dgemv``, product and sum, and IEEE addition commutes.  The step size
     and time are Python floats where scipy's are numpy scalars; the
     operations are the same IEEE ones, and ``**`` is C ``pow`` in both.
-    ``math.sqrt(x.dot(x))**2`` stands for scipy's ``linalg.norm(x)**2``,
-    ``math.sqrt`` for ``np.sqrt`` on a scalar and ``math.nextafter`` for
-    ``np.nextafter``; all give the same floats.
+    ``math.sqrt(x.dot(x))`` stands for ``linalg.norm(x)``, which runs
+    exactly that on a real 1-D array, ``math.sqrt`` for ``np.sqrt`` on a
+    scalar and ``math.nextafter`` for ``np.nextafter``; all give the same
+    floats, and every time returned is a Python float.
     """
-    # _initial_step and _dense_output take a right-hand side that returns its values.
-    def fresh(t, y):
-        out = np.empty_like(y)
-        fun(t, y, out)
-        return out
-
     t, y = 0.0, y0
-    f = fresh(t, y)
-    h_abs = _initial_step(fresh, y, f, t_bound)
-    k_extended = np.empty((_N_STAGES_EXTENDED, y.size), dtype=y.dtype)
-    k = k_extended[:_N_STAGES + 1]
-    stages = [(k[s], k[:s].T, _A_STEP[s, :s], c)
-              for s, c in enumerate(_C_STEP[1:], start=1)]
-    k_b, k_t, f_new = k[:-1].T, k.T, k[-1]
+    f = np.empty_like(y)
+    fun(t, y, f)
+    g = at_step(t, y)
+    h_abs = _initial_step(fun, y, f, t_bound)
+    k = np.empty((_N_STAGES_EXTENDED, y.size), dtype=y.dtype)
+    stages = [(k[s], k[:s].T, _A[s, :s], _C[s]) for s in range(1, _N_STAGES_EXTENDED)]
+    # Row 12 is the step's end, f(t + h, y_new), formed with the weights _B.
+    step_stages, extra_stages = stages[:_N_STAGES - 1], stages[_N_STAGES:]
+    k_b, k_t, f_new = k[:_N_STAGES].T, k[:_N_STAGES + 1].T, k[_N_STAGES]
     buf = np.empty_like(y)
-    g = [event(t, y) for event, _ in events]
     for _ in range(_MAX_STEPS):
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
@@ -296,11 +284,7 @@ def _dop853(fun, y0, t_bound, events, at_step):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            for row, k_s, a, c in stages:
-                np.dot(k_s, a, out=buf)
-                buf *= h
-                buf += y
-                fun(t + c * h, buf, row)
+            _form_stages(step_stages, fun, t, y, h, buf)
             y_new = y + h * np.dot(k_b, _B)
             fun(t + h, y_new, f_new)
             # The RMS error of the step: the 5th-order estimate, with the
@@ -333,7 +317,8 @@ def _dop853(fun, y0, t_bound, events, at_step):
                   in enumerate(zip(events, g, g_new))
                   if (before <= 0 <= after if direction > 0 else before >= 0 >= after)]
         if active:
-            sol = _dense_output(fresh, k_extended, h, t_old, y_old, t, y, f)
+            _form_stages(extra_stages, fun, t_old, y_old, h, buf)
+            sol = _dense_output(k, h, t_old, y_old, y)
             roots = [_brentq(lambda s, event=events[i][0]: event(s, sol(s)), t_old, t)
                      for i in active]
             # The earliest root ends the run; equal roots go to the lower index.
@@ -343,6 +328,15 @@ def _dop853(fun, y0, t_bound, events, at_step):
             return t, y, None
         g = g_new
     return t, y, None
+
+
+def _form_stages(stages, fun, t, y, h, buf):
+    """Write each stage's right-hand side into its row, forming its state in ``buf``."""
+    for row, k_s, a, c in stages:
+        np.dot(k_s, a, out=buf)
+        buf *= h
+        buf += y
+        fun(t + c * h, buf, row)
 
 
 def _initial_step(fun, y0, f0, t_bound):
@@ -356,38 +350,34 @@ def _initial_step(fun, y0, f0, t_bound):
         h0 = 0.01 * d0 / d1
     h0 = min(h0, t_bound)
     y1 = y0 + h0 * f0
-    f1 = fun(0.0 + h0, y1)
+    f1 = np.empty_like(y0)
+    fun(h0, y1, f1)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return float(min(100 * h0, h1, t_bound))
+    return min(100 * h0, h1, t_bound)
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _dense_output(fun, k_extended, h, t_old, y_old, t, y, f):
-    """The 7th-degree interpolant of the step from t_old to t, as a function
-    of time; it costs three more right-hand sides."""
-    k = k_extended
-    for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_N_STAGES + 1):
-        dy = np.dot(k[:s].T, a[:s]) * h
-        k[s] = fun(t_old + c * h, y_old + dy)
-
+def _dense_output(k, h, t_old, y_old, y):
+    """The 7th-degree interpolant of the step of size h from (t_old, y_old)
+    to y, as a function of time, from the 16 stage rows ``k``.  The step's
+    ``t - t_old``, by which scipy divides, is h itself."""
     coeffs = np.empty((_INTERPOLATOR_POWER, y_old.size), dtype=y_old.dtype)
-    f_old = k[0]
+    f_old, f = k[0], k[_N_STAGES]
     delta_y = y - y_old
     coeffs[0] = delta_y
     coeffs[1] = h * f_old - delta_y
     coeffs[2] = 2 * delta_y - h * (f + f_old)
     coeffs[3:] = h * np.dot(_D, k)
-    step = t - t_old
 
     def sol(time):
-        x = (time - t_old) / step
+        x = (time - t_old) / h
         out = np.zeros_like(y_old)
         for i, row in enumerate(reversed(coeffs)):
             out += row
@@ -628,7 +618,3 @@ _D[3, 12] = -0.43533456590011143754432175058e+2
 _D[3, 13] = 0.96324553959188282948394950600e+2
 _D[3, 14] = -0.39177261675615439165231486172e+2
 _D[3, 15] = -0.14972683625798562581422125276e+3
-_A_STEP = _A[:_N_STAGES, :_N_STAGES]
-_C_STEP = _C[:_N_STAGES]
-_A_EXTRA = _A[_N_STAGES + 1:]  # the dense output's three extra stages
-_C_EXTRA = _C[_N_STAGES + 1:]

@@ -328,9 +328,9 @@ def quadrature_transform(s: np.ndarray) -> np.ndarray:
     """Map an amplitude-basis spectral matrix into quadrature variances.
 
     Returns the real symmetric part of T s T^T.  At a real operating point
-    the transform is Hermitian up to roundoff; the discarded residue is
-    checked against a 1e-9 budget and reported at debug level.  The odd
-    (imaginary antisymmetric) component carries cross-quadrature phase
+    the transform is Hermitian up to roundoff; a discarded residue over a
+    budget of 1e-9 (1 + max|T s T^T|) raises ``BasisConsistencyError``.
+    The odd (imaginary antisymmetric) part carries cross-quadrature phase
     information that never enters a variance and is dropped by convention.
     """
     return _quadrature_stack(np.asarray(s, dtype=complex)[None])[0]

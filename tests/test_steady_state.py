@@ -411,6 +411,33 @@ def test_convergence_event_reuses_the_right_hand_side_kernel_values(monkeypatch)
     _assert_same_relaxation(result, reference_relax(params, initial))
 
 
+def test_relaxation_from_rest_points_equals_scipy_reference(monkeypatch):
+    # The origin and every analytic state of fig2, fig3 and fig6 (fig6's
+    # lower state is a saddle). Each start has d0 = 0 or d1 < 1e-5, so the
+    # initial step takes h0 = 1e-6 and returns 100 h0, except where the drift
+    # is exactly zero (d1 = d2 = 0): there h1 = max(1e-6, 1e-3 h0) = 1e-6.
+    # The states start below tol, so they run to t_max.
+    from cascaded_fwm import relaxation
+
+    first_steps = []
+    initial_step = relaxation._initial_step
+
+    def recorded_initial_step(*args):
+        first_steps.append(initial_step(*args))
+        return first_steps[-1]
+
+    monkeypatch.setattr(relaxation, "_initial_step", recorded_initial_step)
+    for name in ("fig2", "fig3", "fig6"):
+        params = figure_config(name).system()
+        starts = [np.zeros(6, dtype=complex),
+                  *(state.amplitudes for state in analytic_steady_states(params))]
+        for initial in starts:
+            _assert_same_relaxation(relax_to_steady_state(params, initial),
+                                    reference_relax(params, initial))
+    assert first_steps == [100 * 1e-6, 1e-6, 1e-6, 100 * 1e-6, 100 * 1e-6,
+                           100 * 1e-6, 100 * 1e-6, 1e-6]
+
+
 def test_relaxation_equals_scipy_reference_in_every_regime():
     # Two random_params draws per regime, each relaxed from 10% off its last
     # analytic branch to the end (all converge at this seed) and to t = 1

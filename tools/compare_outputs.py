@@ -78,6 +78,13 @@ RELAX_CASES = {
     "fig6-budget": ("import cascaded_fwm.relaxation\n"
                     "cascaded_fwm.relaxation._MAX_STEPS = 5\n"
                     "show(relax_to_steady_state(fig6, pool[0]))\n"),
+    # Starts where the initial step takes h0 = 1e-6: the origin (d0 = 0) and
+    # the lower branch (d1 < 1e-5), a saddle that starts below tol and so
+    # runs to t_max.
+    "fig6-origin": "show(relax_to_steady_state(fig6, [0j] * 6))\n",
+    "fig6-at-lower": ("from cascaded_fwm import Branch, state_for_branch\n"
+                      "show(relax_to_steady_state(fig6, "
+                      "state_for_branch(fig6, Branch.LOWER).amplitudes))\n"),
     # Criterion 4's first draw, at 2.2 eps_th_prime.
     "criterion-4": (f"params = parse_config({BISTABLE!r}).system()\n"
                     "initial = sample_initial_conditions(params, 50, 20260814)[0]\n"
