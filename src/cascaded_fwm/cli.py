@@ -216,8 +216,10 @@ def parse_config(text: str) -> RunConfig:
                     for key, (default, parse) in _OPTIONAL_KEYS.items()}
         return RunConfig(params=SystemParams(**rates), epsilon_mode=mode, **optional)
     except ParameterError as exc:
-        # The one place an error gets the line of the key it names.
-        line = lines.get(exc.key)
+        # The one place an error gets the line of the key it names: of the
+        # first of its keys that the file sets.
+        keys = exc.key if isinstance(exc.key, tuple) else (exc.key,)
+        line = next((lines[key] for key in keys if key in lines), None)
         raise ConfigError(f"line {line}: {exc}" if line else str(exc)) from None
 
 

@@ -9,7 +9,10 @@ type here belongs to one of them.
 
 
 class ParameterError(ValueError):
-    """A model parameter set violates its constraints; ``key`` names the one at fault."""
+    """A model parameter set violates its constraints; ``key`` names the one at fault.
+
+    ``key`` is a tuple when the fault lies between several keys.
+    """
 
     exit_code = 2
 

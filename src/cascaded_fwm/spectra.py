@@ -30,7 +30,11 @@ round with stacked solves.  The module imports numpy alone.
 the one-point chain of the same implementation, so both routes agree bit
 for bit.  The stacked stages write their temporaries into a ``_Workspace``
 that the caller owns, so a search that evaluates thousands of stacks
-allocates those buffers once.
+allocates those buffers once.  They form only what changes a float: M +-
+i omega on the diagonal of M, the real symmetric part straight from the
+real parts, and each guard's full budget only for the rows over its cheap
+bound (see ``_spectral_stack`` and ``_quadrature_stack`` for why each gives
+the floats of the plain formulas).
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ class QuadratureSpectrum:
 class _Workspace:
     """Scratch stacks of the stacked spectral chain, for up to ``rows`` N x N matrices.
 
-    Five complex stacks and two real ones.  A caller that runs many stacked
+    Four complex stacks and two real ones.  A caller that runs many stacked
     evaluations makes one workspace and passes it to each of them, so the
     stages write every temporary into the same memory instead of allocating
     fresh (≤ 64, 12, 12) stacks on each call, which the allocator hands back
@@ -128,29 +132,36 @@ class _Workspace:
     """
 
     def __init__(self, dim: int = 12, rows: int = _GRID_CHUNK):
-        self.eye = np.eye(dim)
-        self.complex = np.empty((5, rows, dim, dim), dtype=complex)
+        self.complex = np.empty((4, rows, dim, dim), dtype=complex)
         self.real = np.empty((2, rows, dim, dim))
 
     def take(self, n: int) -> tuple:
-        """The first ``n`` rows of every stack: five complex views, then two real."""
+        """The first ``n`` rows of every stack: four complex views, then two real."""
         return (*self.complex[:, :n], *self.real[:, :n])
+
+
+def _diagonals(stack: np.ndarray) -> np.ndarray:
+    """A writable (n, N) view of the diagonal of every matrix of a C-contiguous stack."""
+    n, dim = stack.shape[:2]
+    return stack.reshape(n, dim * dim)[:, ::dim + 1]
 
 
 # The LinAlgError message of the numpy wrapper of each gufunc called here.
 _LINALG_ERRORS = {"solve": "Singular matrix",
-                  "lstsq": "SVD did not converge in Linear Least Squares"}
+                  "lstsq": "SVD did not converge in Linear Least Squares",
+                  "cholesky_lo": "Matrix is not positive definite"}
 
 
 def _linalg(name: str, *args, **kwargs):
     """Call the gufunc ``name`` of ``numpy.linalg._umath_linalg`` as numpy's wrapper does.
 
-    ``np.linalg.solve`` and ``np.linalg.lstsq`` run these gufuncs under this
-    error state: a failed LAPACK call sets the invalid flag, which raises
-    ``LinAlgError`` with the wrapper's message, and the other flags are
-    ignored.  So the floats and errors are the wrapper's, without its
-    per-call checks and copies; ``out=`` and ``signature=`` pass through.
-    The one place in the package that calls numpy's private LAPACK module.
+    ``np.linalg.solve``, ``np.linalg.lstsq`` and ``np.linalg.cholesky`` run
+    these gufuncs under this error state: a failed LAPACK call sets the
+    invalid flag, which raises ``LinAlgError`` with the wrapper's message,
+    and the other flags are ignored.  So the floats and errors are the
+    wrapper's, without its per-call checks and copies; ``out=`` and
+    ``signature=`` pass through.  The one place in the package that calls
+    numpy's private LAPACK module.
     """
     def fail(err, flag):
         raise LinAlgError(_LINALG_ERRORS[name])
@@ -169,29 +180,47 @@ def _spectral_stack(m: np.ndarray, d: np.ndarray, omegas: np.ndarray,
     guard of ``spectral_matrix`` is applied to every frequency separately,
     with the budget scaled by its own 1 + max|D|, and names the first one
     that fails it.  D is copied into a complex stack once, the values the
-    cast inside ``np.linalg.solve`` would give.  Writes the complex stacks
+    cast inside ``np.linalg.solve`` would give.
+
+    M + i omega is M + 0.0 with omega added to the imaginary part of its
+    diagonal, and M - i omega a complex copy of M with omega subtracted
+    there.  For every omega but -0.0 these are the floats of M +- (i omega)
+    I, sign bits included: off the diagonal that product adds +0.0 (so
+    M's -0.0 entries become +0.0 in the first matrix) and subtracts +0.0
+    (which keeps them in the second), and on it the real part is M's
+    nonzero damping rate either way.  At omega = -0.0 the product's zeros
+    carry the other signs; that can move only the sign of a zero of S, and
+    on the trivial branch and the branches of every regime it moves none.
+    The guard compares the residual with 1e-8 (1 + max|D|) first and
+    forms max|X| only for the frequencies over that bound, since the full
+    budget 1e-8 (1 + max|D|) (1 + max|X|) is never smaller; so every
+    verdict is the full budget's, NaN included (a NaN or infinite X makes
+    the residual NaN or infinite).  Writes the complex stacks
     and the first real stack of ``work`` (one of n rows when it is None);
     the result is a view of its third complex stack.
     """
     n = omegas.size
     if work is None:
         work = _Workspace(m.shape[-1], n)
-    shift, lhs, dc, x, prod, absval, _ = work.take(n)
-    np.multiply((1j * omegas)[:, None, None], work.eye, out=shift)
-    np.add(m, shift, out=lhs)
+    lhs, x, dc, prod, absval, _ = work.take(n)
+    np.add(m, 0.0, out=lhs)
+    diagonal = _diagonals(lhs).imag
+    np.add(diagonal, omegas[:, None], out=diagonal)
     np.copyto(dc, d)
     _linalg("solve", lhs, dc, signature="DD->D", out=x)
     np.subtract(np.matmul(lhs, x, out=prod), dc, out=prod)
     residual = np.abs(prod, out=absval).max(axis=(1, 2))
-    scale = 1.0 + np.abs(d, out=absval).max(axis=(-2, -1))
-    # Written so that a NaN fails it too.
-    failed = ~(residual <= _SOLVE_BUDGET * scale * (1.0 + np.abs(x, out=absval).max(axis=(1, 2))))
-    if failed.any():
-        k = int(failed.argmax())
-        raise NumericalError(
-            f"ill-conditioned spectral solve at omega={float(omegas[k])!r}: "
-            f"residual {residual[k]:.3e}")
-    np.subtract(m, shift, out=lhs)
+    budget = _SOLVE_BUDGET * (1.0 + np.abs(d, out=absval).max(axis=(-2, -1)))
+    over = np.flatnonzero(~(residual <= budget))  # NaN is over
+    if over.size:
+        failed = ~(residual[over] <= budget[over] * (1.0 + np.abs(x[over]).max(axis=(1, 2))))
+        if failed.any():
+            k = int(over[failed.argmax()])
+            raise NumericalError(
+                f"ill-conditioned spectral solve at omega={float(omegas[k])!r}: "
+                f"residual {residual[k]:.3e}")
+    np.copyto(lhs, m)
+    np.subtract(diagonal, omegas[:, None], out=diagonal)
     return _linalg("solve", lhs, x.transpose(0, 2, 1), signature="DD->D",
                    out=dc).transpose(0, 2, 1)
 
@@ -201,28 +230,36 @@ def _quadrature_stack(s: np.ndarray, omegas=None, work: _Workspace | None = None
 
     The Hermitian-residue guard of ``quadrature_transform`` is applied to
     every matrix separately; when ``omegas`` is given, the error names the
-    first frequency that fails it.  Writes every stack of ``work`` (one of
-    n rows when it is None) except the third complex one, which may hold
-    ``s``; the result is a view of its second real stack.
+    first frequency that fails it.  It compares the residue with 1e-9
+    first and forms max|T s T^T| only for the matrices over that bound,
+    since the full budget 1e-9 (1 + max|T s T^T|) is never smaller; every
+    verdict, NaN included, is the full budget's.  The result (Re v + Re
+    v^T) / 2 is formed in the real stack: these are the real parts of the
+    complex (v + v^T) / 2, except that a zero may carry the other sign.
+    Writes every stack of ``work`` (one of n rows when it is None) except
+    the third complex one, which may hold ``s``; the result is a view of
+    its second real stack.
     """
     if work is None:
         work = _Workspace(12, len(s))
-    left, v, _, conj, diff, absval, v_intra = work.take(len(s))
+    left, v, _, conj, absval, v_intra = work.take(len(s))
     np.matmul(np.matmul(_T, s, out=left), _T.T, out=v)
-    scale = 1.0 + np.abs(v, out=absval).max(axis=(1, 2))
-    np.subtract(v, np.conjugate(v, out=conj).transpose(0, 2, 1), out=diff)
-    residue = np.abs(diff, out=absval).max(axis=(1, 2)) / 2.0
-    failed = ~(residue <= _RESIDUE_BUDGET * scale)  # NaN fails
-    if failed.any():
-        k = int(failed.argmax())
-        where = "" if omegas is None else f" at omega={float(omegas[k])!r}"
-        raise BasisConsistencyError(
-            f"quadrature spectrum not Hermitian{where}: residue "
-            f"{residue[k]:.3e} exceeds {_RESIDUE_BUDGET:.0e} * {scale[k]:.3e}"
-        )
-    sym = np.divide(np.add(v, v.transpose(0, 2, 1), out=left), 2.0, out=left)
-    np.copyto(v_intra, sym.real)
-    return v_intra
+    np.subtract(v, np.conjugate(v, out=conj).transpose(0, 2, 1), out=left)
+    residue = np.abs(left, out=absval).max(axis=(1, 2)) / 2.0
+    over = np.flatnonzero(~(residue <= _RESIDUE_BUDGET))  # NaN is over
+    if over.size:
+        scale = 1.0 + np.abs(v[over]).max(axis=(1, 2))
+        failed = ~(residue[over] <= _RESIDUE_BUDGET * scale)
+        if failed.any():
+            j = int(failed.argmax())
+            k = int(over[j])
+            where = "" if omegas is None else f" at omega={float(omegas[k])!r}"
+            raise BasisConsistencyError(
+                f"quadrature spectrum not Hermitian{where}: residue "
+                f"{residue[k]:.3e} exceeds {_RESIDUE_BUDGET:.0e} * {scale[j]:.3e}"
+            )
+    np.add(v.real, v.real.transpose(0, 2, 1), out=v_intra)
+    return np.divide(v_intra, 2.0, out=v_intra)
 
 
 def _input_output(v_intra: np.ndarray, rates: np.ndarray, out=None) -> np.ndarray:
@@ -231,7 +268,8 @@ def _input_output(v_intra: np.ndarray, rates: np.ndarray, out=None) -> np.ndarra
     ``rates`` holds the six mode damping rates, once or once per matrix.
     ``out`` may be None (a new array) but not ``v_intra``.
     """
-    gains = np.sqrt(np.tile(rates, 2))
+    gains = np.sqrt(rates)
+    gains = np.concatenate((gains, gains), axis=-1)
     out = np.multiply(2.0 * gains[..., :, None], v_intra, out=out)
     np.multiply(out, gains[..., None, :], out=out)
     return np.add(_EYE12, out, out=out)

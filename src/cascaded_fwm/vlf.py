@@ -42,6 +42,7 @@ from .params import MODE_LABELS, SystemParams, _require_count, _require_positive
 from .spectra import (
     QuadratureSpectrum,
     _checked_omegas,
+    _diagonals,
     _linalg,
     _output_stack,
     _Workspace,
@@ -64,7 +65,8 @@ _XTOL = 1e-6
 
 def _check_window(lo: float, hi: float, scale: str) -> None:
     """Raise ``ParameterError``, keyed by the config key at fault, unless ``scale``
-    is in ``_SCALES`` and 0 <= lo < hi < inf, with lo > 0 on a log scale."""
+    is in ``_SCALES`` and 0 <= lo < hi < inf, with lo > 0 on a log scale.  An
+    empty window is keyed by both of its keys."""
     if scale not in _SCALES:
         raise ParameterError(f"omega_scale must be one of {', '.join(_SCALES)}; "
                              f"got {scale!r}", key="omega_scale")
@@ -75,7 +77,8 @@ def _check_window(lo: float, hi: float, scale: str) -> None:
         floor = "> 0 on a log grid" if scale == "log" else ">= 0"
         raise ParameterError(f"omega_min must be {floor}, got {lo!r}", key="omega_min")
     if not lo < hi:
-        raise ParameterError(f"omega_min must be smaller than omega_max, got {lo!r} >= {hi!r}")
+        raise ParameterError(f"omega_min must be smaller than omega_max, got {lo!r} >= {hi!r}",
+                             key=("omega_min", "omega_max"))
 
 
 def _omega_grid(lo: float, hi: float, points: int, scale: str) -> np.ndarray:
@@ -222,7 +225,12 @@ def _require_physical(v: np.ndarray):
     a spectrum with entries of 1e8 alone reaches ~1e-8.  A Cholesky screen of
     the stack shifted by tau_k passes it at once; ``eigvalsh`` runs, decides
     and names the minimum only if that fails.  The two verdicts differ only
-    within the Cholesky rounding band, ~12 eps max|v_k| (~3e-6 tau_k).
+    within the Cholesky rounding band, ~12 eps max|v_k| (~3e-6 tau_k).  The
+    shift is subtracted from the diagonal of a copy of the symmetrized stack,
+    which gives the diagonal of sym - floor * I exactly; off the diagonal
+    only a zero's sign can differ, which no Cholesky pivot sees.  The
+    factorization is numpy's ``cholesky_lo`` gufunc through
+    ``spectra._linalg``, the call ``np.linalg.cholesky`` makes.
     """
     finite = np.isfinite(v).all(axis=(1, 2))
     if not finite.all():
@@ -231,8 +239,11 @@ def _require_physical(v: np.ndarray):
         )
     sym = (v + v.transpose(0, 2, 1)) / 2.0
     floor = _PSD_TOLERANCE * (1.0 + np.abs(v).max(axis=(1, 2)))
+    shifted = sym.copy()
+    diagonal = _diagonals(shifted)
+    np.subtract(diagonal, floor[:, None], out=diagonal)
     try:
-        np.linalg.cholesky(sym - floor[:, None, None] * np.eye(v.shape[-1]))
+        _linalg("cholesky_lo", shifted, signature="d->d")
     except LinAlgError:
         min_eig = np.linalg.eigvalsh(sym).min(axis=1)
         failed = min_eig < floor
@@ -252,12 +263,14 @@ def _gain_solves(a: np.ndarray, b0: np.ndarray, free: np.ndarray,
     call of the gufunc ``lstsq`` that ``np.linalg.lstsq`` wraps (through
     ``spectra._linalg``) solves every row.  It runs the same ``dgelsd`` per
     slice with the same rcond, so every gain and value is bitwise what the
-    per-slice ``lstsq`` gives.
+    per-slice ``lstsq`` gives.  Rows that already line up, one problem per
+    spectrum as in a refine step, are used as they are.
     """
     shape = np.broadcast_shapes(a.shape[:-1], v.shape[:-2])
-    a, b0, free = (np.broadcast_to(x, (*shape, x.shape[-1])).reshape(-1, x.shape[-1])
-                   for x in (a, b0, free))
-    v = np.broadcast_to(v, (*shape, 12, 12)).reshape(-1, 12, 12)
+    if a.shape[:-1] != v.shape[:-2] or len(shape) != 1:
+        a, b0, free = (np.broadcast_to(x, (*shape, x.shape[-1])).reshape(-1, x.shape[-1])
+                       for x in (a, b0, free))
+        v = np.broadcast_to(v, (*shape, 12, 12)).reshape(-1, 12, 12)
     rows = np.arange(len(v))[:, None]
     rhs = -(v @ b0[:, :, None])[rows, free, 0]
     blocks = v[rows[:, :, None], free[:, :, None], free[:, None, :]]

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from cascaded_fwm import (
+    BasisConsistencyError,
     Mode,
     NumericalError,
     ParameterError,
@@ -161,6 +162,68 @@ def reference_gain_solve(ineq, v):
     b = b0.copy()
     b[free] = gains
     return gains, float(a @ v @ a + b @ v @ b)
+
+
+def reference_spectral_matrix(m, d, omega):
+    """Test oracle for the stacked spectral solves: one drift, one diffusion, one omega.
+
+    The arithmetic before M +- i omega was formed on the diagonal: public
+    ``np.linalg.solve`` on ``m + 1j * omega * eye`` and then on ``m - 1j *
+    omega * eye`` (the shift formed by numpy's complex multiply, as the
+    stacked code formed it), with the residual guard on its full budget
+    1e-8 (1 + max|D|) (1 + max|X|) and its message.
+    """
+    shift = 1j * np.asarray(omega, dtype=float) * np.eye(len(m))
+    lhs = m + shift
+    x = np.linalg.solve(lhs, d)
+    residual = np.abs(lhs @ x - d).max()
+    if not residual <= 1e-8 * (1.0 + np.abs(d).max()) * (1.0 + np.abs(x).max()):
+        raise NumericalError(f"ill-conditioned spectral solve at omega={float(omega)!r}: "
+                             f"residual {residual:.3e}")
+    return np.linalg.solve(m - shift, x.T).T
+
+
+def reference_quadrature_transform(s):
+    """Test oracle for the quadrature stage: the real part of the complex (v + v^T) / 2.
+
+    v = T s T^T with T = [[I, I], [-i I, i I]], and the Hermitian-residue
+    guard on its full budget 1e-9 (1 + max|v|) with its message.
+    """
+    eye = np.eye(6)
+    t = np.block([[eye, eye], [-1j * eye, 1j * eye]])
+    v = t @ s @ t.T
+    scale = 1.0 + np.abs(v).max()
+    residue = np.abs(v - v.conj().T).max() / 2.0
+    if not residue <= 1e-9 * scale:
+        raise BasisConsistencyError(f"quadrature spectrum not Hermitian: residue "
+                                    f"{residue:.3e} exceeds 1e-09 * {scale:.3e}")
+    return ((v + v.T) / 2.0).real
+
+
+def reference_output_spectrum(model, omega):
+    """Test oracle for one row of the stacked chain: v_out at one omega.
+
+    ``reference_spectral_matrix``, ``reference_quadrature_transform`` and
+    I + 2 G^(1/2) V G^(1/2) with the tiled square roots of the rates.
+    """
+    v = reference_quadrature_transform(reference_spectral_matrix(model.m, model.d, omega))
+    gains = np.sqrt(np.tile(model.params.damping_rates(), 2))
+    return np.eye(12) + 2.0 * gains[:, None] * v * gains[None, :]
+
+
+def reference_psd_screen(v):
+    """Test oracle for the Cholesky screen of the PSD guard: True where it passes the stack v.
+
+    ``np.linalg.cholesky`` of the symmetrized stack minus floor_k * I, with
+    floor_k = -1e-9 (1 + max|v_k|).
+    """
+    sym = (v + v.transpose(0, 2, 1)) / 2.0
+    floor = -1e-9 * (1.0 + np.abs(v).max(axis=(1, 2)))
+    try:
+        np.linalg.cholesky(sym - floor[:, None, None] * np.eye(v.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def reference_psd_failure(v):

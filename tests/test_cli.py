@@ -151,8 +151,19 @@ def test_config_errors(text, message):
     (BASE + "omega_scale = sqrt\n", "line 9: omega_scale must be one of log, linear; got 'sqrt'"),
     (BASE + "omega_scale = linear\nomega_min = -0.5\n",
      "line 10: omega_min must be >= 0, got -0.5"),
-    # The default omega_min has no line.
-    (BASE + "omega_max = 0.005\n", "omega_min must be smaller than omega_max, got 0.01 >= 0.005"),
+    # An empty window names the line of the first window key the file sets.
+    # The default omega_min has no line; the omega_max the file sets has.
+    (BASE + "omega_max = 0.005\n",
+     "line 9: omega_min must be smaller than omega_max, got 0.01 >= 0.005"),
+    (BASE + "omega_min = 500\n",
+     "line 9: omega_min must be smaller than omega_max, got 500.0 >= 100.0"),
+    (BASE + "omega_max = 0.01\n",
+     "line 9: omega_min must be smaller than omega_max, got 0.01 >= 0.01"),
+    # Both set: the line of omega_min, wherever it stands.
+    (BASE + "omega_max = 2\nomega_min = 5\n",
+     "line 10: omega_min must be smaller than omega_max, got 5.0 >= 2.0"),
+    (BASE + "omega_min = 5\nomega_max = 5\n",
+     "line 9: omega_min must be smaller than omega_max, got 5.0 >= 5.0"),
 ])
 def test_library_rules_are_reported_at_the_line_of_their_key(text, message):
     with pytest.raises(ConfigError) as info:

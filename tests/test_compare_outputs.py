@@ -1,8 +1,12 @@
 """The diff logic of tools/compare_outputs.py, on two synthetic trees."""
 
+import argparse
 import importlib.util
+import math
 import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 
@@ -79,3 +83,93 @@ def test_exit_codes_and_missing_files_are_differences():
 def test_case_names_are_unique():
     names = [case.name for case in load_tool().CASES]
     assert len(names) == len(set(names))
+
+
+CPUINFO = """\
+processor\t: 0
+model name\t: Some CPU
+flags\t\t: fpu sse2 avx avx2 fma
+bugs\t\t: none
+
+processor\t: 1
+flags\t\t: fpu sse2 avx avx2 fma avx512f
+"""
+
+
+def test_coretypes_are_two_different_known_kernels():
+    tool = load_tool()
+    assert tool.parse_coretypes("SkylakeX,Haswell") == ("SkylakeX", "Haswell")
+    assert tool.parse_coretypes(" Haswell , Sandybridge ") == ("Haswell", "Sandybridge")
+    for text in ("Haswell", "Haswell,Haswell", "SkylakeX,Haswell,Sandybridge", ""):
+        with pytest.raises(argparse.ArgumentTypeError, match="two different kernels"):
+            tool.parse_coretypes(text)
+    with pytest.raises(argparse.ArgumentTypeError, match="unknown kernel 'Zen'"):
+        tool.parse_coretypes("Haswell,Zen")
+
+
+def test_a_kernel_above_the_host_flags_is_refused(tmp_path, capsys):
+    tool = load_tool()
+    flags = tool.cpu_flags(CPUINFO)
+    assert {"avx", "avx2"} <= flags and "avx512f" not in flags
+    assert tool.cpu_flags("processor\t: 0\n") == set()
+    assert tool.refused_kernels(("Haswell", "Sandybridge"), flags) == []
+    assert tool.refused_kernels(("SkylakeX", "Haswell"), flags) == [
+        "kernel SkylakeX needs the cpu flag avx512f, which this host lacks"]
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text(CPUINFO)
+    with pytest.raises(SystemExit) as info:
+        tool.main(["--coretypes", "SkylakeX,Haswell", str(tmp_path)], cpuinfo=str(cpuinfo))
+    assert info.value.code == 2
+    assert "kernel SkylakeX needs the cpu flag avx512f" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--coretypes", "Haswell,Sandybridge", "a", "b"], ["a"],
+                                  ["a", "b", "c"]])
+def test_tree_count_follows_the_mode(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        load_tool().main(argv)
+    assert info.value.code == 2
+    assert "give PARENT_DIR CHANGE_DIR, or --coretypes A,B and one TREE" in capsys.readouterr().err
+
+
+def test_relative_moves_scale_by_the_reference_magnitude():
+    tool = load_tool()
+    ref = tool.Outcome(0, b"eps=0.5\n", b"", {
+        "t.csv": b"w,v\n1.0e-3,2.00000000000000000e+03\n5.0,nan\n",
+        "same.csv": b"a\n1\n"})
+    other = tool.Outcome(0, b"eps=0.5\n", b"", {
+        "t.csv": b"w,v\n1.5e-3,2.00000000200000000e+03\n5.0,nan\n",
+        "same.csv": b"a\n1\n"})
+    moves = tool.relative_moves(ref, other)
+    assert moves["stdout"] == (0.0, 0, 1)
+    assert moves["same.csv"] == (0.0, 0, 1)
+    # 5e-4 absolute below 1 (scale 1), 2e-6 absolute at 2e3 (scale 2e3).
+    largest, moved, total = moves["t.csv"]
+    assert (moved, total) == (2, 4)
+    assert largest == pytest.approx(5e-4, rel=1e-12)
+    nan = tool.Outcome(0, b"", b"", {"t.csv": b"w,v\n1.0e-3,nan\n5.0,nan\n"})
+    assert tool.relative_moves(ref, nan)["t.csv"][0] == math.inf
+    text = tool.Outcome(0, b"eps=0.5 (forced)\n", b"", {"t.csv": b"w,v\n"})
+    moves = tool.relative_moves(ref, text)
+    assert moves["stdout"] is None and moves["t.csv"] is None and moves["same.csv"] is None
+
+
+# Run as ``python -m kernel``: writes a number that depends on the kernel.
+KERNEL_PROBE = """\
+import os
+value = {"Haswell": 1.0, "Sandybridge": 1.0 + 3e-13}[os.environ["OPENBLAS_CORETYPE"]]
+open("out.csv", "w").write(f"x\\n{value!r}\\n")
+"""
+
+
+def test_one_tree_under_two_kernels(tmp_path, capsys):
+    tool = load_tool()
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "kernel.py").write_text(KERNEL_PROBE)
+    case = tool.Case("kernel", ("-m", "kernel"))
+    assert tool.compare_kernels(str(tmp_path), ("Haswell", "Sandybridge"), [case]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "kernel: same text",
+        "  out.csv: largest move 3.0e-13 (1 of 1 moved)",
+        "0 of 1 cases differ beyond their numbers (Haswell -> Sandybridge)",
+    ]

@@ -23,7 +23,17 @@ from cascaded_fwm import (
     stationary_covariance,
 )
 from cascaded_fwm.spectra import _T, _output_stack, _spectral_stack, _Workspace
-from helpers import REGIMES, models_in_every_regime, pumped, random_params, spectrum_at, toy_model
+from helpers import (
+    REGIMES,
+    models_in_every_regime,
+    pumped,
+    random_params,
+    reference_output_spectrum,
+    reference_quadrature_transform,
+    reference_spectral_matrix,
+    spectrum_at,
+    toy_model,
+)
 
 
 def test_scalar_lorentzian():
@@ -498,3 +508,78 @@ def test_integrated_spectrum_needs_a_real_drift():
     complex_drift = replace(model, m=(0.05 + 0.02j) * np.eye(12), d=np.eye(12))
     with pytest.raises(NumericalError, match="assumes a real drift matrix"):
         integrated_spectrum(complex_drift)
+
+
+def bits(a):
+    """The bytes of every float of ``a``, so -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def reference_points():
+    """Models on the trivial branch and on every branch of two draws per regime,
+    with the frequencies where the diagonal shift decides the sign bits."""
+    params = pumped(0.4, 0.8)
+    models = [build_fluctuation_model(params, state_for_branch(params, "trivial"))]
+    models += [model for _, model in models_in_every_regime(draws=2, seed=28)]
+    return [(model, np.array([0.0, -0.0, -1.0, 1e-3, 1.0, 40.0]) * model.params.gamma_a)
+            for model in models]
+
+
+def test_spectral_stack_equals_the_shifted_eye_reference_bit_for_bit():
+    # M + i omega and M - i omega are formed on the diagonal; the floats and
+    # the sign of every zero must be those of m +- 1j * omega * eye.  The
+    # trivial branch's M holds -0.0 entries, and omega = -0.0 and omega < 0
+    # flip signs in that product.
+    points = reference_points()
+    assert np.signbit(points[0][0].m[points[0][0].m == 0.0]).any()
+    for model, omegas in points:
+        stacked = _spectral_stack(model.m, model.d, omegas)
+        for omega, got in zip(omegas, stacked):
+            expected = reference_spectral_matrix(model.m, model.d, omega)
+            assert np.array_equal(bits(got), bits(expected))
+            alone = _spectral_stack(model.m, model.d, np.array([omega]))[0]
+            assert np.array_equal(bits(alone), bits(expected))
+
+
+def test_output_stack_equals_the_reference_chain_bit_for_bit():
+    # One stack of every row, models mixed: v_out must equal the chain of
+    # the complex (v + v^T) / 2 and the tiled rates, sign bits included.
+    rows = [(model, omega) for model, omegas in reference_points() for omega in omegas]
+    assert len(rows) > 64
+    v_out = _output_stack(np.array([model.m for model, _ in rows]),
+                          np.array([model.d for model, _ in rows]),
+                          np.array([model.params.damping_rates() for model, _ in rows]),
+                          np.array([omega for _, omega in rows]))
+    expected = [reference_output_spectrum(model, omega) for model, omega in rows]
+    assert np.array_equal(bits(v_out), bits(np.array(expected)))
+
+
+def hermitian_probe(excess):
+    """s whose T s T^T is a real symmetric matrix with max ~1e3 plus an
+    antisymmetric part, with the residue at ``excess`` times the full budget
+    1e-9 (1 + max|T s T^T|)."""
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((12, 12))
+    h = 500.0 * (h + h.T)
+    skew = np.zeros((12, 12))
+    skew[0, 1], skew[1, 0] = 1.0, -1.0
+    half = np.block([[np.eye(6), 1j * np.eye(6)], [np.eye(6), -1j * np.eye(6)]]) / 2.0
+    budget = 1e-9 * (1.0 + np.abs(h).max())
+    v = h + excess * budget * skew
+    return half @ v @ half.T
+
+
+def test_hermitian_residue_guard_decides_on_its_full_budget():
+    # Between the cheap bound 1e-9 and the full budget the residue passes;
+    # just above the full budget it fails with the reference's message.
+    inside = hermitian_probe(0.5)
+    v = _T @ inside @ _T.T
+    residue = np.abs(v - v.conj().T).max() / 2.0
+    assert 1e-9 < residue < 1e-9 * (1.0 + np.abs(v).max())
+    assert np.array_equal(quadrature_transform(inside), reference_quadrature_transform(inside))
+    outside = hermitian_probe(1.0 + 1e-6)
+    with pytest.raises(BasisConsistencyError) as expected:
+        reference_quadrature_transform(outside)
+    with pytest.raises(BasisConsistencyError) as got:
+        quadrature_transform(outside)
+    assert str(got.value) == str(expected.value)

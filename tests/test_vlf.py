@@ -40,6 +40,7 @@ from helpers import (
     random_params,
     reference_gain_solve,
     reference_psd_failure,
+    reference_psd_screen,
     sequential_minimum,
     spectrum_at,
     toy_model,
@@ -298,6 +299,43 @@ def test_psd_failure_in_a_stack_names_the_eigenvalue_test_minimum():
         _require_physical(stack)
     assert str(info.value) == expected
     _require_physical(stack[[0, 2]])
+
+
+def signed_zeros():
+    """A diagonal stack entry whose off-diagonal zeros are all -0.0, one
+    eigenvalue at half its budget below zero."""
+    v = np.diag(np.linspace(-0.5e-9 * 2.0, 2.0, 12))
+    v[v == 0.0] = -0.0
+    return v
+
+
+def test_psd_screen_and_verdict_equal_the_cholesky_reference(monkeypatch):
+    # The screen passes exactly the stacks np.linalg.cholesky(sym - floor *
+    # eye) passes, so eigvalsh runs exactly where that fails, and every
+    # verdict and message is the reference guard's.  Probes within the
+    # Cholesky rounding band (margin 1 +- 1e-7) are decided by the screen.
+    stacks = [output_spectra(model, np.geomspace(0.01, 100.0, 5) * params.gamma_a)
+              for params, model in models_in_every_regime(draws=1, seed=28)]
+    stacks += [psd_probe(max_abs, margin)[None] for max_abs in (1.0, 1e4, 1e8)
+               for margin in (0.5, 1.0 - 1e-3, 1.0 - 1e-7, 1.0 + 1e-7, 1.0 + 1e-3, 2.0)]
+    stacks += [signed_zeros()[None], np.stack([np.eye(12), signed_zeros(), -np.eye(12)])]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    screens = []
+    for v in stacks:
+        screen = reference_psd_screen(v)
+        expected = None if screen else reference_psd_failure(v)
+        calls.clear()
+        try:
+            _require_physical(v)
+            got = None
+        except PhysicalityError as exc:
+            got = str(exc)
+        assert got == expected
+        assert bool(calls) == (not screen)
+        screens.append(screen)
+    assert True in screens and False in screens
 
 
 def test_empty_stack_is_physical():

@@ -12,13 +12,26 @@ Every difference is printed, and the exit status is 1 if there is one.
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
 The full list takes about a minute on two cores.
+
+With ``--coretypes A,B`` the tool runs every case of one tree twice instead,
+under ``OPENBLAS_CORETYPE=A`` and ``=B``.  For each output file in which a
+number moved (stdout counts as one) it prints the largest move between the
+two runs, relative to max(1, |number under A|), and how many numbers moved.
+A file whose text around the numbers differs, or a case whose exit code
+differs, is reported as such and sets exit status 1.  OpenBLAS cannot run a kernel above the
+host's instruction set, so a kernel is refused unless ``/proc/cpuinfo``
+lists the flag it needs (``KERNEL_FLAGS``).
+
+    python3 tools/compare_outputs.py --coretypes SkylakeX,Haswell TREE
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -228,7 +241,8 @@ def read_files(root: str) -> dict:
     return files
 
 
-def run_case(tree: str, case: Case) -> Outcome:
+def run_case(tree: str, case: Case, coretype: str | None = None) -> Outcome:
+    """Run ``case`` on ``tree``, under ``OPENBLAS_CORETYPE=coretype`` when one is given."""
     tree = os.path.abspath(tree)
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as cwd:
         for name, text in case.configs:
@@ -236,6 +250,8 @@ def run_case(tree: str, case: Case) -> Outcome:
                 fh.write(text)
         env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"),
                "PYTHONDONTWRITEBYTECODE": "1"}
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
         args = [arg.replace("{tree}", tree) for arg in case.args]
         proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                               capture_output=True, timeout=600)
@@ -292,12 +308,106 @@ def compare_trees(parent: str, change: str, cases) -> int:
     return differing
 
 
-def main(argv=None) -> int:
+# The cpuinfo flag each OpenBLAS kernel needs the host to have.
+KERNEL_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx"}
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)\b")
+
+
+def parse_coretypes(text: str) -> tuple:
+    """``A,B`` as the pair of kernel names (A, B); two different known names."""
+    kernels = tuple(name.strip() for name in text.split(","))
+    if len(kernels) != 2 or kernels[0] == kernels[1]:
+        raise argparse.ArgumentTypeError(f"expected two different kernels A,B, got {text!r}")
+    unknown = [name for name in kernels if name not in KERNEL_FLAGS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown kernel {unknown[0]!r} (known: {', '.join(KERNEL_FLAGS)})")
+    return kernels
+
+
+def cpu_flags(cpuinfo: str) -> set:
+    """The flags of the first ``flags`` line of a /proc/cpuinfo text."""
+    for line in cpuinfo.splitlines():
+        key, sep, value = line.partition(":")
+        if sep and key.strip() == "flags":
+            return set(value.split())
+    return set()
+
+
+def refused_kernels(kernels, flags: set) -> list:
+    """One message per kernel of ``kernels`` whose cpuinfo flag ``flags`` lacks."""
+    return [f"kernel {name} needs the cpu flag {KERNEL_FLAGS[name]}, which this host lacks"
+            for name in kernels if KERNEL_FLAGS[name] not in flags]
+
+
+def relative_moves(ref: Outcome, other: Outcome) -> dict:
+    """{output: (largest move, numbers moved, numbers)} between two runs of one case.
+
+    The outputs are stdout and every file.  A move is |b - a| / max(1, |a|)
+    with a the number in ``ref``; NaN against NaN does not move, NaN against
+    a number moves by inf.  The entry is None for an output whose text
+    around its numbers differs, or that only one run wrote.
+    """
+    outputs = {"stdout": (ref.stdout, other.stdout)}
+    outputs.update((name, (ref.files.get(name), other.files.get(name)))
+                   for name in sorted(ref.files.keys() | other.files.keys()))
+    moves = {}
+    for name, (a, b) in outputs.items():
+        if a is None or b is None:
+            moves[name] = None
+            continue
+        a, b = a.decode("utf-8", "replace"), b.decode("utf-8", "replace")
+        if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+            moves[name] = None
+            continue
+        pairs = list(zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))))
+        moved = [abs(y - x) / max(1.0, abs(x)) for x, y in pairs
+                 if x != y and not (math.isnan(x) and math.isnan(y))]
+        moves[name] = (max((math.inf if math.isnan(m) else m for m in moved), default=0.0),
+                       len(moved), len(pairs))
+    return moves
+
+
+def compare_kernels(tree: str, kernels: tuple, cases) -> int:
+    """Run every case of ``tree`` under both kernels; print the moves and count
+    the cases whose exit code or text differs."""
+    differing = 0
+    for case in cases:
+        ref, other = (run_case(tree, case, kernel) for kernel in kernels)
+        moves = relative_moves(ref, other)
+        differs = ref.code != other.code or None in moves.values()
+        lines = [] if ref.code == other.code else [f"exit code {ref.code} -> {other.code}"]
+        for name, move in moves.items():
+            if move is None:
+                lines.append(f"{name}: text differs")
+            elif move[1]:
+                lines.append(f"{name}: largest move {move[0]:.1e} ({move[1]} of {move[2]} moved)")
+        print(f"{case.name}: {'DIFFERS' if differs else 'same text'}")
+        for line in lines:
+            print(f"  {line}")
+        differing += differs
+    print(f"{differing} of {len(cases)} cases differ beyond their numbers "
+          f"({kernels[0]} -> {kernels[1]})")
+    return differing
+
+
+def main(argv=None, cpuinfo: str = "/proc/cpuinfo") -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", help="checkout of the parent commit")
-    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("trees", nargs="+", metavar="TREE",
+                        help="PARENT_DIR CHANGE_DIR, or one TREE with --coretypes")
+    parser.add_argument("--coretypes", type=parse_coretypes, metavar="A,B",
+                        help="run one tree under OPENBLAS_CORETYPE=A and =B and print "
+                             "the largest relative move per output file")
     args = parser.parse_args(argv)
-    return 1 if compare_trees(args.parent, args.change, CASES) else 0
+    if len(args.trees) != (1 if args.coretypes else 2):
+        parser.error("give PARENT_DIR CHANGE_DIR, or --coretypes A,B and one TREE")
+    if args.coretypes:
+        with open(cpuinfo, encoding="utf-8") as fh:
+            refused = refused_kernels(args.coretypes, cpu_flags(fh.read()))
+        if refused:
+            parser.error("; ".join(refused))
+        return 1 if compare_kernels(args.trees[0], args.coretypes, CASES) else 0
+    return 1 if compare_trees(*args.trees, CASES) else 0
 
 
 if __name__ == "__main__":
