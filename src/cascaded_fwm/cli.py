@@ -14,10 +14,12 @@ the parser of every optional config key, and the known keys derive from it.
 line of the key it names.  ``_VERBS`` maps each verb to its handler and
 help text and drives both the argument parser and the one dispatch in
 ``main``; ``_FIGURE_VERBS`` maps each packaged figure to its handler.
-Every CSV goes through ``_write_csv``.  The CLI names no branch, pump mode
-or witness: ``Branch`` lists the branches (``auto`` is the CLI's own),
-``state_for_branch`` refuses one a regime lacks, ``resolve_epsilon`` owns
-the pump modes and ``SYMMETRY_CLASSES`` gives the witness columns.
+Every CSV goes through ``_write_csv``, and ``_branch_models`` owns the
+branches a CSV verb runs and their file names.  The CLI names no branch,
+pump mode or witness: ``Branch`` lists the branches (``auto`` is the
+CLI's own), ``state_for_branch`` refuses one a regime lacks,
+``resolve_epsilon`` owns the pump modes and ``SYMMETRY_CLASSES`` gives
+the witness columns.
 
 Exit codes: 0 on success; otherwise ``main`` returns the ``exit_code`` of
 the error's family in ``errors`` (an output file that cannot be written is
@@ -33,7 +35,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -268,23 +270,20 @@ def _write_csv(path: str, header, rows) -> None:
     print(f"wrote {path}")
 
 
-def _with_suffix(path: str, suffix: str) -> str:
-    if not suffix:
-        return path
-    stem, ext = os.path.splitext(path)
-    return f"{stem}{suffix}{ext}"
+def _branch_models(config: RunConfig, system: SystemParams, default_out: str,
+                   zero_diffusion: bool = False):
+    """(branch, model, path) for each branch a CSV verb runs, each model built on reach.
 
-
-def _resolve_branches(system: SystemParams, branch: str):
-    """Concrete (branch, filename suffix) pairs for one run.
-
-    ``auto`` takes every analytic branch of the regime; only where two
-    coexist does each file name get the branch as a suffix.
+    ``auto`` takes every analytic branch; only where two coexist does the
+    path get the branch as a suffix (``x.csv`` becomes ``x_lower.csv``).
     """
-    if branch != "auto":
-        return ((branch, ""),)
-    branches = [state.branch.value for state in analytic_steady_states(system)]
-    return tuple((name, f"_{name}" if len(branches) == 2 else "") for name in branches)
+    out = config.out or default_out
+    branches = ([state.branch.value for state in analytic_steady_states(system)]
+                if config.branch == "auto" else [config.branch])
+    stem, ext = os.path.splitext(out)
+    for branch in branches:
+        path = f"{stem}_{branch}{ext}" if len(branches) == 2 else out
+        yield branch, build_branch_model(system, branch, zero_diffusion), path
 
 
 def cmd_thresholds(config: RunConfig) -> None:
@@ -326,11 +325,9 @@ def cmd_spectrum(config: RunConfig) -> None:
     iu, ju = np.triu_indices(12)
     header = ["omega_norm"] + [f"{QUADRATURE_LABELS[i]}_{QUADRATURE_LABELS[j]}"
                                for i, j in zip(iu, ju)]
-    out = config.out or "spectrum.csv"
-    for branch, suffix in _resolve_branches(system, config.branch):
-        v = output_spectra(build_branch_model(system, branch), grid * system.gamma_a)
-        _write_csv(_with_suffix(out, suffix), header,
-                   np.column_stack([grid, v[:, iu, ju]]).tolist())
+    for _, model, path in _branch_models(config, system, "spectrum.csv"):
+        v = output_spectra(model, grid * system.gamma_a)
+        _write_csv(path, header, np.column_stack([grid, v[:, iu, ju]]).tolist())
 
 
 def _vlf_header() -> list:
@@ -343,11 +340,9 @@ def _vlf_header() -> list:
 def cmd_vlf_sweep(config: RunConfig, zero_diffusion: bool = False) -> None:
     system = config.system()
     grid = config.omega_grid()
-    out = config.out or "vlf_sweep.csv"
-    for branch, suffix in _resolve_branches(system, config.branch):
-        model = build_branch_model(system, branch, zero_diffusion)
+    for _, model, path in _branch_models(config, system, "vlf_sweep.csv", zero_diffusion):
         _, omega_norm, values, gains = _sweep_arrays(model, _REPRESENTATIVES, grid)
-        _write_csv(_with_suffix(out, suffix), _vlf_header(),
+        _write_csv(path, _vlf_header(),
                    np.column_stack([omega_norm, values, gains.reshape(len(grid), -1)]).tolist())
 
 
@@ -365,9 +360,8 @@ def cmd_pump_sweep(config: RunConfig) -> None:
     # One lockstep search over every pump point; the models are built one
     # at a time as the search scans them, and the first refuses a branch
     # its regime lacks.
-    models = (build_branch_model(config.params.with_epsilon(
-                  resolve_epsilon(config.params, config.epsilon_mode, float(ratio))),
-                  config.branch)
+    models = (build_branch_model(replace(config, epsilon_ratio=float(ratio)).system(),
+                                 config.branch)
               for ratio in ratios)
     minima = minima_over_models(models, _REPRESENTATIVES,
                                 omega_range=(config.omega_min, config.omega_max),
@@ -390,12 +384,10 @@ def cmd_mc_validate(config: RunConfig) -> None:
     A NaN gap fails the check.
     """
     system = config.system()
-    out = config.out or "mc_validate.csv"
     header = ("row", "col", "lyapunov_re", "lyapunov_im", "integral_re", "integral_im",
               "mc_re", "mc_im", "mc_stderr", "analytic_gap", "mc_gap_se")
     labels = [(row, col) for row in _DELTA_LABELS for col in _DELTA_LABELS]
-    for branch, suffix in _resolve_branches(system, config.branch):
-        model = build_branch_model(system, branch)
+    for branch, model, path in _branch_models(config, system, "mc_validate.csv"):
         sigma = stationary_covariance(model)
         sigma_int = integrated_spectrum(model)
         sigma_mc, stderr = mc_stationary_covariance(
@@ -421,8 +413,7 @@ def cmd_mc_validate(config: RunConfig) -> None:
         columns = (sigma.real, sigma.imag, sigma_int.real, sigma_int.imag,
                    sigma_mc.real, sigma_mc.imag, stderr, analytic_gap, mc_gap_se)
         cells = np.stack(columns, axis=-1).reshape(144, len(columns)).tolist()
-        _write_csv(_with_suffix(out, suffix), header,
-                   ([*pair, *row] for pair, row in zip(labels, cells)))
+        _write_csv(path, header, ([*pair, *row] for pair, row in zip(labels, cells)))
         if not (analytic_pass and mc_pass):
             raise NumericalError(
                 f"stationary-moment cross-check failed on branch {branch}: "

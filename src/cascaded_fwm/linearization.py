@@ -55,9 +55,9 @@ class FluctuationModel:
 class StabilityReport:
     """Spectral stability of the fluctuation drift matrix.
 
-    ``margin`` is min(Re eig(M)); the linearized dynamics decay iff it is
-    positive.  ``indeterminate`` flags margins within 1e-10 of zero, where
-    roundoff decides the sign.
+    ``margin`` is min(Re eig(M)).  ``indeterminate`` flags margins within
+    1e-10 of zero, where roundoff decides the sign, and ``stable`` (the
+    linearized dynamics decay) needs a positive margin outside that band.
     """
 
     eigenvalues: np.ndarray
@@ -168,26 +168,27 @@ def build_fluctuation_model(params: SystemParams, ss: SteadyState) -> Fluctuatio
 
 
 def stability(m: np.ndarray) -> StabilityReport:
-    """Eigenvalue stability of the drift matrix (decay iff margin > 0)."""
+    """Eigenvalue stability of the drift matrix (decay iff margin >= 1e-10)."""
     eigenvalues = np.linalg.eigvals(np.asarray(m))
     margin = float(np.min(eigenvalues.real))
+    indeterminate = abs(margin) < _MARGIN_INDETERMINATE
     return StabilityReport(
         eigenvalues=eigenvalues,
-        stable=margin > 0.0,
+        stable=margin > 0.0 and not indeterminate,
         margin=margin,
-        indeterminate=abs(margin) < _MARGIN_INDETERMINATE,
+        indeterminate=indeterminate,
     )
 
 
 def _require_decaying(m: np.ndarray, needs: str) -> StabilityReport:
-    """The stability report of ``m``, which must be stable and not indeterminate.
+    """The stability report of ``m``, which must be stable.
 
     The one gate in front of everything that assumes the fluctuations decay
     (stationary moments, the spectral integral, the simulators); ``needs``
     opens the ``StabilityError`` message, which carries the margin.
     """
     report = stability(m)
-    if not report.stable or report.indeterminate:
+    if not report.stable:
         raise StabilityError(
             f"{needs} a decisively decaying drift (margin {report.margin:.3e})",
             margin=report.margin,

@@ -25,8 +25,8 @@ without its per-operation dispatch; the relaxation oracle shares it.
 The relaxation oracle (``relax_to_steady_state``, ``RelaxationResult``,
 ``sample_initial_conditions`` and ``basin_statistics``) lives in
 ``relaxation``, which imports this module.  Those four names are still
-readable here: the module ``__getattr__`` (PEP 562) loads ``relaxation`` on
-first access, since importing it at the top would be circular.
+readable here: this module re-exports them in its last statement, after
+every name that ``relaxation`` reads from it is defined.
 """
 
 from __future__ import annotations
@@ -39,20 +39,6 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .params import Regime, SystemParams, classify_regime, compute_thresholds
-
-# Read from ``relaxation`` on first access.
-_RELAXATION_NAMES = frozenset(
-    ("RelaxationResult", "basin_statistics", "relax_to_steady_state",
-     "sample_initial_conditions"))
-
-
-def __getattr__(name):
-    if name in _RELAXATION_NAMES:
-        from . import relaxation
-
-        return getattr(relaxation, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 class Branch(enum.Enum):
     TRIVIAL = "trivial"
@@ -217,3 +203,12 @@ def _match_branch(params: SystemParams, endpoint: np.ndarray, match_radius: floa
     if best is not None and best_dist <= match_radius:
         return best, best_dist
     return None, best_dist
+
+
+# Last, so that every name ``relaxation`` imports from here already exists.
+from .relaxation import (
+    RelaxationResult,
+    basin_statistics,
+    relax_to_steady_state,
+    sample_initial_conditions,
+)

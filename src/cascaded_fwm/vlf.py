@@ -22,15 +22,19 @@ singular.
 Internally every step passes stacked arrays: the checked spectra of
 ``_grid_spectra``, the gain problems of ``_problem_arrays`` and the values
 and gains of ``_gain_solves``, one row per (spectrum, inequality) pair.
-VlfResult objects are made only where a public function returns them.
-``_check_window`` is the one check of a frequency window and its scale,
-and the ``_OMEGA_*``, ``_COARSE_POINTS`` and ``_XTOL`` constants are the
-one statement of the default grid and the minimum search's defaults.
+``_sweep_arrays`` is the one frequency scan, in a (frequency, witness)
+layout, for ``sweep_frequency``, the CLI and the coarse grid of
+``minima_over_models``.  VlfResult objects are made only where a public
+function returns them.  ``_check_window`` is the one check of a frequency
+window and its scale, and the ``_OMEGA_*``, ``_COARSE_POINTS`` and
+``_XTOL`` constants are the one statement of the default grid and the
+minimum search's defaults.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -317,15 +321,14 @@ def build_branch_model(params: SystemParams, branch: Branch | str,
 
 
 def _model_rows(models) -> tuple:
-    """Drift, diffusion, damping rates and gamma_a of each model, stacked.
+    """Drift, diffusion and damping rates of each model, stacked.
 
     Row k holds ``models[k]``; ``_grid_spectra`` broadcasts a single row
-    over a whole grid.
+    over a whole grid.  Column 0 of the rates is gamma_a.
     """
     return (np.array([model.m for model in models]),
             np.array([model.d for model in models]),
-            np.array([model.params.damping_rates() for model in models]),
-            np.array([model.params.gamma_a for model in models]))
+            np.array([model.params.damping_rates() for model in models]))
 
 
 def _grid_spectra(rows: tuple, omega_norms, work: _Workspace | None = None) -> tuple:
@@ -341,17 +344,19 @@ def _grid_spectra(rows: tuple, omega_norms, work: _Workspace | None = None) -> t
     """
     omega_norms = np.asarray(omega_norms, dtype=float)
     n = omega_norms.size
-    m, d, rates, gamma_a = (np.broadcast_to(a, (n, *a.shape[1:])) for a in rows)
-    omegas = omega_norms * gamma_a
+    m, d, rates = (np.broadcast_to(a, (n, *a.shape[1:])) for a in rows)
+    omegas = omega_norms * rates[:, 0]
     v_out = _output_stack(m, d, rates, omegas, work)
     _require_physical(v_out)
-    return omegas, omegas / gamma_a, v_out
+    return omegas, omegas / rates[:, 0], v_out
 
 
-def _sweep_arrays(model: FluctuationModel, inequalities, omega_grid) -> tuple:
+def _sweep_arrays(model: FluctuationModel, inequalities, omega_grid,
+                  work: _Workspace | None = None) -> tuple:
     """``sweep_frequency`` as arrays omega, omega_norm (N,), values (N, P), gains (N, P, 4).
 
-    One workspace, made by ``_output_stack``, serves the whole grid.
+    Every frequency scan runs here.  One workspace serves the whole grid:
+    the caller's ``work``, or one ``_output_stack`` makes when it is None.
     """
     ineqs = _resolve_inequalities(inequalities)
     if omega_grid is None:
@@ -359,7 +364,7 @@ def _sweep_arrays(model: FluctuationModel, inequalities, omega_grid) -> tuple:
     omega_grid = _checked_omegas(model.m, omega_grid)
     if (omega_grid < 0.0).any():
         raise ParameterError("omega_grid values must be >= 0")
-    omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), omega_grid)
+    omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), omega_grid, work)
     return (omega, omega_norm, *_gain_solves(*_problem_arrays(ineqs), v_out[:, None]))
 
 
@@ -477,24 +482,31 @@ def minima_over_models(
 ) -> list:
     """Global minimum of each optimized inequality over a frequency window, per model.
 
-    Scans one coarse grid per model, shared by all inequalities (all
-    inequalities by default), and keeps each inequality's best coarse
-    point.  Then it refines every (model, inequality) bracket by golden
-    section to ``xtol`` in omega / gamma_a, all of them in one lockstep
-    with one stacked spectral evaluation per step.  A minimum on the
-    window edge is refined within the outermost cell and can land on the
-    edge itself.  The window ``omega_range = (lo, hi)`` must pass
-    ``_check_window`` with lo > 0.  ``models`` is any iterable of FluctuationModels, taken
-    one at a time after the arguments are checked.  Returns one list per
-    model with one VlfResult per inequality, in the order given; each
-    equals what the same call returns for that model and inequality alone.
+    Scans one coarse grid per model with ``_sweep_arrays``, shared by all
+    inequalities (all inequalities by default), and keeps each inequality's
+    best coarse point.  Then it refines every (model, inequality) bracket
+    by golden section to ``xtol`` in omega / gamma_a, all of them in one
+    lockstep with one stacked spectral evaluation per step.  A minimum on
+    the window edge is refined within the outermost cell and can land on
+    the edge itself.  The window ``omega_range`` must be a pair of numbers
+    (lo, hi) that passes ``_check_window`` with lo > 0.  ``models`` is any
+    iterable of FluctuationModels, taken one at a time after the arguments
+    are checked.  Returns one list per model with one VlfResult per
+    inequality, in the order given; each equals what the same call returns
+    for that model and inequality alone.
     The call owns one spectral workspace, which every coarse scan and every
     refine step writes its temporaries into; no returned value or gain
     vector shares memory with it, or with another call's results.
     """
     ineqs = _resolve_inequalities(inequalities)
     problems = _problem_arrays(ineqs)
-    lo, hi = float(omega_range[0]), float(omega_range[1])
+    try:
+        lo, hi = omega_range
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not all(isinstance(x, numbers.Real) for x in (lo, hi)):
+        raise ParameterError(f"omega_range must be a pair of numbers, got {omega_range!r}")
+    lo, hi = float(lo), float(hi)
     _check_window(lo, hi, scale)
     if lo == 0.0:
         raise ParameterError("a minimum search needs omega_min > 0", key="omega_min")
@@ -504,12 +516,11 @@ def minima_over_models(
     work = _Workspace()
     scanned, coarse = [], []
     for model in models:
-        omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), grid, work)
-        values, gains = _gain_solves(*(a[:, None] for a in problems), v_out)
+        omega, omega_norm, values, gains = _sweep_arrays(model, ineqs, grid, work)
         scanned.append(model)
-        for best, row_values, row_gains in zip(values.argmin(axis=1).tolist(), values, gains):
+        for p, best in enumerate(values.argmin(axis=0).tolist()):
             coarse.append((best, (float(omega[best]), float(omega_norm[best]),
-                                  float(row_values[best]), row_gains[best])))
+                                  float(values[best, p]), gains[best, p])))
     minima = _refine_minima(_model_rows(scanned), problems, grid, coarse, xtol, work)
     n = len(ineqs)
     return [[_result(ineq, *point) for ineq, point in zip(ineqs, minima[i * n:(i + 1) * n])]

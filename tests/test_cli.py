@@ -221,6 +221,9 @@ def test_steady_state_verb(tmp_path, capsys):
     assert float(values["lower.A_p2"]) == pytest.approx(0.19364916731037084, rel=1e-14)
     assert float(values["lower.A_s2"]) == pytest.approx(0.03872983346207415, rel=1e-14)
     assert values["lower.indeterminate"] == "true"
+    # The margin is rounding noise around the neutral mode, whose sign
+    # depends on the BLAS kernel; an indeterminate margin is never stable.
+    assert values["lower.stable"] == "false"
 
 
 def test_steady_state_verb_below_threshold(tmp_path, capsys):
@@ -347,6 +350,43 @@ def test_vlf_sweep_auto_branch_bistable(tmp_path, capsys, monkeypatch):
     upper = (tmp_path / "pair_upper.csv").read_text().splitlines()
     assert lower[0] == upper[0] == VLF_HEADER
     assert lower[1:] != upper[1:]
+
+
+BISTABLE = (BASE.replace("epsilon_mode = rel_eps_th", "epsilon_mode = rel_eps_th_prime")
+            .replace("epsilon_ratio = 1.2", "epsilon_ratio = 2.2"))
+
+
+@pytest.mark.parametrize("text, want", [
+    (BISTABLE, [("lower", "x_lower.csv"), ("upper", "x_upper.csv")]),
+    (BISTABLE + "out = d/r.v1.csv\n", [("lower", "d/r.v1_lower.csv"),
+                                       ("upper", "d/r.v1_upper.csv")]),
+    (BISTABLE + "branch = upper\n", [("upper", "x.csv")]),
+    (BASE, [("lower", "x.csv")]),
+    (BASE + "branch = lower\n", [("lower", "x.csv")]),
+], ids=["auto-two", "auto-two-out", "named-of-two", "auto-one", "named-one"])
+def test_branch_models_suffix_the_path_only_where_two_branches_coexist(text, want):
+    config = parse_config(text)
+    runs = list(cli._branch_models(config, config.system(), "x.csv"))
+    assert [(branch, path) for branch, _, path in runs] == want
+    assert [model.steady_state.branch.value for _, model, _ in runs] == \
+        [branch for branch, _ in want]
+
+
+def test_mc_validate_that_fails_on_its_first_branch_builds_no_second_model(
+        tmp_path, capsys, monkeypatch):
+    # Above the upper threshold the lower branch is a saddle, so the first
+    # branch of auto has no stationary covariance.
+    monkeypatch.chdir(tmp_path)
+    built = []
+
+    def counting_build(system, branch, zero_diffusion=False):
+        built.append(branch)
+        return build_branch_model(system, branch, zero_diffusion)
+
+    monkeypatch.setattr(cli, "build_branch_model", counting_build)
+    assert main(["mc-validate", write_config(tmp_path, BISTABLE)]) == 3
+    assert capsys.readouterr().err.startswith("error: stationary covariance needs")
+    assert built == ["lower"]
 
 
 def test_pump_sweep_verb(tmp_path, capsys, monkeypatch):
@@ -718,6 +758,22 @@ def test_cli_verbs_run_without_scipy(tmp_path):
 
 def test_package_exports_run_without_scipy(tmp_path):
     _run_fresh(EXPORT_SCRIPT, cwd=tmp_path)
+
+
+RELAXATION_FIRST_SCRIPT = """
+import cascaded_fwm.relaxation as relaxation
+from cascaded_fwm import steady_state
+names = ("RelaxationResult", "basin_statistics", "relax_to_steady_state",
+         "sample_initial_conditions")
+assert all(vars(steady_state)[name] is getattr(relaxation, name) for name in names)
+assert "__getattr__" not in vars(steady_state)
+"""
+
+
+def test_steady_state_reexports_the_relaxation_names(tmp_path):
+    # Imported relaxation first, the names are plain attributes of
+    # steady_state, the very objects relaxation holds.
+    _run_fresh(RELAXATION_FIRST_SCRIPT, cwd=tmp_path)
 
 
 def _imports_scipy(node):

@@ -185,6 +185,17 @@ def test_stability_of_diagonal_matrix():
     assert sorted(report.eigenvalues.real) == pytest.approx([0.01, 0.02, 0.03])
 
 
+def test_an_indeterminate_margin_is_never_stable():
+    # Within 1e-10 of zero, rounding decides the margin's sign; the flag
+    # must not follow it, and the decay gate refuses either sign.
+    for margin in (1e-17, -1e-17):
+        report = stability(np.diag([margin, 1.0]))
+        assert report.margin == margin
+        assert report.indeterminate and not report.stable
+        with pytest.raises(StabilityError, match="decisively decaying drift"):
+            linearization._require_decaying(np.diag([margin, 1.0]), "this needs")
+
+
 def test_trivial_branch_stable_below_threshold():
     params = pumped(0.4, 0.8)
     model = build_fluctuation_model(params, state_for_branch(params, "trivial"))

@@ -432,6 +432,23 @@ def test_omega_range_must_be_a_finite_positive_window(omega_range):
                                omega_range=omega_range)
 
 
+@pytest.mark.parametrize("omega_range", [(0.1, 1.0, 5.0), (0.1,), 0.1, "ab", (0.1, "1")])
+def test_omega_range_must_be_a_pair_of_numbers(omega_range):
+    params = pumped(0.4, 1.2)
+    with pytest.raises(ParameterError, match="omega_range must be a pair of numbers"):
+        minima_over_models([build_branch_model(params, "lower")], omega_range=omega_range)
+    with pytest.raises(ParameterError, match="omega_range must be a pair of numbers"):
+        min_over_frequency(params, "lower", "s1-i1", omega_range=omega_range)
+
+
+@pytest.mark.parametrize("omega_range", [[0.1, 10.0], np.array([0.1, 10.0])])
+def test_omega_range_pair_of_any_sequence_type(omega_range):
+    model = build_branch_model(pumped(0.4, 1.2), "lower")
+    got, = minima_over_models([model], ["s1-i1"], omega_range, coarse_points=8)
+    want, = minima_over_models([model], ["s1-i1"], (0.1, 10.0), coarse_points=8)
+    assert_same_result(got[0], want[0])
+
+
 def test_unphysical_stack_rejected():
     # Negative diffusion drives the X block of every output spectrum far
     # below zero; the stacked sweeps must refuse it like optimize_gains.
@@ -704,6 +721,37 @@ def test_minima_over_models_matches_per_model_search_at_every_pump_point(figure)
         alone = minima_over_models([model], labels)[0]
         for res, ref in zip(results, alone, strict=True):
             assert_same_result(res, ref)
+
+
+def test_coarse_scan_hands_the_argmin_rows_of_sweep_arrays_to_the_refine(monkeypatch):
+    from cascaded_fwm import vlf
+    from cascaded_fwm.cli import figure_config
+
+    config = figure_config("fig8")
+    reference = compute_thresholds(config.params).eps_th
+    assert config.epsilon_mode == "rel_eps_th"
+    models = [build_branch_model(config.params.with_epsilon(float(ratio) * reference),
+                                 config.branch)
+              for ratio in np.geomspace(1.05, config.epsilon_ratio, 21)[[0, -1]]]
+    handed, refine = [], vlf._refine_minima
+
+    def capture(rows, problems, grid, coarse, xtol, work):
+        handed.extend(coarse)
+        return refine(rows, problems, grid, coarse, xtol, work)
+
+    monkeypatch.setattr(vlf, "_refine_minima", capture)
+    minima_over_models(models)
+    grid = np.geomspace(*vlf._OMEGA_WINDOW, vlf._COARSE_POINTS)
+    want = []
+    for model in models:
+        omega, omega_norm, values, gains = _sweep_arrays(model, None, grid)
+        want.extend((best, (omega[best], omega_norm[best], values[best, p], gains[best, p]))
+                    for p, best in enumerate(np.argmin(values, axis=0).tolist()))
+    assert len(handed) == 2 * len(INEQUALITIES)
+    for (best, point), (want_best, want_point) in zip(handed, want, strict=True):
+        assert best == want_best
+        assert point[:3] == want_point[:3]
+        assert np.array_equal(point[3], want_point[3])
 
 
 def test_minima_over_models_matches_sequential_reference_on_a_mixed_batch():

@@ -151,6 +151,9 @@ def _verb_cases(label: str, text: str) -> list:
 CASES = (
     [Case(f"reproduce-fig{n}", (*CLI, "reproduce", f"fig{n}")) for n in range(2, 10)]
     + _verb_cases("bistable", BISTABLE)
+    # Each branch's suffix goes before the last extension of out.
+    + [Case("spectrum-bistable-dotted-out", (*CLI, "spectrum", "run.conf"),
+            (("run.conf", BISTABLE + "omega_points = 4\nout = run.v1.csv\n"),))]
     + _verb_cases("between", BETWEEN)
     + _verb_cases("below", BELOW)
     + [Case("pump-sweep-linear", (*CLI, "pump-sweep", "run.conf"),
@@ -186,6 +189,9 @@ CASES = (
             (("run.conf", NO_THRESHOLD),)),
        Case("error-mc-validate-marginal", (*CLI, "mc-validate", "run.conf"),
             (("run.conf", BETWEEN + "branch = lower\n"),)),
+       # auto above the upper threshold: the first branch, a saddle, fails.
+       Case("error-mc-validate-bistable-auto", (*CLI, "mc-validate", "run.conf"),
+            (("run.conf", BISTABLE),)),
        Case("error-unwritable-out", (*CLI, "vlf-sweep", "run.conf"),
             (("run.conf", BETWEEN + "omega_points = 4\nout = missing/x.csv\n"),))]
     + [Case(f"error-{verb}-zero-omega-lower", (*CLI, verb, "run.conf"), (("run.conf", ZERO_LOWER),))
