@@ -61,6 +61,7 @@ from .vlf import (
     SYMMETRY_CLASSES,
     _check_window,
     _omega_grid,
+    _problem_arrays,
     _sweep_arrays,
     build_branch_model,
     class_members,
@@ -340,8 +341,9 @@ def _vlf_header() -> list:
 def cmd_vlf_sweep(config: RunConfig, zero_diffusion: bool = False) -> None:
     system = config.system()
     grid = config.omega_grid()
+    problems = _problem_arrays(_REPRESENTATIVES)
     for _, model, path in _branch_models(config, system, "vlf_sweep.csv", zero_diffusion):
-        _, omega_norm, values, gains = _sweep_arrays(model, _REPRESENTATIVES, grid)
+        _, omega_norm, values, gains = _sweep_arrays(model, problems, grid)
         _write_csv(path, _vlf_header(),
                    np.column_stack([omega_norm, values, gains.reshape(len(grid), -1)]).tolist())
 

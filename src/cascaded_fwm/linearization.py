@@ -128,11 +128,21 @@ def jacobian_blocks(params: SystemParams, alpha: np.ndarray):
 
 
 def _require_stationary(params: SystemParams, ss: SteadyState):
+    """Refuse a state whose drift residual exceeds 1e-8 of the drift's largest term.
+
+    With a = max|alpha|, no term of the drift exceeds max(epsilon,
+    gamma_max a, k_max a^3), and every term scales with the rates, so the
+    verdict does not depend on their unit.
+    """
+    a_max = float(np.max(np.abs(ss.amplitudes)))
+    budget = _STALE_RESIDUAL * max(params.epsilon,
+                                   max(params.gamma_a, params.gamma_b, params.gamma_c) * a_max,
+                                   max(params.k1, params.k2, params.k3) * a_max * a_max * a_max)
     residual = float(np.max(np.abs(drift(params, ss.amplitudes))))
-    if not residual <= _STALE_RESIDUAL:  # NaN fails
+    if not residual <= budget < np.inf:  # NaN fails, and so does an overflowed budget
         raise StaleSteadyStateError(
             f"state is not stationary for these parameters "
-            f"(drift residual {residual:.3e} > {_STALE_RESIDUAL:.0e}); "
+            f"(drift residual {residual:.3e} > {budget:.3e}); "
             "rebuild the steady state after changing params"
         )
 

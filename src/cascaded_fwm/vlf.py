@@ -24,11 +24,13 @@ Internally every step passes stacked arrays: the checked spectra of
 and gains of ``_gain_solves``, one row per (spectrum, inequality) pair.
 ``_sweep_arrays`` is the one frequency scan, in a (frequency, witness)
 layout, for ``sweep_frequency``, the CLI and the coarse grid of
-``minima_over_models``.  VlfResult objects are made only where a public
-function returns them.  ``_check_window`` is the one check of a frequency
-window and its scale, and the ``_OMEGA_*``, ``_COARSE_POINTS`` and
-``_XTOL`` constants are the one statement of the default grid and the
-minimum search's defaults.
+``minima_over_models``; each of them resolves its witnesses and builds
+their gain problems once, before the scan.  VlfResult objects are made
+only where a public function returns them.  ``_check_window`` is the one
+check of a frequency window and its scale.  The ``_OMEGA_*`` constants
+state the default grid, and ``_COARSE_POINTS`` and ``_XTOL`` the coarse
+grid and golden-section tolerance of every minimum search, which no
+argument overrides.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from numpy.linalg import LinAlgError
 
 from .errors import ParameterError, PhysicalityError
 from .linearization import FluctuationModel, build_fluctuation_model
-from .params import MODE_LABELS, SystemParams, _require_count, _require_positive
+from .params import MODE_LABELS, SystemParams
 from .spectra import (
     QuadratureSpectrum,
     _checked_omegas,
@@ -61,8 +63,8 @@ _OMEGA_WINDOW = (0.01, 100.0)
 _OMEGA_POINTS = 400
 _OMEGA_SCALE = "log"
 _SCALES = ("log", "linear")
-# The default coarse grid of a minimum search and its golden-section
-# tolerance in omega / gamma_a.
+# The coarse grid of every minimum search and its golden-section tolerance
+# in omega / gamma_a.
 _COARSE_POINTS = 64
 _XTOL = 1e-6
 
@@ -303,6 +305,9 @@ def optimize_gains(ineq: VlfInequality, spectrum: QuadratureSpectrum) -> VlfResu
 def _resolve_inequalities(inequalities):
     if inequalities is None:
         return INEQUALITIES
+    if isinstance(inequalities, str):
+        raise ParameterError(f"inequalities must be a sequence of labels, got the string "
+                             f"{inequalities!r}; write ({inequalities!r},) for one")
     return tuple(item if isinstance(item, VlfInequality) else inequality_by_label(item)
                  for item in inequalities)
 
@@ -351,21 +356,22 @@ def _grid_spectra(rows: tuple, omega_norms, work: _Workspace | None = None) -> t
     return omegas, omegas / rates[:, 0], v_out
 
 
-def _sweep_arrays(model: FluctuationModel, inequalities, omega_grid,
+def _sweep_arrays(model: FluctuationModel, problems: tuple, omega_grid,
                   work: _Workspace | None = None) -> tuple:
     """``sweep_frequency`` as arrays omega, omega_norm (N,), values (N, P), gains (N, P, 4).
 
-    Every frequency scan runs here.  One workspace serves the whole grid:
-    the caller's ``work``, or one ``_output_stack`` makes when it is None.
+    Every frequency scan runs here, on the P gain problems ``problems``
+    (the rows of ``_problem_arrays``), which the caller builds once.  One
+    workspace serves the whole grid: the caller's ``work``, or one
+    ``_output_stack`` makes when it is None.
     """
-    ineqs = _resolve_inequalities(inequalities)
     if omega_grid is None:
         omega_grid = _omega_grid(*_OMEGA_WINDOW, _OMEGA_POINTS, _OMEGA_SCALE)
     omega_grid = _checked_omegas(model.m, omega_grid)
     if (omega_grid < 0.0).any():
         raise ParameterError("omega_grid values must be >= 0")
     omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), omega_grid, work)
-    return (omega, omega_norm, *_gain_solves(*_problem_arrays(ineqs), v_out[:, None]))
+    return (omega, omega_norm, *_gain_solves(*problems, v_out[:, None]))
 
 
 def sweep_frequency(
@@ -385,7 +391,7 @@ def sweep_frequency(
     ineqs = _resolve_inequalities(inequalities)
     if model is None:
         model = build_branch_model(params, branch)
-    omega, omega_norm, values, gains = _sweep_arrays(model, ineqs, omega_grid)
+    omega, omega_norm, values, gains = _sweep_arrays(model, _problem_arrays(ineqs), omega_grid)
     return [_result(ineq, w, w_norm, value, ineq_gains)
             for w, w_norm, w_values, w_gains in zip(omega.tolist(), omega_norm.tolist(),
                                                     values.tolist(), gains)
@@ -430,8 +436,8 @@ def _gather(sources: tuple, index: np.ndarray, buffers: list) -> tuple:
 
 
 def _refine_minima(rows: tuple, problems: tuple, grid: np.ndarray,
-                   coarse: list, xtol: float, work: _Workspace) -> list:
-    """Golden-section refine of every search's best coarse bracket.
+                   coarse: list, work: _Workspace) -> list:
+    """Golden-section refine of every search's best coarse bracket, to ``_XTOL``.
 
     With P rows in ``problems``, search k minimizes row k % P of them on
     the model in row k // P of ``rows``; ``coarse[k]`` holds its best index
@@ -450,7 +456,7 @@ def _refine_minima(rows: tuple, problems: tuple, grid: np.ndarray,
     for k, (best, point) in enumerate(coarse):
         minima.append(point)
         search = _golden_section(float(grid[max(best - 1, 0)]),
-                                 float(grid[min(best + 1, grid.size - 1)]), xtol)
+                                 float(grid[min(best + 1, grid.size - 1)]), _XTOL)
         running.append((k, search, next(search), {}))
     while running:
         model_of, problem_of = divmod(np.array([k for k, _, _, _ in running]), len(problems[0]))
@@ -472,28 +478,23 @@ def _refine_minima(rows: tuple, problems: tuple, grid: np.ndarray,
     return minima
 
 
-def minima_over_models(
-    models,
-    inequalities=None,
-    omega_range=_OMEGA_WINDOW,
-    coarse_points: int = _COARSE_POINTS,
-    scale: str = _OMEGA_SCALE,
-    xtol: float = _XTOL,
-) -> list:
+def minima_over_models(models, inequalities=None, omega_range=_OMEGA_WINDOW,
+                       scale: str = _OMEGA_SCALE) -> list:
     """Global minimum of each optimized inequality over a frequency window, per model.
 
-    Scans one coarse grid per model with ``_sweep_arrays``, shared by all
-    inequalities (all inequalities by default), and keeps each inequality's
-    best coarse point.  Then it refines every (model, inequality) bracket
-    by golden section to ``xtol`` in omega / gamma_a, all of them in one
-    lockstep with one stacked spectral evaluation per step.  A minimum on
-    the window edge is refined within the outermost cell and can land on
-    the edge itself.  The window ``omega_range`` must be a pair of numbers
-    (lo, hi) that passes ``_check_window`` with lo > 0.  ``models`` is any
-    iterable of FluctuationModels, taken one at a time after the arguments
-    are checked.  Returns one list per model with one VlfResult per
-    inequality, in the order given; each equals what the same call returns
-    for that model and inequality alone.
+    Scans one coarse grid of ``_COARSE_POINTS`` per model with
+    ``_sweep_arrays``, shared by all inequalities (all inequalities by
+    default), and keeps each inequality's best coarse point.  Then it
+    refines every (model, inequality) bracket by golden section to
+    ``_XTOL`` in omega / gamma_a, all of them in one lockstep with one
+    stacked spectral evaluation per step.  A minimum on the window edge is
+    refined within the outermost cell and can land on the edge itself.  The
+    window ``omega_range`` must be a pair of numbers (lo, hi) that passes
+    ``_check_window`` with lo > 0.  ``models`` is any iterable of
+    FluctuationModels, taken one at a time after the arguments are checked.
+    Returns one list per model with one VlfResult per inequality, in the
+    order given; each equals what the same call returns for that model and
+    inequality alone.
     The call owns one spectral workspace, which every coarse scan and every
     refine step writes its temporaries into; no returned value or gain
     vector shares memory with it, or with another call's results.
@@ -510,36 +511,25 @@ def minima_over_models(
     _check_window(lo, hi, scale)
     if lo == 0.0:
         raise ParameterError("a minimum search needs omega_min > 0", key="omega_min")
-    coarse_points = _require_count("coarse_points", coarse_points, 3)
-    _require_positive("xtol", xtol)
-    grid = _omega_grid(lo, hi, coarse_points, scale)
+    grid = _omega_grid(lo, hi, _COARSE_POINTS, scale)
     work = _Workspace()
     scanned, coarse = [], []
     for model in models:
-        omega, omega_norm, values, gains = _sweep_arrays(model, ineqs, grid, work)
+        omega, omega_norm, values, gains = _sweep_arrays(model, problems, grid, work)
         scanned.append(model)
         for p, best in enumerate(values.argmin(axis=0).tolist()):
             coarse.append((best, (float(omega[best]), float(omega_norm[best]),
                                   float(values[best, p]), gains[best, p])))
-    minima = _refine_minima(_model_rows(scanned), problems, grid, coarse, xtol, work)
+    minima = _refine_minima(_model_rows(scanned), problems, grid, coarse, work)
     n = len(ineqs)
     return [[_result(ineq, *point) for ineq, point in zip(ineqs, minima[i * n:(i + 1) * n])]
             for i in range(len(scanned))]
 
 
-def min_over_frequency(
-    params: SystemParams,
-    branch: Branch | str,
-    inequality,
-    omega_range=_OMEGA_WINDOW,
-    coarse_points: int = _COARSE_POINTS,
-    scale: str = _OMEGA_SCALE,
-    xtol: float = _XTOL,
-) -> VlfResult:
-    """Global minimum of one optimized inequality over a frequency window.
+def min_over_frequency(params: SystemParams, branch: Branch | str, inequality) -> VlfResult:
+    """Global minimum of one optimized inequality over the default window.
 
     The one-model, one-inequality case of ``minima_over_models``, on the
     model of ``branch`` at ``params``.
     """
-    return minima_over_models([build_branch_model(params, branch)], (inequality,),
-                              omega_range, coarse_points, scale, xtol)[0][0]
+    return minima_over_models([build_branch_model(params, branch)], (inequality,))[0][0]

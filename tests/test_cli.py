@@ -669,6 +669,25 @@ def test_reproduce_figures_byte_identical(figure, tmp_path, capsys, monkeypatch)
     assert (tmp_path / f"{figure}.csv").read_bytes() == expected
 
 
+def test_reproduce_fig8_builds_its_witnesses_once(tmp_path, capsys, monkeypatch):
+    # One lockstep search over 21 pump points: the witnesses are resolved
+    # and their gain problems built once, not again in each coarse scan.
+    from cascaded_fwm import vlf
+
+    calls = {"_resolve_inequalities": 0, "_problem_arrays": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(vlf, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(vlf, name, counted)
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce", "fig8"]) == 0
+    capsys.readouterr()
+    assert calls == {"_resolve_inequalities": 1, "_problem_arrays": 1}
+    with gzip.open(REFERENCE_DIR / "fig8.csv.gz", "rb") as fh:
+        assert (tmp_path / "fig8.csv").read_bytes() == fh.read()
+
+
 def test_atomic_write_leaves_foreign_temp_file_alone(tmp_path):
     out = tmp_path / "out.csv"
     foreign = tmp_path / "out.csv.tmp"

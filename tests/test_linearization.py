@@ -159,6 +159,34 @@ def test_stale_steady_state_rejected():
         build_fluctuation_model(changed, state)
 
 
+def in_units_of(params, factor):
+    """The same system on a time unit 1 / ``factor`` as long: every rate and the pump scaled."""
+    return replace(params, **{name: factor * getattr(params, name) for name in
+                              ("gamma_a", "gamma_b", "gamma_c", "k1", "k2", "k3", "epsilon")})
+
+
+@pytest.mark.parametrize("figure", ["fig8", "fig9"])
+def test_stationarity_guard_accepts_valid_states_in_any_unit(figure):
+    # With gamma = 3e7 (a cavity rate in 1/s), rounding alone puts the drift
+    # residual of these valid states near 3e-8, above an absolute 1e-8.
+    from cascaded_fwm.cli import figure_config
+
+    config = figure_config(figure)
+    for ratio in np.geomspace(1.05, config.epsilon_ratio, 21):
+        params = in_units_of(replace(config, epsilon_ratio=float(ratio)).system(), 1e9)
+        build_fluctuation_model(params, state_for_branch(params, config.branch))
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1.0, 1e9])
+def test_stationarity_guard_refuses_a_stale_state_in_any_unit(factor):
+    # At 1e-6 the stale state's residual is 1.7e-9, below an absolute 1e-8;
+    # against the drift's largest term it reads 0.2 in every unit.
+    params = in_units_of(pumped(0.4, 1.2), factor)
+    state = state_for_branch(params, Branch.LOWER)
+    with pytest.raises(StaleSteadyStateError):
+        build_fluctuation_model(params.with_epsilon(params.epsilon * 1.25), state)
+
+
 def test_one_model_build_evaluates_the_drift_once(monkeypatch):
     # M and D share one stationarity check; each used to run its own.
     calls = []

@@ -25,6 +25,7 @@ from cascaded_fwm import (
     output_spectra,
     sweep_frequency,
 )
+from cascaded_fwm import vlf
 from cascaded_fwm.vlf import (
     _gain_solves,
     _golden_section,
@@ -174,7 +175,7 @@ def test_symmetry_class_degeneracy_in_every_regime():
     # threshold.  The bound allows 7x.
     grid = np.geomspace(0.01, 100.0, 64)
     for params, model in models_in_every_regime():
-        _, _, values, _ = _sweep_arrays(model, None, grid)
+        _, _, values, _ = _sweep_arrays(model, _problem_arrays(INEQUALITIES), grid)
         by_label = dict(zip((ineq.label for ineq in INEQUALITIES), values.T))
         for cls in ("B", "C"):
             first, second = (by_label[ineq.label] for ineq in class_members(cls))
@@ -234,13 +235,14 @@ def test_non_finite_stack_entry_named_before_psd_check():
         _require_physical(stack[:2])
 
 
-def test_large_spectrum_passes_on_rounding_alone():
+def test_large_spectrum_passes_on_rounding_alone(monkeypatch):
     # v_out reaches ~1e8 at low omega here, and rounding alone puts its
     # smallest eigenvalue at about -9e-9, below an absolute -1e-9 budget.
     rng = np.random.default_rng(17)
     for regime in ("NoThreshold", "BelowThreshold", "BetweenThresholds"):
         params = random_params(rng, regime=regime)
-    results = minima_over_models([build_branch_model(params, "lower")], coarse_points=16)[0]
+    monkeypatch.setattr(vlf, "_COARSE_POINTS", 16)
+    results = minima_over_models([build_branch_model(params, "lower")])[0]
     assert len(results) == len(INEQUALITIES)
     assert all(np.isfinite(res.value) for res in results)
 
@@ -382,18 +384,6 @@ def test_min_over_frequency_beats_coarse_sweep():
     assert 0.01 <= best.omega_norm <= 100.0
 
 
-def test_min_over_frequency_validation():
-    params = pumped(0.4, 1.2)
-    with pytest.raises(ParameterError, match="omega_min must be smaller than omega_max"):
-        min_over_frequency(params, "lower", "s1-i1", omega_range=(1.0, 0.5))
-    with pytest.raises(ParameterError, match="coarse_points"):
-        min_over_frequency(params, "lower", "s1-i1", coarse_points=2)
-    with pytest.raises(ParameterError, match="coarse_points"):
-        min_over_frequency(params, "lower", "s1-i1", coarse_points=64.0)
-    with pytest.raises(ParameterError, match="scale"):
-        min_over_frequency(params, "lower", "s1-i1", scale="sqrt")
-
-
 @pytest.mark.parametrize("grid, message", [
     ([[0.1, 1.0]], r"1-D, got shape \(1, 2\)"),
     ([-1.0, 1.0], ">= 0"),
@@ -434,18 +424,17 @@ def test_omega_range_must_be_a_finite_positive_window(omega_range):
 
 @pytest.mark.parametrize("omega_range", [(0.1, 1.0, 5.0), (0.1,), 0.1, "ab", (0.1, "1")])
 def test_omega_range_must_be_a_pair_of_numbers(omega_range):
-    params = pumped(0.4, 1.2)
+    model = build_branch_model(pumped(0.4, 1.2), "lower")
     with pytest.raises(ParameterError, match="omega_range must be a pair of numbers"):
-        minima_over_models([build_branch_model(params, "lower")], omega_range=omega_range)
-    with pytest.raises(ParameterError, match="omega_range must be a pair of numbers"):
-        min_over_frequency(params, "lower", "s1-i1", omega_range=omega_range)
+        minima_over_models([model], omega_range=omega_range)
 
 
 @pytest.mark.parametrize("omega_range", [[0.1, 10.0], np.array([0.1, 10.0])])
-def test_omega_range_pair_of_any_sequence_type(omega_range):
+def test_omega_range_pair_of_any_sequence_type(omega_range, monkeypatch):
+    monkeypatch.setattr(vlf, "_COARSE_POINTS", 8)
     model = build_branch_model(pumped(0.4, 1.2), "lower")
-    got, = minima_over_models([model], ["s1-i1"], omega_range, coarse_points=8)
-    want, = minima_over_models([model], ["s1-i1"], (0.1, 10.0), coarse_points=8)
+    got, = minima_over_models([model], ["s1-i1"], omega_range)
+    want, = minima_over_models([model], ["s1-i1"], (0.1, 10.0))
     assert_same_result(got[0], want[0])
 
 
@@ -491,20 +480,22 @@ def test_shared_scan_matches_per_inequality_minimum(figure):
             assert np.array_equal(res.gains, alone.gains)
 
 
-def test_minima_over_models_defaults_to_every_inequality():
-    params = pumped(0.4, 1.2)
-    results = minima_over_models([build_branch_model(params, "lower")], coarse_points=8,
-                                 xtol=1e-3)[0]
+def test_minima_over_models_defaults_to_every_inequality(monkeypatch):
+    monkeypatch.setattr(vlf, "_COARSE_POINTS", 8)
+    monkeypatch.setattr(vlf, "_XTOL", 1e-3)
+    results = minima_over_models([build_branch_model(pumped(0.4, 1.2), "lower")])[0]
     assert [res.label for res in results] == list(EXPECTED)
 
 
-def test_xtol_must_be_finite_and_positive():
-    params = pumped(0.4, 1.2)
-    # nan and inf first: without the check they skip the refine and fail
-    # this test at once, where -1.0 and 0.0 would never return.
-    for xtol in (math.nan, math.inf, -1.0, 0.0):
-        with pytest.raises(ParameterError, match="xtol"):
-            min_over_frequency(params, "lower", "s1-i1", xtol=xtol)
+def test_inequalities_must_not_be_a_bare_string():
+    # A string is a sequence of one-character labels; it used to fail on
+    # its first character as an unknown inequality 's'.
+    model = build_branch_model(pumped(0.4, 1.2), "lower")
+    with pytest.raises(ParameterError, match="sequence of labels"):
+        minima_over_models([model], "s1-i1")
+    with pytest.raises(ParameterError, match="sequence of labels"):
+        sweep_frequency(model.params, None, "s1-i1", [1.0], model=model)
+    assert minima_over_models([model], ["s1-i1"])[0][0].label == "s1-i1"
 
 
 def run_search(search, f, max_steps):
@@ -626,19 +617,19 @@ def test_gain_solves_broadcast_problems_against_spectra():
             assert np.array_equal(by_frequency[1][j, p], gains)
 
 
-def assert_matches_sequential(model, omega_range=(0.01, 100.0), coarse_points=64,
-                              scale="log", xtol=1e-6):
+def assert_matches_sequential(model, omega_range=(0.01, 100.0), scale="log"):
     """minima_over_models on one model equals the one-witness sequential reference.
 
+    The reference reads the coarse grid size and the tolerance from
+    ``vlf._COARSE_POINTS`` and ``vlf._XTOL``, which a test may monkeypatch.
     Returns the reference's golden-section evaluation count per witness.
     """
     lo, hi = omega_range
-    grid = (np.geomspace if scale == "log" else np.linspace)(lo, hi, coarse_points)
-    results = minima_over_models([model], None, omega_range=omega_range,
-                                 coarse_points=coarse_points, scale=scale, xtol=xtol)[0]
+    grid = (np.geomspace if scale == "log" else np.linspace)(lo, hi, vlf._COARSE_POINTS)
+    results = minima_over_models([model], None, omega_range=omega_range, scale=scale)[0]
     counts = []
     for ineq, res in zip(INEQUALITIES, results, strict=True):
-        ref, count = sequential_minimum(model, ineq, grid, xtol)
+        ref, count = sequential_minimum(model, ineq, grid, vlf._XTOL)
         assert (res.label, res.omega, res.omega_norm, res.value) == \
             (ref.label, ref.omega, ref.omega_norm, ref.value)
         assert np.array_equal(res.gains, ref.gains)
@@ -658,7 +649,8 @@ def test_lockstep_refine_matches_sequential_reference_on_pump_sweeps(figure):
         assert_matches_sequential(build_branch_model(system, config.branch))
 
 
-def test_lockstep_refine_matches_sequential_reference_in_every_regime():
+def test_lockstep_refine_matches_sequential_reference_in_every_regime(monkeypatch):
+    monkeypatch.setattr(vlf, "_COARSE_POINTS", 16)
     rng = np.random.default_rng(7)
     branches_seen = set()
     for regime in ("NoThreshold", "BelowThreshold", "BetweenThresholds",
@@ -666,18 +658,24 @@ def test_lockstep_refine_matches_sequential_reference_in_every_regime():
         params = random_params(rng, regime=regime)
         for state in analytic_steady_states(params):
             branches_seen.add(state.branch.value)
-            assert_matches_sequential(build_branch_model(params, state.branch),
-                                      coarse_points=16)
+            assert_matches_sequential(build_branch_model(params, state.branch))
     assert branches_seen == {"trivial", "lower", "upper"}
 
 
-def test_lockstep_refine_matches_sequential_reference_on_a_linear_grid():
+def test_lockstep_refine_matches_sequential_reference_on_a_linear_grid(monkeypatch):
+    monkeypatch.setattr(vlf, "_COARSE_POINTS", 24)
     model = build_branch_model(pumped(0.4, 1.2), "lower")
-    assert_matches_sequential(model, omega_range=(0.05, 20.0), coarse_points=24,
-                              scale="linear")
+    assert_matches_sequential(model, omega_range=(0.05, 20.0), scale="linear")
 
 
-def test_lockstep_refine_matches_sequential_reference_at_a_window_edge():
+@pytest.mark.parametrize("xtol", [1e-3, 1e-9])
+def test_lockstep_refine_matches_sequential_reference_at_another_tolerance(xtol, monkeypatch):
+    # _XTOL is read when a search runs, not when the module is imported.
+    monkeypatch.setattr(vlf, "_XTOL", xtol)
+    assert_matches_sequential(build_branch_model(pumped(0.4, 1.2), "lower"))
+
+
+def test_lockstep_refine_matches_sequential_reference_at_a_window_edge(monkeypatch):
     # Above 5 gamma_a the witnesses of this point only rise with omega, so
     # every minimum sits in the outermost cell at the left edge.
     model = build_branch_model(pumped(0.4, 1.2), "lower")
@@ -686,7 +684,8 @@ def test_lockstep_refine_matches_sequential_reference_at_a_window_edge():
         values = [res.value for res in
                   sweep_frequency(model.params, None, (ineq,), grid, model=model)]
         assert int(np.argmin(values)) == 0
-    assert_matches_sequential(model, omega_range=(5.0, 100.0), coarse_points=12)
+    monkeypatch.setattr(vlf, "_COARSE_POINTS", 12)
+    assert_matches_sequential(model, omega_range=(5.0, 100.0))
 
 
 def test_lockstep_refine_with_searches_of_different_lengths():
@@ -724,7 +723,6 @@ def test_minima_over_models_matches_per_model_search_at_every_pump_point(figure)
 
 
 def test_coarse_scan_hands_the_argmin_rows_of_sweep_arrays_to_the_refine(monkeypatch):
-    from cascaded_fwm import vlf
     from cascaded_fwm.cli import figure_config
 
     config = figure_config("fig8")
@@ -735,16 +733,17 @@ def test_coarse_scan_hands_the_argmin_rows_of_sweep_arrays_to_the_refine(monkeyp
               for ratio in np.geomspace(1.05, config.epsilon_ratio, 21)[[0, -1]]]
     handed, refine = [], vlf._refine_minima
 
-    def capture(rows, problems, grid, coarse, xtol, work):
+    def capture(rows, problems, grid, coarse, work):
         handed.extend(coarse)
-        return refine(rows, problems, grid, coarse, xtol, work)
+        return refine(rows, problems, grid, coarse, work)
 
     monkeypatch.setattr(vlf, "_refine_minima", capture)
     minima_over_models(models)
     grid = np.geomspace(*vlf._OMEGA_WINDOW, vlf._COARSE_POINTS)
     want = []
     for model in models:
-        omega, omega_norm, values, gains = _sweep_arrays(model, None, grid)
+        omega, omega_norm, values, gains = _sweep_arrays(model, _problem_arrays(INEQUALITIES),
+                                                         grid)
         want.extend((best, (omega[best], omega_norm[best], values[best, p], gains[best, p]))
                     for p, best in enumerate(np.argmin(values, axis=0).tolist()))
     assert len(handed) == 2 * len(INEQUALITIES)
@@ -754,7 +753,7 @@ def test_coarse_scan_hands_the_argmin_rows_of_sweep_arrays_to_the_refine(monkeyp
         assert np.array_equal(point[3], want_point[3])
 
 
-def test_minima_over_models_matches_sequential_reference_on_a_mixed_batch():
+def test_minima_over_models_matches_sequential_reference_on_a_mixed_batch(monkeypatch):
     # The models of the per-model regime test above, now in one lockstep:
     # every regime and branch, and searches that end after different
     # numbers of steps, so rows drop out of the stack unevenly.
@@ -767,7 +766,8 @@ def test_minima_over_models_matches_sequential_reference_on_a_mixed_batch():
     assert {model.steady_state.branch.value for model in models} == \
         {"trivial", "lower", "upper"}
     grid = np.geomspace(0.01, 100.0, 16)
-    batched = minima_over_models(iter(models), coarse_points=16)
+    monkeypatch.setattr(vlf, "_COARSE_POINTS", 16)
+    batched = minima_over_models(iter(models))
     counts = set()
     for model, results in zip(models, batched, strict=True):
         for ineq, res in zip(INEQUALITIES, results, strict=True):
@@ -779,16 +779,13 @@ def test_minima_over_models_matches_sequential_reference_on_a_mixed_batch():
 
 def test_minima_over_models_validation():
     model = build_branch_model(pumped(0.4, 1.2), "lower")
-    for xtol in (math.nan, math.inf, -1.0, 0.0):
-        with pytest.raises(ParameterError, match="xtol"):
-            minima_over_models([model], xtol=xtol)
-    for coarse_points in (2, 64.0):
-        with pytest.raises(ParameterError, match="coarse_points"):
-            minima_over_models([model], coarse_points=coarse_points)
+    with pytest.raises(ParameterError, match="omega_min must be smaller than omega_max"):
+        minima_over_models([model], omega_range=(1.0, 0.5))
     with pytest.raises(ParameterError, match="scale"):
         minima_over_models([model], scale="sqrt")
-    with pytest.raises(ParameterError, match="xtol"):
-        minima_over_models([], xtol=0.0)
+    # The arguments are checked before the first model is taken.
+    with pytest.raises(ParameterError, match="scale"):
+        minima_over_models([], scale="sqrt")
     assert minima_over_models([]) == []
     assert minima_over_models([model, model], inequalities=[]) == [[], []]
 
@@ -807,7 +804,7 @@ def assert_results_independent(first, second):
             assert not np.shares_memory(res.gains, other.gains)
 
 
-def test_consecutive_sweeps_and_searches_share_no_memory():
+def test_consecutive_sweeps_and_searches_share_no_memory(monkeypatch):
     # Each call owns its workspace: a second call neither aliases nor
     # overwrites what the first returned.
     model = build_branch_model(pumped(0.4, 1.2), "lower")
@@ -821,9 +818,10 @@ def test_consecutive_sweeps_and_searches_share_no_memory():
         assert res.value == value and np.array_equal(res.gains, gains)
 
     other = build_branch_model(pumped(0.4, 1.5), "lower")
-    first = minima_over_models([model, other], coarse_points=16)
+    monkeypatch.setattr(vlf, "_COARSE_POINTS", 16)
+    first = minima_over_models([model, other])
     snapshot = [[(res.omega, res.value, res.gains.copy()) for res in row] for row in first]
-    second = minima_over_models([other, model], coarse_points=16)
+    second = minima_over_models([other, model])
     assert_results_independent(sum(first, []), sum(second, []))
     for row, row_snapshot in zip(first, snapshot, strict=True):
         for res, (omega, value, gains) in zip(row, row_snapshot, strict=True):
