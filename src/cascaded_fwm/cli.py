@@ -3,9 +3,9 @@
 Verbs: ``thresholds`` and ``steady-state`` print machine-readable key=value
 lines; ``spectrum``, ``vlf-sweep``, ``pump-sweep`` and ``mc-validate`` write
 CSV files; ``reproduce figN`` runs a configuration shipped with the package.
-All numeric cells use full-precision scientific notation, rows are emitted
-in a deterministic order, and files are written atomically (no partial file
-survives a failure).
+Every number printed or written uses one full-precision scientific format,
+``_NUMBER``; rows are emitted in a deterministic order, and files are
+written atomically (no partial file survives a failure).
 
 Each decision is declared once.  ``_OPTIONAL_KEYS`` holds the default and
 the parser of every optional config key, and the known keys derive from it.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.resources
+import itertools
 import math
 import os
 import re
@@ -79,8 +80,12 @@ _PUMP_SWEEP_POINTS = 21
 _PUMP_SWEEP_START = 1.05
 
 
+# The one text of every number the CLI prints or writes.
+_NUMBER = "%.17e"
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".17e")
+    return _NUMBER % float(x)
 
 
 def _fmt_bool(flag: bool) -> str:
@@ -263,10 +268,26 @@ def _write_text_atomic(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    """Write a header and rows atomically; other than strings, cells print as ``_fmt``."""
+    """Write a header and rows atomically, each row with one ``%`` of one format.
+
+    The first row fixes the format: ``%s`` where it has a ``str`` cell and
+    ``_NUMBER`` elsewhere.  A later row whose cells differ from it in number,
+    or in kind (a number where it has text, or text where it has a number),
+    raises ``TypeError`` instead of printing differently.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
     lines = [",".join(header)]
-    lines.extend(",".join([c if isinstance(c, str) else f"{c:.17e}" for c in row])
-                 for row in rows)
+    if first is not None:
+        text = [i for i, c in enumerate(first) if isinstance(c, str)]
+        row_format = ",".join(["%s" if isinstance(c, str) else _NUMBER for c in first])
+        for row in itertools.chain((first,), rows):
+            cells = tuple(row)
+            line = row_format % cells
+            if text and not all(isinstance(cells[i], str) for i in text):
+                raise TypeError(f"CSV row {cells!r} has a number where the first "
+                                "row has text")
+            lines.append(line)
     _write_text_atomic(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
 

@@ -25,6 +25,7 @@ from cascaded_fwm import (
 from cascaded_fwm import cli
 from cascaded_fwm.cli import (
     _fmt,
+    _write_csv,
     _write_text_atomic,
     figure_config,
     load_config,
@@ -672,20 +673,93 @@ def test_reproduce_figures_byte_identical(figure, tmp_path, capsys, monkeypatch)
 def test_reproduce_fig8_builds_its_witnesses_once(tmp_path, capsys, monkeypatch):
     # One lockstep search over 21 pump points: the witnesses are resolved
     # and their gain problems built once, not again in each coarse scan.
+    # The counted run must write what an uncounted run writes on this BLAS,
+    # whichever kernel it picks.
     from cascaded_fwm import vlf
 
+    (tmp_path / "plain").mkdir()
+    monkeypatch.chdir(tmp_path / "plain")
+    assert main(["reproduce", "fig8"]) == 0
     calls = {"_resolve_inequalities": 0, "_problem_arrays": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(vlf, name)):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(vlf, name, counted)
-    monkeypatch.chdir(tmp_path)
+    (tmp_path / "counted").mkdir()
+    monkeypatch.chdir(tmp_path / "counted")
     assert main(["reproduce", "fig8"]) == 0
     capsys.readouterr()
     assert calls == {"_resolve_inequalities": 1, "_problem_arrays": 1}
-    with gzip.open(REFERENCE_DIR / "fig8.csv.gz", "rb") as fh:
-        assert (tmp_path / "fig8.csv").read_bytes() == fh.read()
+    assert ((tmp_path / "counted" / "fig8.csv").read_bytes()
+            == (tmp_path / "plain" / "fig8.csv").read_bytes())
+
+
+def per_cell_csv(header, rows) -> bytes:
+    """The CSV text of the writer ``_write_csv`` replaced: one f-string per cell."""
+    lines = [",".join(header)]
+    lines.extend(",".join([c if isinstance(c, str) else f"{c:.17e}" for c in row])
+                 for row in rows)
+    return ("\n".join(lines) + "\n").encode()
+
+
+EDGE_CELLS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+              sys.float_info.max, -sys.float_info.max, sys.float_info.min,
+              np.float64(0.1), np.float64(-2.5e-300), np.float32(0.1), 3, -7, True, False]
+
+
+def random_doubles(rows, cols):
+    rng = np.random.default_rng(31)
+    normals = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 301, (rows, cols))
+    bits = rng.integers(0, 2**64, (rows, cols), dtype=np.uint64).view(np.float64)
+    return np.vstack([normals, bits])
+
+
+MC_LABELS = [("p1", "p1"), ("p1", "s1*"), ("c2*", "i2")]
+
+
+@pytest.mark.parametrize("header, rows", [
+    (["a"] * len(EDGE_CELLS), [EDGE_CELLS, EDGE_CELLS[::-1]]),
+    (["x"] * 16, random_doubles(200, 16).tolist()),
+    # np.float64 cells, as iterating an array row gives them.
+    (["x"] * 16, list(random_doubles(20, 16))),
+    # Text label cells, as mc-validate writes them.
+    (["row", "col", "v", "w"],
+     [[*pair, x, y] for pair, x, y in zip(MC_LABELS, EDGE_CELLS, EDGE_CELLS[5:])]),
+    (["omega_norm", "V_A"], []),
+], ids=["edge-values", "random-doubles", "float64-cells", "text-labels", "header-only"])
+@pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
+def test_write_csv_bytes_equal_the_per_cell_formatter(header, rows, as_generator,
+                                                      tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    _write_csv(str(out), header, (row for row in rows) if as_generator else rows)
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_bytes() == per_cell_csv(header, rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [["p1", "p1", 1.0], [0.5, "s1", 2.0]],  # a number where the first row has text
+    [["p1", "p1", 1.0], ["p1", "s1", "2"]],  # text where the first row has a number
+    [[1.0, 2.0], [1.0]],
+    [[1.0, 2.0], [1.0, 2.0, 3.0]],
+    [["p1", "p1", 1.0], ["p1"]],
+], ids=["number-for-text", "text-for-number", "short", "long", "short-text"])
+def test_write_csv_refuses_a_row_unlike_the_first(rows, tmp_path, capsys):
+    # The row format comes from the first row; a row it does not fit raises
+    # before anything is written, never prints in another format.
+    out = tmp_path / "out.csv"
+    with pytest.raises(TypeError):
+        _write_csv(str(out), ["a", "b", "c"], iter(rows))
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_printed_and_written_numbers_share_one_format(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_NUMBER", "%.3e")
+    out = tmp_path / "out.csv"
+    _write_csv(str(out), ["row", "v"], [["p1", 1.0 / 3.0]])
+    assert out.read_text() == "row,v\np1,3.333e-01\n"
+    assert _fmt(1.0 / 3.0) == "3.333e-01"
 
 
 def test_atomic_write_leaves_foreign_temp_file_alone(tmp_path):
