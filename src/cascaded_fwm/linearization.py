@@ -15,9 +15,14 @@ the state is stationary:
     M = [[m1, m2], [m2, m1]],    D = [[d, 0], [0, d]].
 
 ``jacobian_blocks`` stays complex: it differentiates the drift at any
-alpha, where the lower blocks are m2* and m1*.  ``d`` comes straight from
-the second-derivative terms of the Fokker-Planck equation; it is symmetric
-but in general indefinite, which is why B may be complex.
+alpha, where the lower blocks are m2* and m1*.  It derives both blocks
+from ``steady_state._DRIFT_TERMS``, and the order of their terms and
+factors matters: fig2's witnesses turn a last-bit change of M into moves
+of about 1e-7.  ``d`` comes straight from the second-derivative terms of
+the Fokker-Planck equation; it is symmetric but in general indefinite,
+which is why B may be complex.  Its six entries stay written out, because
+two of them multiply their factors in the reverse of the table's order;
+tests hold d equal to -m2 on the table's pairs.
 
 ``stationary_covariance`` solves the Lyapunov equation M Sigma + Sigma M^T
 = D as the linear system (M (x) I + I (x) M) vec Sigma = vec D, of size 144
@@ -31,11 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, StabilityError, StaleSteadyStateError
-from .params import Mode, SystemParams
-from .steady_state import SteadyState, drift
-
-P2, P1, I1, S1, I2, S2 = (int(m) for m in Mode)
+from .errors import NumericalError, ParameterError, StabilityError, StaleSteadyStateError
+from .params import SystemParams
+from .steady_state import _DRIFT_TERMS, I1, I2, P1, P2, S1, S2, SteadyState, drift
 
 _STALE_RESIDUAL = 1e-8
 _MARGIN_INDETERMINATE = 1e-10
@@ -67,63 +70,33 @@ class StabilityReport:
 
 
 def jacobian_blocks(params: SystemParams, alpha: np.ndarray):
-    """Blocks m1 = -df/dalpha and m2 = -df/dalpha* at arbitrary amplitudes.
+    """Blocks m1 = -df/dalpha and m2 = -df/dalpha* at any alpha of shape (6,).
 
-    Entry (i, j) of m1 is minus the derivative of drift row i with respect
-    to alpha_j; m2 differentiates with respect to alpha_j*.  Valid at any
-    complex alpha, not only stationary points.
+    m1 holds the damping on its diagonal and minus the derivatives of the
+    ``_DRIFT_TERMS`` by alpha_x and alpha_y, m2 minus those by alpha_c*.
+    The terms go in table order with their factors as listed, and an
+    entry's first term is written, not added onto a zero (0.0 + -0.0 is
+    +0.0); see the module note for why the order matters.
     """
     a = np.asarray(alpha, dtype=complex)
-    p2, p1, i1, s1, i2, s2 = a
-    k1, k2, k3 = params.k1, params.k2, params.k3
-    ga, gb, gc = params.gamma_a, params.gamma_b, params.gamma_c
-    c = np.conj
-
-    m1 = np.zeros((6, 6), dtype=complex)
+    if a.shape != (6,):
+        raise ParameterError(f"alpha must have shape (6,), got {a.shape}")
+    conj = a.conj()
+    m1 = np.diag(params.damping_rates()).astype(complex)
     m2 = np.zeros((6, 6), dtype=complex)
-
-    m1[P2, P2] = ga
-    m1[P2, P1] = k2 * c(i1) * i2 - k3 * c(s2) * s1
-    m1[P2, I1] = k1 * c(p1) * s1
-    m1[P2, S1] = k1 * c(p1) * i1 - k3 * c(s2) * p1
-    m1[P2, I2] = k2 * c(i1) * p1
-    m2[P2, P1] = k1 * s1 * i1
-    m2[P2, I1] = k2 * p1 * i2
-    m2[P2, S2] = -k3 * s1 * p1
-
-    m1[P1, P2] = k3 * c(s1) * s2 - k2 * c(i2) * i1
-    m1[P1, P1] = ga
-    m1[P1, I1] = k1 * c(p2) * s1 - k2 * c(i2) * p2
-    m1[P1, S1] = k1 * c(p2) * i1
-    m1[P1, S2] = k3 * c(s1) * p2
-    m2[P1, P2] = k1 * s1 * i1
-    m2[P1, S1] = k3 * p2 * s2
-    m2[P1, I2] = -k2 * i1 * p2
-
-    m1[I1, P2] = -k1 * c(s1) * p1
-    m1[I1, P1] = -k1 * c(s1) * p2 + k2 * c(p2) * i2
-    m1[I1, I1] = gb
-    m1[I1, I2] = k2 * c(p2) * p1
-    m2[I1, P2] = k2 * p1 * i2
-    m2[I1, S1] = -k1 * p1 * p2
-
-    m1[S1, P2] = -k1 * c(i1) * p1 + k3 * c(p1) * s2
-    m1[S1, P1] = -k1 * c(i1) * p2
-    m1[S1, S1] = gb
-    m1[S1, S2] = k3 * c(p1) * p2
-    m2[S1, P1] = k3 * p2 * s2
-    m2[S1, I1] = -k1 * p1 * p2
-
-    m1[I2, P2] = -k2 * c(p1) * i1
-    m1[I2, I1] = -k2 * c(p1) * p2
-    m1[I2, I2] = gc
-    m2[I2, P1] = -k2 * p2 * i1
-
-    m1[S2, P1] = -k3 * c(p2) * s1
-    m1[S2, S1] = -k3 * c(p2) * p1
-    m1[S2, S2] = gc
-    m2[S2, P2] = -k3 * p1 * s1
-
+    written = set()
+    for row, sign, coupling, c, x, y in _DRIFT_TERMS:
+        k = getattr(params, coupling)
+        for block, col, u, v in ((m1, x, conj[c], a[y]), (m1, y, conj[c], a[x]),
+                                 (m2, c, a[x], a[y])):
+            entry = (block is m2, row, col)
+            if entry not in written:
+                written.add(entry)
+                block[row, col] = -sign * k * u * v
+            elif sign < 0:
+                block[row, col] += k * u * v
+            else:
+                block[row, col] -= k * u * v
     return m1, m2
 
 

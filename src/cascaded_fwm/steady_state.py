@@ -21,6 +21,7 @@ reads, and ``state_for_branch`` the one refusal of a branch a regime lacks.
 arithmetic, built once per call.  It does the same IEEE operations as
 numpy's complex128 scalars, so it equals an ndarray drift bit for bit
 without its per-operation dispatch; the relaxation oracle shares it.
+``_DRIFT_TERMS`` lists its terms, from which the Jacobian is derived.
 
 The relaxation oracle (``relax_to_steady_state``, ``RelaxationResult``,
 ``sample_initial_conditions`` and ``basin_statistics``) lives in
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .params import Regime, SystemParams, classify_regime, compute_thresholds
+from .params import Mode, Regime, SystemParams, classify_regime, compute_thresholds
 
 class Branch(enum.Enum):
     TRIVIAL = "trivial"
@@ -71,12 +72,36 @@ class SteadyState:
         object.__setattr__(self, "amplitudes", amps)
 
 
+P2, P1, I1, S1, I2, S2 = (int(m) for m in Mode)
+
+# The drift's 12 nonlinear terms in the kernel's row, term and factor order:
+# (row, sign, coupling, c, x, y) adds sign * k * conj(alpha_c) * alpha_x *
+# alpha_y to drift row ``row``.  ``linearization.jacobian_blocks`` is built
+# from it.
+_DRIFT_TERMS = (
+    (P2, -1, "k1", P1, S1, I1),
+    (P2, -1, "k2", I1, P1, I2),
+    (P2, +1, "k3", S2, S1, P1),
+    (P1, -1, "k1", P2, S1, I1),
+    (P1, -1, "k3", S1, P2, S2),
+    (P1, +1, "k2", I2, I1, P2),
+    (I1, +1, "k1", S1, P1, P2),
+    (I1, -1, "k2", P2, P1, I2),
+    (S1, +1, "k1", I1, P1, P2),
+    (S1, -1, "k3", P1, P2, S2),
+    (I2, +1, "k2", P1, P2, I1),
+    (S2, +1, "k3", P2, P1, S1),
+)
+
+
 def _drift_kernel(params: SystemParams):
     """The drift as a function of six Python ``complex`` amplitudes.
 
     Returns ``kernel(p2, p1, i1, s1, i2, s2) -> tuple of 6 complex``.  Each
-    component keeps the left-to-right operand order of the numpy drift it
-    replaced, which is what keeps the two equal bit for bit.
+    row is its damping, then its ``_DRIFT_TERMS`` in table order with the
+    operands as listed, and a test holds the two equal bit for bit.  It is
+    written out because a loop over the table takes 1.5-1.8x as long per
+    call, and the relaxation oracle calls it once per right-hand side.
     """
     eps = float(params.epsilon)
     k1, k2, k3 = float(params.k1), float(params.k2), float(params.k3)

@@ -85,6 +85,28 @@ def models_in_every_regime(draws=6, seed=5):
             for state in analytic_steady_states(params)]
 
 
+def amplitudes_in_every_regime(draws, seed):
+    """(params, alpha) pairs for bitwise tests of the drift and its Jacobian.
+
+    For each of ``draws`` random points per regime: every analytic state,
+    one complex alpha with moduli spread over 1e-6..1 and random phases,
+    and one alpha made of signed zeros.
+    """
+    from cascaded_fwm import analytic_steady_states
+
+    rng = np.random.default_rng(seed)
+    points = []
+    for regime in REGIMES:
+        for _ in range(draws):
+            params = random_params(rng, regime)
+            points += [(params, state.amplitudes) for state in analytic_steady_states(params)]
+            points.append((params, 10.0 ** rng.uniform(-6.0, 0.0, 6)
+                           * np.exp(2j * np.pi * rng.uniform(size=6))))
+            points.append((params, rng.choice([0.0, -0.0, 0.5], 6)
+                           + 1j * rng.choice([0.0, -0.0, -0.5], 6)))
+    return points
+
+
 def toy_model(m, d, k2=0.4):
     """FluctuationModel wrapper around an arbitrary small (M, D) pair."""
     from cascaded_fwm import Branch, FluctuationModel, state_for_branch
@@ -369,6 +391,55 @@ def reference_drift(params, alpha):
     out[Mode.I2] = -params.gamma_c * i2 + k2 * np.conj(p1) * p2 * i1
     out[Mode.S2] = -params.gamma_c * s2 + k3 * np.conj(p2) * p1 * s1
     return out
+
+
+def reference_jacobian_blocks(params, alpha):
+    """Test oracle for ``jacobian_blocks``: m1 and m2 as they were written
+    entry by entry before the term table, in numpy scalars."""
+    p2, p1, i1, s1, i2, s2 = np.asarray(alpha, dtype=complex)
+    k1, k2, k3 = params.k1, params.k2, params.k3
+    ga, gb, gc = params.gamma_a, params.gamma_b, params.gamma_c
+    c = np.conj
+    P2, P1, I1, S1, I2, S2 = range(6)
+    m1 = np.zeros((6, 6), dtype=complex)
+    m2 = np.zeros((6, 6), dtype=complex)
+    m1[P2, P2] = ga
+    m1[P2, P1] = k2 * c(i1) * i2 - k3 * c(s2) * s1
+    m1[P2, I1] = k1 * c(p1) * s1
+    m1[P2, S1] = k1 * c(p1) * i1 - k3 * c(s2) * p1
+    m1[P2, I2] = k2 * c(i1) * p1
+    m2[P2, P1] = k1 * s1 * i1
+    m2[P2, I1] = k2 * p1 * i2
+    m2[P2, S2] = -k3 * s1 * p1
+    m1[P1, P2] = k3 * c(s1) * s2 - k2 * c(i2) * i1
+    m1[P1, P1] = ga
+    m1[P1, I1] = k1 * c(p2) * s1 - k2 * c(i2) * p2
+    m1[P1, S1] = k1 * c(p2) * i1
+    m1[P1, S2] = k3 * c(s1) * p2
+    m2[P1, P2] = k1 * s1 * i1
+    m2[P1, S1] = k3 * p2 * s2
+    m2[P1, I2] = -k2 * i1 * p2
+    m1[I1, P2] = -k1 * c(s1) * p1
+    m1[I1, P1] = -k1 * c(s1) * p2 + k2 * c(p2) * i2
+    m1[I1, I1] = gb
+    m1[I1, I2] = k2 * c(p2) * p1
+    m2[I1, P2] = k2 * p1 * i2
+    m2[I1, S1] = -k1 * p1 * p2
+    m1[S1, P2] = -k1 * c(i1) * p1 + k3 * c(p1) * s2
+    m1[S1, P1] = -k1 * c(i1) * p2
+    m1[S1, S1] = gb
+    m1[S1, S2] = k3 * c(p1) * p2
+    m2[S1, P1] = k3 * p2 * s2
+    m2[S1, I1] = -k1 * p1 * p2
+    m1[I2, P2] = -k2 * c(p1) * i1
+    m1[I2, I1] = -k2 * c(p1) * p2
+    m1[I2, I2] = gc
+    m2[I2, P1] = -k2 * p2 * i1
+    m1[S2, P1] = -k3 * c(p2) * s1
+    m1[S2, S1] = -k3 * c(p2) * p1
+    m1[S2, S2] = gc
+    m2[S2, P2] = -k3 * p1 * s1
+    return m1, m2
 
 
 def reference_relax(params, initial, t_max=1e5, tol=1e-9, match_radius=1e-6):

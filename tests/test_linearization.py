@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -9,7 +10,9 @@ from cascaded_fwm import (
     FluctuationModel,
     Mode,
     NumericalError,
+    ParameterError,
     Regime,
+    SWAP_PERMUTATION,
     StabilityError,
     StaleSteadyStateError,
     SystemParams,
@@ -26,7 +29,16 @@ from cascaded_fwm import (
     stationary_covariance,
 )
 from cascaded_fwm import linearization
-from helpers import make_params, pumped, random_params, reference_drift_blocks
+from cascaded_fwm.steady_state import _DRIFT_TERMS, P1, P2
+from helpers import (
+    REGIMES,
+    amplitudes_in_every_regime,
+    make_params,
+    pumped,
+    random_params,
+    reference_drift_blocks,
+    reference_jacobian_blocks,
+)
 
 
 def finite_difference_drift_matrix(params, alpha, h=1e-7):
@@ -126,6 +138,106 @@ def test_trivial_branch_block_pattern():
     expected_m2[2, 3] = -params.k1 * a_a**2
     expected_m2[3, 2] = -params.k1 * a_a**2
     assert np.max(np.abs(m2 - expected_m2)) < 1e-15
+
+
+def test_jacobian_blocks_equal_the_hand_written_entries_bit_for_bit():
+    # Built from the term table, the blocks keep every float of the entries
+    # once written by hand, the sign of each zero included: at every
+    # analytic state, at random complex amplitudes, and at amplitudes made
+    # of signed zeros.
+    points = amplitudes_in_every_regime(draws=50, seed=5)
+    for params, alpha in points:
+        for block, expected in zip(jacobian_blocks(params, alpha),
+                                   reference_jacobian_blocks(params, alpha)):
+            assert np.array_equal(block.view(np.uint64), expected.view(np.uint64)), (params, alpha)
+    assert len(points) == 650  # 250 analytic states, 200 draws of each kind of alpha
+
+
+@pytest.mark.parametrize("shape", [(7,), (5,), (2, 6), (6, 1)])
+def test_jacobian_blocks_refuses_alpha_of_another_shape(shape):
+    # Unchecked, a table indexed by mode would read the first six entries of
+    # a (7,) array.
+    with pytest.raises(ParameterError, match=r"alpha must have shape \(6,\)"):
+        jacobian_blocks(pumped(0.4, 1.2), np.full(shape, 0.1 + 0.2j))
+
+
+def conserved_charges():
+    """Both signs of the charge vector G that every drift term conserves.
+
+    A term sign * k * conj(alpha_c) * alpha_x * alpha_y of drift row ``row``
+    conserves G when G_row = -G_c + G_x + G_y; the drive holds both pump
+    charges at 0.  The constraints have rank 5, so G is unique up to scale,
+    and the charges in {-1, 0, 1} give it at its smallest integer scale.
+    """
+    eye = np.eye(6, dtype=int)
+    rows = np.array([eye[row] + eye[c] - eye[x] - eye[y]
+                     for row, _, _, c, x, y in _DRIFT_TERMS] + [eye[P2], eye[P1]])
+    assert np.linalg.matrix_rank(rows) == 5
+    return [g for g in itertools.product((-1, 0, 1), repeat=6)
+            if any(g) and not np.any(rows @ g)]
+
+
+def test_the_drift_terms_conserve_one_daughter_charge():
+    assert sorted(conserved_charges()) == [(0, 0, -1, 1, -1, 1), (0, 0, 1, -1, 1, -1)]
+
+
+def test_the_conserved_charge_is_a_neutral_mode_of_every_converted_branch():
+    # Rotating each amplitude by exp(i G theta) maps a stationary state onto
+    # another, so M (i G A, -i G A) = 0 at every converted state A, to
+    # rounding; the worst measured was 9.0e-16.
+    g = np.array(conserved_charges()[0])
+    rng = np.random.default_rng(3)
+    checked = 0
+    for regime in REGIMES:
+        for _ in range(50):
+            params = random_params(rng, regime)
+            for state in analytic_steady_states(params):
+                if state.branch is Branch.TRIVIAL:
+                    continue
+                m = build_fluctuation_model(params, state).m
+                r = np.concatenate([g * state.amplitudes, -g * state.amplitudes])
+                bound = 1e-14 * np.max(np.abs(m)) * np.max(np.abs(r))
+                assert np.max(np.abs(m @ r)) <= bound, (regime, params, state.branch)
+                checked += 1
+    assert checked == 150  # one converted branch between the thresholds, two above
+
+
+def test_the_swap_map_is_a_symmetry_of_the_drift_terms():
+    # At k2 = k3, swapping the two pumps, the two signals and the two idlers
+    # along with k2 and k3 maps every term onto a term of the same table.
+    perm = SWAP_PERMUTATION
+    coupling = {"k1": "k1", "k2": "k3", "k3": "k2"}
+
+    def unordered(row, sign, k, c, x, y):
+        return row, sign, k, c, tuple(sorted((x, y)))
+
+    terms = {unordered(*term) for term in _DRIFT_TERMS}
+    assert len(terms) == len(_DRIFT_TERMS) == 12
+    assert {unordered(perm[row], sign, coupling[k], perm[c], perm[x], perm[y])
+            for row, sign, k, c, x, y in _DRIFT_TERMS} == terms
+
+
+def test_the_diffusion_is_minus_m2_on_the_pairs_of_the_drift_terms():
+    # d keeps its six entries written out (two multiply their factors in the
+    # other order), so this holds it to the table: -m2 on each term's
+    # (row, c) pair to rounding, zero elsewhere.  The worst measured was 2.1e-16.
+    pairs = np.zeros((6, 6), dtype=bool)
+    for row, _, _, c, _, _ in _DRIFT_TERMS:
+        pairs[row, c] = True
+    assert pairs.sum() == 12 and np.array_equal(pairs, pairs.T)
+    rng = np.random.default_rng(9)
+    checked = 0
+    for regime in REGIMES:
+        for _ in range(100):
+            params = random_params(rng, regime)
+            for state in analytic_steady_states(params):
+                model = build_fluctuation_model(params, state)
+                d, m2 = model.d[:6, :6], model.m[:6, 6:]
+                assert not np.any(d[~pairs]) and not np.any(m2[~pairs])
+                bound = 2.0 * np.finfo(float).eps * np.max(np.abs(m2))
+                assert np.max(np.abs(d + m2)) <= bound, (regime, params, state.branch)
+                checked += 1
+    assert checked == 500
 
 
 def test_diffusion_entries_independent_transcription():

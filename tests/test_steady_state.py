@@ -23,8 +23,10 @@ from cascaded_fwm import (
     state_for_branch,
 )
 from cascaded_fwm.cli import figure_config
+from cascaded_fwm.steady_state import _DRIFT_TERMS, P1, P2
 from helpers import (
     REGIMES,
+    amplitudes_in_every_regime,
     make_params,
     pumped,
     random_params,
@@ -283,6 +285,32 @@ def test_drift_equals_numpy_reference_in_every_regime():
                                       reference_drift(params, alpha)), (params, alpha)
                 checked += 1
     assert checked == 1280
+
+
+def table_drift(params, alpha):
+    """The drift from ``_DRIFT_TERMS`` in Python ``complex``: each row's
+    damping (and pump), then its terms in table order, factors as listed."""
+    a = np.asarray(alpha, dtype=complex).tolist()
+    rates = params.damping_rates().tolist()
+    out = [-rate * z for rate, z in zip(rates, a)]
+    for pump in (P2, P1):
+        out[pump] = float(params.epsilon) - rates[pump] * a[pump]
+    for row, sign, coupling, c, x, y in _DRIFT_TERMS:
+        term = float(getattr(params, coupling)) * a[c].conjugate() * a[x] * a[y]
+        out[row] = out[row] + term if sign > 0 else out[row] - term
+    return np.array(out)
+
+
+def test_drift_kernel_equals_its_term_table_bit_for_bit():
+    # The kernel stays written out for speed; the table the Jacobian is
+    # derived from must be its exact copy, the sign of every zero included:
+    # at every analytic state, at random complex amplitudes, and at
+    # amplitudes made of signed zeros.
+    points = amplitudes_in_every_regime(draws=25, seed=6)
+    for params, alpha in points:
+        assert np.array_equal(drift(params, alpha).view(np.uint64),
+                              table_drift(params, alpha).view(np.uint64)), (params, alpha)
+    assert len(points) == 325  # 125 analytic states, 100 draws of each kind of alpha
 
 
 def _assert_same_relaxation(result, expected):

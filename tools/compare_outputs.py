@@ -181,6 +181,13 @@ CASES = (
             (("run.conf", NO_THRESHOLD_RATES + text),))
        for mode, text in (("relative", "epsilon_mode = rel_eps_th\nepsilon_ratio = 1.8\n"),
                           ("absolute", "epsilon_mode = absolute\nepsilon_abs = 0.005\n"))]
+    # steady-state where no other case prints it: past the trivial state's
+    # Hopf point without a threshold (margin -2.56e-2), and the fig2 point,
+    # whose two coincident branches have margins of rounding noise.
+    + [Case(f"steady-state-{name}", (*CLI, "steady-state", "run.conf"), (("run.conf", text),))
+       for name, text in (
+           ("no-threshold", NO_THRESHOLD_RATES + "epsilon_mode = absolute\nepsilon_abs = 0.01\n"),
+           ("coincident", COINCIDENT + "epsilon_mode = rel_eps_th\nepsilon_ratio = 1.5\n"))]
     # Error paths.
     + _pump_spec_error_cases()
     + [Case("error-inequalities-key", (*CLI, "vlf-sweep", "run.conf"),
