@@ -15,12 +15,13 @@ the state is stationary:
     M = [[m1, m2], [m2, m1]],    D = [[d, 0], [0, d]].
 
 ``jacobian_blocks`` stays complex: it differentiates the drift at any
-alpha, where the lower blocks are m2* and m1*.  It derives both blocks
-from ``steady_state._DRIFT_TERMS``, and the order of their terms and
-factors matters: fig2's witnesses turn a last-bit change of M into moves
-of about 1e-7.  ``d`` comes straight from the second-derivative terms of
-the Fokker-Planck equation; it is symmetric but in general indefinite,
-which is why B may be complex.  Its six entries stay written out, because
+alpha, where the lower blocks are m2* and m1*.  It reads both blocks off
+``_JACOBIAN_PLAN``, the write plan that ``steady_state._DRIFT_TERMS``
+gives once, at import, and the order of its terms and factors matters:
+fig2's witnesses turn a last-bit change of M into moves of about 1e-7.
+``d`` comes straight from the second-derivative terms of the
+Fokker-Planck equation; it is symmetric but in general indefinite, which
+is why B may be complex.  Its six entries stay written out, because
 two of them multiply their factors in the reverse of the table's order;
 tests hold d equal to -m2 on the table's pairs.
 
@@ -69,35 +70,51 @@ class StabilityReport:
     indeterminate: bool
 
 
+def _jacobian_plan() -> tuple:
+    """The writes of ``jacobian_blocks``, three per drift term, in table order.
+
+    Each entry is (block, row, col, coupling, sign, u, v, first): write
+    -sign * k * z[u] * z[v] into entry (row, col) of m1 (block 0) or m2
+    (block 1), where z = (alpha, alpha*) and k is the coupling.  The term
+    sign * k * conj(alpha_c) * alpha_x * alpha_y contributes to m1[row, x]
+    and m1[row, y] its derivatives by alpha_x and alpha_y, and to m2[row,
+    c] the one by alpha_c*.  ``first`` marks an entry's first write, which
+    is assigned rather than added onto a zero (0.0 + -0.0 is +0.0).
+    """
+    plan, written = [], set()
+    for row, sign, coupling, c, x, y in _DRIFT_TERMS:
+        for block, col, u, v in ((0, x, 6 + c, y), (0, y, 6 + c, x), (1, c, x, y)):
+            plan.append((block, row, col, coupling, sign, u, v, (block, row, col) not in written))
+            written.add((block, row, col))
+    return tuple(plan)
+
+
+_JACOBIAN_PLAN = _jacobian_plan()
+
+
 def jacobian_blocks(params: SystemParams, alpha: np.ndarray):
     """Blocks m1 = -df/dalpha and m2 = -df/dalpha* at any alpha of shape (6,).
 
-    m1 holds the damping on its diagonal and minus the derivatives of the
-    ``_DRIFT_TERMS`` by alpha_x and alpha_y, m2 minus those by alpha_c*.
-    The terms go in table order with their factors as listed, and an
-    entry's first term is written, not added onto a zero (0.0 + -0.0 is
-    +0.0); see the module note for why the order matters.
+    m1 holds the damping on its diagonal, and both blocks then take the
+    writes of ``_JACOBIAN_PLAN``: minus the derivatives of the
+    ``_DRIFT_TERMS``, in table order with their factors as listed, each
+    entry's first term assigned and the later ones added or subtracted onto
+    it; see the module note for why the order matters.
     """
     a = np.asarray(alpha, dtype=complex)
     if a.shape != (6,):
         raise ParameterError(f"alpha must have shape (6,), got {a.shape}")
-    conj = a.conj()
-    m1 = np.diag(params.damping_rates()).astype(complex)
-    m2 = np.zeros((6, 6), dtype=complex)
-    written = set()
-    for row, sign, coupling, c, x, y in _DRIFT_TERMS:
+    z = np.concatenate((a, a.conj()))
+    blocks = (np.diag(params.damping_rates()).astype(complex), np.zeros((6, 6), dtype=complex))
+    for block, row, col, coupling, sign, u, v, first in _JACOBIAN_PLAN:
         k = getattr(params, coupling)
-        for block, col, u, v in ((m1, x, conj[c], a[y]), (m1, y, conj[c], a[x]),
-                                 (m2, c, a[x], a[y])):
-            entry = (block is m2, row, col)
-            if entry not in written:
-                written.add(entry)
-                block[row, col] = -sign * k * u * v
-            elif sign < 0:
-                block[row, col] += k * u * v
-            else:
-                block[row, col] -= k * u * v
-    return m1, m2
+        if first:
+            blocks[block][row, col] = -sign * k * z[u] * z[v]
+        elif sign < 0:
+            blocks[block][row, col] += k * z[u] * z[v]
+        else:
+            blocks[block][row, col] -= k * z[u] * z[v]
+    return blocks
 
 
 def _require_stationary(params: SystemParams, ss: SteadyState):

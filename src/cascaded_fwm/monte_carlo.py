@@ -50,6 +50,9 @@ _STEP_LIMIT = 0.1  # dt * max|eig(M)| must stay below this
 _CHUNK = 256  # steps per block of normals drawn from each path's stream
 _PRODUCT_STEPS = 8  # steps of rows per real noise product
 _TAKAGI_RTOL = 1e-12  # asymmetry and imaginary part below this count as rounding
+# Steps per path of ``mc_stationary_covariance``: ~95x the most any test or
+# bench unit takes (26,423, the trivial branch at 0.8 eps_th, k2 = 0.4).
+_STEP_BUDGET = 2_500_000
 
 
 def takagi(matrix: np.ndarray):
@@ -375,7 +378,11 @@ def mc_stationary_covariance(model: FluctuationModel, n_paths: int, seed: int):
     50 relaxation times after a burn-in of 8; no path is stored.  Returns
     (sigma_hat, stderr) where ``stderr`` combines real and imaginary
     scatter of the per-path averages, so it needs at least two paths.
-    ``n_paths`` and ``seed`` are checked as in ``simulate_ou``.
+    ``n_paths`` and ``seed`` are checked as in ``simulate_ou``.  Near a
+    threshold the margin, and with it the relaxation time, shrinks while
+    the step stays set by the fastest mode; a run that needs more than
+    ``_STEP_BUDGET`` steps per path raises ``NumericalError`` before it
+    simulates.
     """
     report, dt = _checked_step(model, None)
     n_paths = _require_count("n_paths", n_paths, 2,
@@ -384,6 +391,10 @@ def mc_stationary_covariance(model: FluctuationModel, n_paths: int, seed: int):
     relax_time = 1.0 / report.margin
     burn_steps = int(np.ceil(8.0 * relax_time / dt))
     avg_steps = int(np.ceil(50.0 * relax_time / dt))
+    if burn_steps + avg_steps > _STEP_BUDGET:
+        raise NumericalError(
+            f"the stationary average needs {burn_steps + avg_steps} steps per path "
+            f"at margin {report.margin:.3e}, over the budget of {_STEP_BUDGET}")
     dim = model.m.shape[0]
     x = np.zeros((n_paths, dim), dtype=complex)
     sums = np.zeros((n_paths, dim, dim), dtype=complex)

@@ -35,6 +35,10 @@ i omega on the diagonal of M, the real symmetric part straight from the
 real parts, and each guard's full budget only for the rows over its cheap
 bound (see ``_spectral_stack`` and ``_quadrature_stack`` for why each gives
 the floats of the plain formulas).
+
+Every model is 12x12, the six modes' (delta_alpha, delta_alpha*): each
+entry refuses any other M or D before anything is broadcast
+(``_require_12x12``), so every stack and workspace here is (n, 12, 12).
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ class QuadratureSpectrum:
 
 
 class _Workspace:
-    """Scratch stacks of the stacked spectral chain, for up to ``rows`` N x N matrices.
+    """Scratch stacks of the stacked spectral chain, for up to ``rows`` 12x12 matrices.
 
     Four complex stacks and two real ones.  A caller that runs many stacked
     evaluations makes one workspace and passes it to each of them, so the
@@ -131,9 +135,9 @@ class _Workspace:
     points into a workspace that outlives the call.
     """
 
-    def __init__(self, dim: int = 12, rows: int = _GRID_CHUNK):
-        self.complex = np.empty((4, rows, dim, dim), dtype=complex)
-        self.real = np.empty((2, rows, dim, dim))
+    def __init__(self, rows: int = _GRID_CHUNK):
+        self.complex = np.empty((4, rows, 12, 12), dtype=complex)
+        self.real = np.empty((2, rows, 12, 12))
 
     def take(self, n: int) -> tuple:
         """The first ``n`` rows of every stack: four complex views, then two real."""
@@ -172,10 +176,10 @@ def _linalg(name: str, *args, **kwargs):
 
 def _spectral_stack(m: np.ndarray, d: np.ndarray, omegas: np.ndarray,
                     work: _Workspace | None = None) -> np.ndarray:
-    """S(omega) for every entry of the 1-D array ``omegas``, shape (n, N, N).
+    """S(omega) for every entry of the 1-D array ``omegas``, shape (n, 12, 12).
 
-    ``m`` and ``d`` are one (N, N) matrix each, or a stack of n with one
-    drift and diffusion matrix per frequency.  Each of the two solves is
+    ``m`` and ``d`` are one checked 12x12 matrix each, or a stack of n with
+    one drift and diffusion matrix per frequency.  Each of the two solves is
     one stacked LAPACK call, which solves slice by slice; the residual
     guard of ``spectral_matrix`` is applied to every frequency separately,
     with the budget scaled by its own 1 + max|D|, and names the first one
@@ -201,7 +205,7 @@ def _spectral_stack(m: np.ndarray, d: np.ndarray, omegas: np.ndarray,
     """
     n = omegas.size
     if work is None:
-        work = _Workspace(m.shape[-1], n)
+        work = _Workspace(n)
     lhs, x, dc, prod, absval, _ = work.take(n)
     np.add(m, 0.0, out=lhs)
     diagonal = _diagonals(lhs).imag
@@ -241,7 +245,7 @@ def _quadrature_stack(s: np.ndarray, omegas=None, work: _Workspace | None = None
     its second real stack.
     """
     if work is None:
-        work = _Workspace(12, len(s))
+        work = _Workspace(len(s))
     left, v, _, conj, absval, v_intra = work.take(len(s))
     np.matmul(np.matmul(_T, s, out=left), _T.T, out=v)
     np.subtract(v, np.conjugate(v, out=conj).transpose(0, 2, 1), out=left)
@@ -295,7 +299,7 @@ def _output_stack(m: np.ndarray, d: np.ndarray, rates: np.ndarray,
     # 400-point sweep and costs ~630 page faults per call.
     v_out = np.empty((omegas.size, 12, 12))
     if work is None:
-        work = _Workspace(12, min(omegas.size, _GRID_CHUNK))
+        work = _Workspace(min(omegas.size, _GRID_CHUNK))
     for start in range(0, omegas.size, _GRID_CHUNK):
         rows = slice(start, start + _GRID_CHUNK)
         chunk = omegas[rows]
@@ -304,23 +308,32 @@ def _output_stack(m: np.ndarray, d: np.ndarray, rates: np.ndarray,
     return v_out
 
 
-def _checked_omegas(m: np.ndarray, omegas) -> np.ndarray:
-    """``omegas`` as a float array, checked for spectra on the drift ``m``.
+def _require_12x12(model: FluctuationModel):
+    """Refuse a model whose M or D is not 12x12, with ``ParameterError``."""
+    shapes = np.shape(model.m), np.shape(model.d)
+    if shapes != ((12, 12), (12, 12)):
+        raise ParameterError(f"spectra need a 12x12 drift and diffusion, got M of "
+                             f"shape {shapes[0]} and D of shape {shapes[1]}")
 
-    Raises ``ParameterError`` unless ``omegas`` is 1-D and finite, and
-    ``StabilityError`` if it holds 0 and ``m`` does not decay: S(0) =
-    M^-1 D M^-T diverges on a neutral mode, which every converted branch
-    has, and the solve then returns the rounding noise of a pole.  Away
-    from omega = 0 the spectra keep their formal evaluation (see
-    ``spectral_matrix``).
+
+def _checked_omegas(model: FluctuationModel, omegas) -> np.ndarray:
+    """``omegas`` as a float array, checked for spectra of ``model``.
+
+    Raises ``ParameterError`` unless M and D are 12x12 (``_require_12x12``)
+    and ``omegas`` is 1-D and finite, and ``StabilityError`` if it holds 0
+    and M does not decay: S(0) = M^-1 D M^-T diverges on a neutral mode,
+    which every converted branch has, and the solve then returns the
+    rounding noise of a pole.  Away from omega = 0 the spectra keep their
+    formal evaluation (see ``spectral_matrix``).
     """
+    _require_12x12(model)
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1:
         raise ParameterError(f"omegas must be 1-D, got shape {omegas.shape}")
     if not np.isfinite(omegas).all():
         raise ParameterError("omegas must be finite")
     if (omegas == 0.0).any():
-        _require_decaying(m, "a spectrum at omega = 0 needs")
+        _require_decaying(model.m, "a spectrum at omega = 0 needs")
     return omegas
 
 
@@ -333,11 +346,11 @@ def output_spectra(model: FluctuationModel, omegas) -> np.ndarray:
     and transforms, evaluated in stacks of at most 64 frequencies.  Each
     guard is applied per frequency and names the first frequency that fails
     it; when both guards fail inside one stack, the solve guard is reported.
-    ``omegas`` must be 1-D and finite, and a grid that holds omega = 0
-    needs a decaying drift (see ``_checked_omegas``).  One workspace serves
-    the whole grid.
+    M and D must be 12x12 and ``omegas`` 1-D and finite, and a grid that
+    holds omega = 0 needs a decaying drift (see ``_checked_omegas``).  One
+    workspace serves the whole grid.
     """
-    omegas = _checked_omegas(model.m, omegas)
+    omegas = _checked_omegas(model, omegas)
     n = omegas.size
     return _output_stack(np.broadcast_to(model.m, (n, 12, 12)),
                          np.broadcast_to(model.d, (n, 12, 12)),
@@ -355,11 +368,12 @@ def spectral_matrix(model: FluctuationModel, omega: float) -> np.ndarray:
     upper threshold have growing directions as well, so there the formula
     is evaluated in the same formal sense in which those spectra are
     usually reported; solve quality is guarded by a residual check instead
-    of a stability gate.  ``omega`` is checked as ``output_spectra`` checks
-    its grid (see ``_checked_omegas``): it must be finite, and at omega = 0
-    alone the drift must decay.
+    of a stability gate.  The model and ``omega`` are checked as
+    ``output_spectra`` checks its model and grid (see ``_checked_omegas``):
+    M and D must be 12x12, ``omega`` finite, and at omega = 0 alone the
+    drift must decay.
     """
-    return _spectral_stack(model.m, model.d, _checked_omegas(model.m, [omega]))[0]
+    return _spectral_stack(model.m, model.d, _checked_omegas(model, [omega]))[0]
 
 
 def quadrature_transform(s: np.ndarray) -> np.ndarray:
@@ -484,8 +498,9 @@ def integrated_spectrum(model: FluctuationModel) -> np.ndarray:
     to well below 1e-6.  The quadrature is ``_quad_gk21`` with absolute and
     relative tolerance 1e-10; it raises ``NumericalError`` if it does not
     converge.  Every node value equals ``spectral_matrix`` there bit for
-    bit.
+    bit.  M and D must be 12x12 (``ParameterError`` otherwise).
     """
+    _require_12x12(model)
     # A marginal drift mode with nonzero diffusion makes S ~ 1/omega^2
     # near zero; the quadrature would silently miss the divergence.
     _require_decaying(model.m, "spectral integral needs")
@@ -494,10 +509,10 @@ def integrated_spectrum(model: FluctuationModel) -> np.ndarray:
         if np.max(np.abs(a.imag)) > 1e-12 * (1.0 + np.max(np.abs(a))):
             raise NumericalError(f"integrated_spectrum assumes a real {name} matrix")
 
-    work = _Workspace(model.m.shape[-1])
+    work = _Workspace()
 
     def integrand(omegas):
-        values = np.empty((omegas.size, *model.m.shape))
+        values = np.empty((omegas.size, 12, 12))
         for k in range(0, omegas.size, _GRID_CHUNK):
             chunk = omegas[k:k + _GRID_CHUNK]
             values[k:k + chunk.size] = _spectral_stack(model.m, model.d, chunk, work).real

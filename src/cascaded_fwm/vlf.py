@@ -367,7 +367,7 @@ def _sweep_arrays(model: FluctuationModel, problems: tuple, omega_grid,
     """
     if omega_grid is None:
         omega_grid = _omega_grid(*_OMEGA_WINDOW, _OMEGA_POINTS, _OMEGA_SCALE)
-    omega_grid = _checked_omegas(model.m, omega_grid)
+    omega_grid = _checked_omegas(model, omega_grid)
     if (omega_grid < 0.0).any():
         raise ParameterError("omega_grid values must be >= 0")
     omega, omega_norm, v_out = _grid_spectra(_model_rows([model]), omega_grid, work)

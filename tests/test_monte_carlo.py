@@ -5,12 +5,14 @@ errors measured from the ensemble itself, so the suite is deterministic.
 """
 
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from cascaded_fwm import (
+    NumericalError,
     ParameterError,
     StabilityError,
     StepSizeError,
@@ -354,6 +356,18 @@ def test_mc_covariance_without_diffusion_is_exactly_zero():
     sigma_hat, stderr = mc_stationary_covariance(model, n_paths=4, seed=0)
     assert np.array_equal(sigma_hat, np.zeros((2, 2)))
     assert np.array_equal(stderr, np.zeros((2, 2)))
+
+
+def test_mc_covariance_refuses_a_run_over_its_step_budget_before_simulating():
+    # At 0.9999 eps_th the margin is 6.0e-6, so the stationary average would
+    # take about 5.8e7 steps per path; the criterion-12 point takes 26,423.
+    params = pumped(0.4, 0.9999)
+    model = build_fluctuation_model(params, state_for_branch(params, "trivial"))
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match=r"needs 57997102 steps per path at margin "
+                                             r"6\.000e-06, over the budget of 2500000"):
+        mc_stationary_covariance(model, n_paths=64, seed=12345)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_mc_covariance_needs_two_paths():

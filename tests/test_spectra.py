@@ -15,12 +15,14 @@ from cascaded_fwm import (
     analytic_steady_states,
     build_fluctuation_model,
     integrated_spectrum,
+    minima_over_models,
     output_spectra,
     output_spectrum,
     quadrature_transform,
     spectral_matrix,
     state_for_branch,
     stationary_covariance,
+    sweep_frequency,
 )
 from cascaded_fwm.spectra import _T, _output_stack, _spectral_stack, _Workspace
 from helpers import (
@@ -36,12 +38,38 @@ from helpers import (
 )
 
 
-def test_scalar_lorentzian():
-    gamma, d0 = 0.7, 1.3
-    model = toy_model([[gamma]], [[d0]])
+def test_diagonal_lorentzians():
+    # Twelve uncoupled modes: each S_jj is its own Lorentzian, and nothing
+    # couples two of them.
+    gammas = np.linspace(0.3, 2.5, 12)
+    d0 = np.linspace(1.3, -0.9, 12)
+    model = toy_model(np.diag(gammas), np.diag(d0))
+    off_diagonal = ~np.eye(12, dtype=bool)
     for omega in (0.0, 0.2, 5.0):
         s = spectral_matrix(model, omega)
-        assert s[0, 0] == pytest.approx(d0 / (gamma**2 + omega**2), rel=1e-13)
+        assert np.diag(s) == pytest.approx(d0 / (gammas**2 + omega**2), rel=1e-13)
+        assert np.all(s[off_diagonal] == 0.0)
+
+
+SPECTRAL_ENTRIES = {
+    "output_spectra": lambda model: output_spectra(model, [0.3]),
+    "spectral_matrix": lambda model: spectral_matrix(model, 0.3),
+    "sweep_frequency": lambda model: sweep_frequency(model.params, "trivial", model=model),
+    "minima_over_models": lambda model: minima_over_models([model]),
+    "integrated_spectrum": integrated_spectrum,
+}
+
+
+@pytest.mark.parametrize("m, d", [
+    ([[0.7]], [[1.3]]),
+    (0.7 * np.eye(6), np.eye(6)),
+    (np.full((12, 1), 0.7), np.eye(12)),
+    (0.7 * np.eye(12), [[1.3]]),
+], ids=["1x1", "6x6", "12x1-drift", "1x1-diffusion"])
+@pytest.mark.parametrize("entry", SPECTRAL_ENTRIES)
+def test_spectral_entries_refuse_a_model_that_is_not_12x12(entry, m, d):
+    with pytest.raises(ParameterError, match="spectra need a 12x12 drift and diffusion"):
+        SPECTRAL_ENTRIES[entry](toy_model(m, d))
 
 
 def test_zero_diffusion_zero_spectrum():

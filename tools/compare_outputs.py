@@ -109,6 +109,23 @@ RELAX_CASES = {
                  "show(relax_to_steady_state(params, [0.01 + 0.02j] * 6))\n"),
 }
 
+# A 1x1 model, which the spectral layer refuses; the CLI builds only 12x12
+# models and cannot reach that refusal.
+ONE_BY_ONE = """\
+import numpy as np
+from cascaded_fwm import (Branch, FluctuationModel, ParameterError, SystemParams,
+                          output_spectra, state_for_branch)
+
+params = SystemParams(gamma_a=0.03, gamma_b=0.03, gamma_c=0.03, k1=1.0, k2=0.4, k3=0.4,
+                      epsilon=0.0)
+model = FluctuationModel(params, state_for_branch(params, Branch.TRIVIAL),
+                         np.array([[0.7]]), np.array([[1.3]]))
+try:
+    print(repr(output_spectra(model, [0.3]).tolist()))
+except ParameterError as error:
+    print(f"ParameterError: {error}")
+"""
+
 CLI = ("-m", "cascaded_fwm")
 DEMOS = ("fluctuation_spectra", "monte_carlo_check", "pump_sweep",
          "thresholds_and_branches", "vlf_sweep")
@@ -167,6 +184,7 @@ CASES = (
        for seed, ratio in ((7, "0.8"), (0, "0.5"))]
     + [Case(f"demo-{demo}", (f"{{tree}}/demos/{demo}.py",)) for demo in DEMOS]
     + [Case(f"relax-{name}", ("-c", RELAX + body)) for name, body in RELAX_CASES.items()]
+    + [Case("spectra-1x1-model", ("-c", ONE_BY_ONE))]
     # Grids one row either side of a 64-row stack boundary.
     + [Case(f"{verb}-{scale}-{points}", (*CLI, verb, "run.conf"),
             (("run.conf", BETWEEN + f"branch = lower\nomega_scale = {scale}\n"
