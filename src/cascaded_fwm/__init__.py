@@ -58,6 +58,7 @@ from .params import (
     Thresholds,
     classify_regime,
     compute_thresholds,
+    hopf_epsilon,
     resolve_epsilon,
 )
 from .relaxation import (

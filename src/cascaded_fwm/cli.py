@@ -30,6 +30,7 @@ Any other exception propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import itertools
 import math
@@ -467,7 +468,14 @@ def figure_config(figure: str) -> RunConfig:
     return parse_config(resource.read_text(encoding="utf-8"))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser of ``main``, built once per process.
+
+    Parsing leaves no state in the parser: each ``parse_args`` returns a new
+    namespace, and an argparse error exits without touching it, so every
+    call of ``main`` shares this one.
+    """
     parser = argparse.ArgumentParser(
         prog="cascaded-fwm",
         description="Thresholds, steady states, fluctuation spectra and "
@@ -487,8 +495,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Whatever argparse leaves after the verb and its input (--zero-diffusion)
-    # goes to the handler as keyword arguments.
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None); the exit code.
+
+    The parser is the process's one ``_build_parser()``.  Whatever argparse
+    leaves after the verb and its input (--zero-diffusion) goes to the
+    handler as keyword arguments.
+    """
     options = vars(_build_parser().parse_args(argv))
     verb = options.pop("verb")
     try:

@@ -195,6 +195,31 @@ def compute_thresholds(params: SystemParams) -> Thresholds:
     return Thresholds(eps_th=eps_lo, eps_th_prime=eps_hi)
 
 
+def hopf_epsilon(params: SystemParams) -> float | None:
+    """The pump at which the trivial state meets a Hopf bifurcation, or None.
+
+    On the trivial state (A_p1 = A_p2 = A_a = epsilon / gamma_a, the other
+    four modes dark) the fluctuations u = delta i1 + delta s1* and w =
+    delta i2 + delta s2* evolve by the 2x2 matrix [[k1 A_a**2 - gamma_b,
+    -k2 A_a**2], [k2 A_a**2, -gamma_c]].  Its trace vanishes at A_a**2 =
+    (gamma_b + gamma_c) / k1, where its determinant is positive exactly when
+    k2 (gamma_b + gamma_c) > k1 gamma_c; a complex pair then crosses the
+    imaginary axis at
+
+        eps_H = gamma_a sqrt((gamma_b + gamma_c) / k1),
+
+    which is returned.  Otherwise the result is None.  The determinant
+    vanishes at the thresholds of ``compute_thresholds``, so the trivial
+    state loses stability at eps_H only when eps_H comes before eps_th or
+    there is no threshold; couplings without a threshold always have a
+    Hopf point (k2 (gamma_b + gamma_c) >= 2 k2 sqrt(gamma_b gamma_c) > k1
+    gamma_c).  ``epsilon`` is ignored.
+    """
+    if params.k2 * (params.gamma_b + params.gamma_c) > params.k1 * params.gamma_c:
+        return params.gamma_a * math.sqrt((params.gamma_b + params.gamma_c) / params.k1)
+    return None
+
+
 def classify_regime(params: SystemParams, thresholds: Thresholds | None = None) -> Regime:
     """Place the pump amplitude relative to the thresholds.
 

@@ -32,9 +32,10 @@ for bit.  The stacked stages write their temporaries into a ``_Workspace``
 that the caller owns, so a search that evaluates thousands of stacks
 allocates those buffers once.  They form only what changes a float: M +-
 i omega on the diagonal of M, the real symmetric part straight from the
-real parts, and each guard's full budget only for the rows over its cheap
-bound (see ``_spectral_stack`` and ``_quadrature_stack`` for why each gives
-the floats of the plain formulas).
+real parts, and each guard's complex modulus and full budget only for the
+rows that a screen on the real and imaginary parts cannot pass (see
+``_spectral_stack``, ``_quadrature_stack`` and ``_rows_over`` for why each
+gives the floats and verdicts of the plain formulas).
 
 Every model is 12x12, the six modes' (delta_alpha, delta_alpha*): each
 entry refuses any other M or D before anything is broadcast
@@ -174,6 +175,84 @@ def _linalg(name: str, *args, **kwargs):
         return getattr(_umath_linalg, name)(*args, **kwargs)
 
 
+# |z| = hypot(Re z, Im z) <= sqrt(2) max(|Re z|, |Im z|) (1 + 2 eps), which is
+# below 1.5 max(|Re z|, |Im z|) (1 - eps), the least that 1.5 times it rounds
+# to: a stack row whose 1.5 max(|Re|, |Im|) is within a bound has every
+# modulus within it.  An overflow to inf only sends a row to the full check.
+_SCREEN = 1.5
+# What ``_rows_over`` returns when its screen passes every row.
+_NO_ROWS = (np.empty(0, dtype=np.intp), np.empty(0))
+
+
+def _rows_over(stack: np.ndarray, bound, scratch: np.ndarray | None = None) -> tuple:
+    """The rows k of a complex stack whose max|stack_k| is not <= bound_k, and those maxima.
+
+    ``bound`` is one number per row, or one for all.  Every row is first
+    screened by max(|Re|, |Im|) over the float view of the stack, written
+    into ``scratch`` (real, of the view's shape; new when it is None), which
+    takes no square root.  When ``_SCREEN`` passes every row, no modulus
+    is formed; otherwise only the rows it cannot pass, NaN and inf
+    included, get the complex modulus.  So the rows and maxima returned are
+    those that max|stack_k| over every row gives.
+    """
+    screen = np.abs(stack.view(float), out=scratch).max(axis=(1, 2))
+    within = _SCREEN * screen <= bound
+    if within.all():
+        return _NO_ROWS
+    rows = np.flatnonzero(~within)  # NaN is over
+    bound = np.broadcast_to(bound, screen.shape)[rows]
+    peaks = np.abs(stack[rows]).max(axis=(1, 2))
+    over = ~(peaks <= bound)
+    return rows[over], peaks[over]
+
+
+def _require_solved(residuals: np.ndarray, x: np.ndarray, budget: np.ndarray,
+                    omegas: np.ndarray, scratch: np.ndarray | None = None) -> None:
+    """The residual guard of the spectral solves, on a stack of solve residuals.
+
+    Raises ``NumericalError`` naming omegas[k] at the first row k whose
+    residual max|residuals_k| is not within budget_k (1 + max|x_k|), NaN
+    included (a NaN or infinite X makes the residual NaN or infinite).
+    ``_rows_over`` finds the rows over budget_k, mostly from its screen,
+    and max|x_k| is formed only for them, since the full budget is never
+    smaller; every verdict is the full budget's.
+    """
+    rows, residual = _rows_over(residuals, budget, scratch)
+    if rows.size:
+        failed = ~(residual <= budget[rows] * (1.0 + np.abs(x[rows]).max(axis=(1, 2))))
+        if failed.any():
+            j = int(failed.argmax())
+            raise NumericalError(
+                f"ill-conditioned spectral solve at omega={float(omegas[rows[j]])!r}: "
+                f"residual {residual[j]:.3e}")
+
+
+def _require_hermitian(anti: np.ndarray, v: np.ndarray, omegas=None,
+                       scratch: np.ndarray | None = None) -> None:
+    """The Hermitian-residue guard of the quadrature transform, on a stack.
+
+    ``anti`` holds v_k - v_k^H for every matrix v_k of the stack ``v``.
+    Raises ``BasisConsistencyError`` at the first k whose residue
+    max|anti_k| / 2 is not within 1e-9 (1 + max|v_k|), NaN included, naming
+    omegas[k] when ``omegas`` is given.  The residue is within 1e-9 exactly
+    when max|anti_k| is within 2e-9 (halving is exact above the subnormals,
+    far below either), so ``_rows_over`` finds the rows over 1e-9, mostly
+    from its screen, and max|v_k| is formed only for them, since the full
+    budget is never smaller; every verdict is the full budget's.
+    """
+    rows, peaks = _rows_over(anti, 2.0 * _RESIDUE_BUDGET, scratch)
+    if rows.size:
+        residue = peaks / 2.0
+        scale = 1.0 + np.abs(v[rows]).max(axis=(1, 2))
+        failed = ~(residue <= _RESIDUE_BUDGET * scale)
+        if failed.any():
+            j = int(failed.argmax())
+            where = "" if omegas is None else f" at omega={float(omegas[rows[j]])!r}"
+            raise BasisConsistencyError(
+                f"quadrature spectrum not Hermitian{where}: residue "
+                f"{residue[j]:.3e} exceeds {_RESIDUE_BUDGET:.0e} * {scale[j]:.3e}")
+
+
 def _spectral_stack(m: np.ndarray, d: np.ndarray, omegas: np.ndarray,
                     work: _Workspace | None = None) -> np.ndarray:
     """S(omega) for every entry of the 1-D array ``omegas``, shape (n, 12, 12).
@@ -195,13 +274,10 @@ def _spectral_stack(m: np.ndarray, d: np.ndarray, omegas: np.ndarray,
     nonzero damping rate either way.  At omega = -0.0 the product's zeros
     carry the other signs; that can move only the sign of a zero of S, and
     on the trivial branch and the branches of every regime it moves none.
-    The guard compares the residual with 1e-8 (1 + max|D|) first and
-    forms max|X| only for the frequencies over that bound, since the full
-    budget 1e-8 (1 + max|D|) (1 + max|X|) is never smaller; so every
-    verdict is the full budget's, NaN included (a NaN or infinite X makes
-    the residual NaN or infinite).  Writes the complex stacks
-    and the first real stack of ``work`` (one of n rows when it is None);
-    the result is a view of its third complex stack.
+    The guard is ``_require_solved``; its screen writes the float view of
+    the first complex stack, which M then refills.  Writes the complex
+    stacks and the first real stack of ``work`` (one of n rows when it is
+    None); the result is a view of its third complex stack.
     """
     n = omegas.size
     if work is None:
@@ -213,16 +289,8 @@ def _spectral_stack(m: np.ndarray, d: np.ndarray, omegas: np.ndarray,
     np.copyto(dc, d)
     _linalg("solve", lhs, dc, signature="DD->D", out=x)
     np.subtract(np.matmul(lhs, x, out=prod), dc, out=prod)
-    residual = np.abs(prod, out=absval).max(axis=(1, 2))
     budget = _SOLVE_BUDGET * (1.0 + np.abs(d, out=absval).max(axis=(-2, -1)))
-    over = np.flatnonzero(~(residual <= budget))  # NaN is over
-    if over.size:
-        failed = ~(residual[over] <= budget[over] * (1.0 + np.abs(x[over]).max(axis=(1, 2))))
-        if failed.any():
-            k = int(over[failed.argmax()])
-            raise NumericalError(
-                f"ill-conditioned spectral solve at omega={float(omegas[k])!r}: "
-                f"residual {residual[k]:.3e}")
+    _require_solved(prod, x, budget, omegas, lhs.view(float))
     np.copyto(lhs, m)
     np.subtract(diagonal, omegas[:, None], out=diagonal)
     return _linalg("solve", lhs, x.transpose(0, 2, 1), signature="DD->D",
@@ -232,36 +300,21 @@ def _spectral_stack(m: np.ndarray, d: np.ndarray, omegas: np.ndarray,
 def _quadrature_stack(s: np.ndarray, omegas=None, work: _Workspace | None = None) -> np.ndarray:
     """Real symmetric part of T s T^T for a stack s of shape (n, 12, 12).
 
-    The Hermitian-residue guard of ``quadrature_transform`` is applied to
-    every matrix separately; when ``omegas`` is given, the error names the
-    first frequency that fails it.  It compares the residue with 1e-9
-    first and forms max|T s T^T| only for the matrices over that bound,
-    since the full budget 1e-9 (1 + max|T s T^T|) is never smaller; every
-    verdict, NaN included, is the full budget's.  The result (Re v + Re
-    v^T) / 2 is formed in the real stack: these are the real parts of the
-    complex (v + v^T) / 2, except that a zero may carry the other sign.
-    Writes every stack of ``work`` (one of n rows when it is None) except
-    the third complex one, which may hold ``s``; the result is a view of
-    its second real stack.
+    The Hermitian-residue guard of ``quadrature_transform``,
+    ``_require_hermitian``, is applied to every matrix separately; when
+    ``omegas`` is given, the error names the first frequency that fails it.
+    The result (Re v + Re v^T) / 2 is formed in the real stack: these are
+    the real parts of the complex (v + v^T) / 2, except that a zero may
+    carry the other sign.  Writes the first, second and fourth complex
+    stacks of ``work`` (one of n rows when it is None; the third may hold
+    ``s``) and its second real stack, where the result is.
     """
     if work is None:
         work = _Workspace(len(s))
-    left, v, _, conj, absval, v_intra = work.take(len(s))
+    left, v, _, conj, _, v_intra = work.take(len(s))
     np.matmul(np.matmul(_T, s, out=left), _T.T, out=v)
     np.subtract(v, np.conjugate(v, out=conj).transpose(0, 2, 1), out=left)
-    residue = np.abs(left, out=absval).max(axis=(1, 2)) / 2.0
-    over = np.flatnonzero(~(residue <= _RESIDUE_BUDGET))  # NaN is over
-    if over.size:
-        scale = 1.0 + np.abs(v[over]).max(axis=(1, 2))
-        failed = ~(residue[over] <= _RESIDUE_BUDGET * scale)
-        if failed.any():
-            j = int(failed.argmax())
-            k = int(over[j])
-            where = "" if omegas is None else f" at omega={float(omegas[k])!r}"
-            raise BasisConsistencyError(
-                f"quadrature spectrum not Hermitian{where}: residue "
-                f"{residue[k]:.3e} exceeds {_RESIDUE_BUDGET:.0e} * {scale[j]:.3e}"
-            )
+    _require_hermitian(left, v, omegas, conj.view(float))
     np.add(v.real, v.real.transpose(0, 2, 1), out=v_intra)
     return np.divide(v_intra, 2.0, out=v_intra)
 

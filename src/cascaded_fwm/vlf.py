@@ -228,30 +228,35 @@ def _require_physical(v: np.ndarray):
     """Raise PhysicalityError unless every matrix of the stack v is finite and PSD.
 
     Entry k may dip below zero by tau_k = 1e-9 * (1 + max|v_k|): rounding in
-    a spectrum with entries of 1e8 alone reaches ~1e-8.  A Cholesky screen of
-    the stack shifted by tau_k passes it at once; ``eigvalsh`` runs, decides
-    and names the minimum only if that fails.  The two verdicts differ only
-    within the Cholesky rounding band, ~12 eps max|v_k| (~3e-6 tau_k).  The
-    shift is subtracted from the diagonal of a copy of the symmetrized stack,
-    which gives the diagonal of sym - floor * I exactly; off the diagonal
-    only a zero's sign can differ, which no Cholesky pivot sees.  The
-    factorization is numpy's ``cholesky_lo`` gufunc through
-    ``spectra._linalg``, the call ``np.linalg.cholesky`` makes.
+    a spectrum with entries of 1e8 alone reaches ~1e-8.  The row maxima
+    max|v_k| that the floor needs also decide finiteness: an entry holds a
+    NaN or an infinity exactly when its maximum is NaN or infinite, so the
+    first such entry is named.  A Cholesky screen of the stack shifted by
+    tau_k passes it at once; ``eigvalsh`` runs, decides and names the
+    minimum only if that fails, on the symmetrized stack formed there.  The
+    two verdicts differ only within the Cholesky rounding band, ~12 eps
+    max|v_k| (~3e-6 tau_k).  The shifted stack is (v + v^T) / 2 formed in
+    place, with the shift subtracted from its diagonal, which gives the
+    diagonal of sym - floor * I exactly; off the diagonal only a zero's sign
+    can differ, which no Cholesky pivot sees.  The factorization is numpy's
+    ``cholesky_lo`` gufunc through ``spectra._linalg``, the call
+    ``np.linalg.cholesky`` makes.
     """
-    finite = np.isfinite(v).all(axis=(1, 2))
-    if not finite.all():
+    peaks = np.abs(v).max(axis=(1, 2))
+    bad = ~np.isfinite(peaks)
+    if bad.any():
         raise PhysicalityError(
-            f"output spectrum is not finite (entry {int(finite.argmin())} of the stack)"
+            f"output spectrum is not finite (entry {int(bad.argmax())} of the stack)"
         )
-    sym = (v + v.transpose(0, 2, 1)) / 2.0
-    floor = _PSD_TOLERANCE * (1.0 + np.abs(v).max(axis=(1, 2)))
-    shifted = sym.copy()
+    floor = _PSD_TOLERANCE * (1.0 + peaks)
+    shifted = np.add(v, v.transpose(0, 2, 1), dtype=float)
+    shifted /= 2.0
     diagonal = _diagonals(shifted)
     np.subtract(diagonal, floor[:, None], out=diagonal)
     try:
         _linalg("cholesky_lo", shifted, signature="d->d")
     except LinAlgError:
-        min_eig = np.linalg.eigvalsh(sym).min(axis=1)
+        min_eig = np.linalg.eigvalsh((v + v.transpose(0, 2, 1)) / 2.0).min(axis=1)
         failed = min_eig < floor
         if failed.any():
             raise PhysicalityError(

@@ -233,6 +233,57 @@ def reference_output_spectrum(model, omega):
     return np.eye(12) + 2.0 * gains[:, None] * v * gains[None, :]
 
 
+def reference_solve_guard(residuals, x, budget, omegas):
+    """Test oracle for the residual guard of the stacked spectral solves: its message, or None.
+
+    The check as it ran before the screen: the complex modulus of every
+    residual against budget_k, then the full budget budget_k (1 + max|x_k|)
+    for the rows over it, naming the first failing omegas[k].
+    """
+    residual = np.abs(residuals).max(axis=(1, 2))
+    over = np.flatnonzero(~(residual <= budget))
+    if over.size:
+        failed = ~(residual[over] <= budget[over] * (1.0 + np.abs(x[over]).max(axis=(1, 2))))
+        if failed.any():
+            k = int(over[failed.argmax()])
+            return (f"ill-conditioned spectral solve at omega={float(omegas[k])!r}: "
+                    f"residual {residual[k]:.3e}")
+    return None
+
+
+def reference_residue_guard(anti, v, omegas=None):
+    """Test oracle for the Hermitian-residue guard of the quadrature stack: its message, or None.
+
+    The check as it ran before the screen: the residue max|anti_k| / 2 of
+    every matrix against 1e-9, then the full budget 1e-9 (1 + max|v_k|) for
+    the matrices over it, naming the first failing omegas[k] when given.
+    """
+    residue = np.abs(anti).max(axis=(1, 2)) / 2.0
+    over = np.flatnonzero(~(residue <= 1e-9))
+    if over.size:
+        scale = 1.0 + np.abs(v[over]).max(axis=(1, 2))
+        failed = ~(residue[over] <= 1e-9 * scale)
+        if failed.any():
+            j = int(failed.argmax())
+            k = int(over[j])
+            where = "" if omegas is None else f" at omega={float(omegas[k])!r}"
+            return (f"quadrature spectrum not Hermitian{where}: residue "
+                    f"{residue[k]:.3e} exceeds 1e-09 * {scale[j]:.3e}")
+    return None
+
+
+def reference_physicality_failure(v):
+    """Test oracle for the whole physicality guard: its message for the stack v, or None.
+
+    Finiteness from ``np.isfinite`` of every entry, naming the first stack
+    entry that fails it, then the Cholesky screen and the eigenvalue test.
+    """
+    finite = np.isfinite(v).all(axis=(1, 2))
+    if not finite.all():
+        return f"output spectrum is not finite (entry {int(finite.argmin())} of the stack)"
+    return None if reference_psd_screen(v) else reference_psd_failure(v)
+
+
 def reference_psd_screen(v):
     """Test oracle for the Cholesky screen of the PSD guard: True where it passes the stack v.
 

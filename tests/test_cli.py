@@ -883,3 +883,28 @@ def test_no_module_imports_scipy():
                        if any(map(_imports_scipy, ast.walk(ast.parse(path.read_text(
                            encoding="utf-8"))))))
     assert importers == []
+
+
+def test_one_parser_serves_independent_calls(tmp_path, capsys, monkeypatch):
+    # Every main call parses with the process's one parser: a flag of one
+    # call must not reach the next, and an argparse error leaves it working.
+    assert cli._build_parser() is cli._build_parser()
+    text = BASE + "omega_points = 7\nout = sweep.csv\n"
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    write_config(alone, text)
+    _run_fresh("import sys; from cascaded_fwm.cli import main; "
+               "sys.exit(main(['vlf-sweep', 'run.conf']))", cwd=alone)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, text)
+    assert main(["vlf-sweep", cfg, "--zero-diffusion"]) == 0
+    null = (tmp_path / "sweep.csv").read_bytes()
+    for argv in (["vlf-sweep"], ["vlf-sweep", cfg, "--zero-diffusion", "--seed"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+    assert main(["vlf-sweep", cfg]) == 0
+    capsys.readouterr()
+    plain = (tmp_path / "sweep.csv").read_bytes()
+    assert plain == (alone / "sweep.csv").read_bytes()
+    assert plain != null

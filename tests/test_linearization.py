@@ -21,6 +21,7 @@ from cascaded_fwm import (
     classify_regime,
     compute_thresholds,
     drift,
+    hopf_epsilon,
     integrated_spectrum,
     jacobian_blocks,
     simulate_ou,
@@ -450,6 +451,40 @@ def test_below_threshold_hides_a_hopf_bifurcation():
         assert report.margin == pytest.approx(margin, abs=1e-8)
         edge = report.eigenvalues[np.isclose(report.eigenvalues.real, report.margin)]
         assert edge.size >= 2 and (np.abs(edge.imag) > 1e-3).all()
+
+
+def trivial_margin(params, epsilon):
+    point = params.with_epsilon(epsilon)
+    return stability(build_fluctuation_model(point, state_for_branch(point, "trivial")).m).margin
+
+
+def test_hopf_epsilon_is_where_the_trivial_state_first_loses_stability():
+    # Where eps_H comes first (or there is no threshold) the trivial state
+    # turns unstable across it; everywhere else it is still stable just
+    # below eps_th.  Both sides occur on these draws.
+    rng = np.random.default_rng(3)
+    counts = {"hopf": 0, "threshold": 0}
+    for regime in REGIMES:
+        for _ in range(100):
+            params = random_params(rng, regime)
+            thresholds = compute_thresholds(params)
+            eps_h = hopf_epsilon(params)
+            assert thresholds.has_threshold or eps_h is not None
+            if eps_h is not None and (not thresholds.has_threshold or eps_h < thresholds.eps_th):
+                counts["hopf"] += 1
+                assert trivial_margin(params, 0.999999 * eps_h) > 0.0
+                assert trivial_margin(params, 1.000001 * eps_h) < 0.0
+            else:
+                counts["threshold"] += 1
+                assert trivial_margin(params, 0.999999 * thresholds.eps_th) > 0.0
+    assert counts == {"hopf": 145, "threshold": 255}
+    # The point of test_below_threshold_hides_a_hopf_bifurcation, and the
+    # equal-damping sets, where k2 (gamma_b + gamma_c) > k1 gamma_c reads k2 > k1 / 2.
+    params = SystemParams(gamma_a=0.03, gamma_b=0.03, gamma_c=0.003, k1=1.0, k2=0.15, k3=0.15)
+    assert hopf_epsilon(params) == pytest.approx(5.450e-3, abs=1e-6)
+    assert hopf_epsilon(make_params(0.4)) is None
+    assert hopf_epsilon(make_params(0.5)) is None
+    assert hopf_epsilon(make_params(0.6)) == 0.03 * math.sqrt(0.06)
 
 
 def test_stationary_covariance_requires_decisive_stability():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,14 @@ from cascaded_fwm import (
     stationary_covariance,
     sweep_frequency,
 )
-from cascaded_fwm.spectra import _T, _output_stack, _spectral_stack, _Workspace
+from cascaded_fwm.spectra import (
+    _T,
+    _output_stack,
+    _require_hermitian,
+    _require_solved,
+    _spectral_stack,
+    _Workspace,
+)
 from helpers import (
     REGIMES,
     models_in_every_regime,
@@ -32,6 +40,8 @@ from helpers import (
     random_params,
     reference_output_spectrum,
     reference_quadrature_transform,
+    reference_residue_guard,
+    reference_solve_guard,
     reference_spectral_matrix,
     spectrum_at,
     toy_model,
@@ -611,3 +621,113 @@ def test_hermitian_residue_guard_decides_on_its_full_budget():
     with pytest.raises(BasisConsistencyError) as got:
         quadrature_transform(outside)
     assert str(got.value) == str(expected.value)
+
+
+def guard_message(guard, *args):
+    """The message of the error ``guard(*args)`` raises, or None when it passes."""
+    try:
+        guard(*args)
+    except (NumericalError, BasisConsistencyError) as exc:
+        return str(exc)
+    return None
+
+
+def probe_stack(*bounds):
+    """Complex 12x12 matrices with one nonzero entry each, around every bound.
+
+    For each bound: |Re| = |Im| just under, at and just over bound / 1.5 (the
+    screen's edge) and bound / sqrt(2) (where the modulus crosses the bound),
+    with every sign pattern; a real and an imaginary entry exactly at the
+    bound and one ulp over it.  Then NaN, +inf and -inf in either part.
+    """
+    values = []
+    for bound in bounds:
+        for edge in (bound / 1.5, bound / math.sqrt(2.0)):
+            for a in (edge * (1.0 - 1e-12), np.nextafter(edge, 0.0), edge,
+                      np.nextafter(edge, np.inf), edge * (1.0 + 1e-12)):
+                values += [complex(a, a), complex(-a, a), complex(a, -a), complex(-a, -a)]
+        over = np.nextafter(bound, np.inf)
+        values += [complex(bound, 0.0), complex(0.0, -bound), complex(over, 0.0),
+                   complex(0.0, over)]
+    values += [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+               complex(0.0, -np.inf), complex(-np.inf, 1.0)]
+    stack = np.zeros((len(values), 12, 12), dtype=complex)
+    stack[:, 3, 7] = values
+    return stack
+
+
+def row_selections(n):
+    """Every row alone, all rows in order and reversed, and rows that put a
+    NaN, an inf and a -inf (the last five probes) in different places."""
+    return ([[k] for k in range(n)] + [list(range(n)), list(range(n))[::-1]]
+            + [[0, n - 3, 1, n - 5, n - 1], [n - 1, 0, n - 4, n - 2]])
+
+
+@pytest.mark.parametrize("peak_x", [0.0, 10.0])
+@pytest.mark.parametrize("base", [1e-8, 1e-8 * (1.0 + 3.0), 1e-8 * (1.0 + 1e4)])
+def test_solve_guard_screen_keeps_the_full_checks_verdict_and_message(base, peak_x):
+    # The residuals probe the screen's edge base / 1.5, the budget's own
+    # edge and the full budget base (1 + max|x|), NaN and inf included;
+    # every selection of rows must get the reference guard's message.
+    residuals = probe_stack(base, base * (1.0 + peak_x))
+    n = len(residuals)
+    x = np.zeros((n, 12, 12), dtype=complex)
+    x[:, 5, 5] = peak_x
+    budget = np.full(n, base)
+    omegas = 0.1 * np.arange(1, n + 1)
+    verdicts = set()
+    for rows in row_selections(n):
+        args = residuals[rows], x[rows], budget[rows], omegas[rows]
+        expected = reference_solve_guard(*args)
+        assert guard_message(_require_solved, *args) == expected
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
+    empty = np.zeros((0, 12, 12), dtype=complex)
+    assert guard_message(_require_solved, empty, empty, np.zeros(0), np.zeros(0)) is None
+
+
+@pytest.mark.parametrize("peak_v", [0.0, 10.0, 1e4])
+def test_hermitian_guard_screen_keeps_the_full_checks_verdict_and_message(peak_v):
+    # The residue is max|v - v^H| / 2, so the modulus bounds are twice the
+    # residue budgets 1e-9 and 1e-9 (1 + max|v|).
+    anti = probe_stack(2e-9, 2e-9 * (1.0 + peak_v))
+    n = len(anti)
+    v = np.zeros((n, 12, 12), dtype=complex)
+    v[:, 2, 2] = peak_v
+    omegas = 0.1 * np.arange(1, n + 1)
+    verdicts = set()
+    for rows in row_selections(n):
+        for named in (None, omegas[rows]):
+            expected = reference_residue_guard(anti[rows], v[rows], named)
+            assert guard_message(_require_hermitian, anti[rows], v[rows], named) == expected
+            verdicts.add(expected is None)
+    assert verdicts == {True, False}
+    empty = np.zeros((0, 12, 12), dtype=complex)
+    assert guard_message(_require_hermitian, empty, empty) is None
+
+
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("delta", [1e-12, 1e-9, 1.5e-9, 1e-6])
+def test_complex_diffusion_meets_the_guards_of_the_reference_chain(delta, descending):
+    # A complex D leaves S off Hermitian by ~delta: the grid must give the
+    # reference chain's v_out, or its message at the first failing omega
+    # (in the middle of the descending grid at delta = 1.5e-9).
+    params = pumped(0.4, 0.8)
+    base = build_fluctuation_model(params, state_for_branch(params, "trivial"))
+    model = replace(base, d=base.d * (1.0 + 1j * delta))
+    omegas = np.geomspace(0.01, 100.0, 9)[::-1 if descending else 1] * params.gamma_a
+    expected = []
+    for omega in omegas:
+        try:
+            expected.append(reference_output_spectrum(model, omega))
+        except BasisConsistencyError as exc:
+            expected = str(exc).replace("Hermitian:", f"Hermitian at omega={float(omega)!r}:")
+            break
+    try:
+        got = output_spectra(model, omegas)
+    except BasisConsistencyError as exc:
+        got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.array_equal(bits(got), bits(np.array(expected)))

@@ -40,6 +40,7 @@ from helpers import (
     pumped,
     random_params,
     reference_gain_solve,
+    reference_physicality_failure,
     reference_psd_failure,
     reference_psd_screen,
     sequential_minimum,
@@ -830,3 +831,36 @@ def test_consecutive_sweeps_and_searches_share_no_memory(monkeypatch):
     # Same models, same results, in either order.
     for res, ref in zip(sum(first, []), sum(second[::-1], []), strict=True):
         assert_same_result(res, ref)
+
+
+def physicality_message(v):
+    try:
+        _require_physical(v)
+    except PhysicalityError as exc:
+        return str(exc)
+    return None
+
+
+def test_finiteness_from_the_row_maxima_keeps_the_reference_verdict_and_message():
+    # NaN, +inf and -inf in different entries and places, alone and after an
+    # entry that is not PSD; the guard reads finiteness from max|v_k| and
+    # must name the entry the isfinite reference names.
+    not_psd = np.eye(12)
+    not_psd[0, 0] = -1e-6
+    stacks = [np.zeros((0, 12, 12)), np.stack([np.eye(12), not_psd])]
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in (0, 1, 2):
+            for where in ((0, 0), (6, 6), (8, 9)):
+                stack = np.stack([np.eye(12), not_psd, 2.0 * np.eye(12)])
+                stack[row][where] = bad
+                stacks.append(stack)
+    mixed = np.stack([not_psd, np.eye(12), np.eye(12), np.eye(12)])
+    mixed[1, 3, 4], mixed[2, 5, 5], mixed[3, 0, 11] = np.inf, np.nan, -np.inf
+    stacks += [mixed, mixed[::-1].copy(), mixed[[0, 2, 3]]]
+    stacks += [psd_probe(max_abs, margin)[None] for max_abs in (1.0, 1e8)
+               for margin in (1.0 - 1e-3, 1.0 + 1e-3)]
+    messages = [physicality_message(v) for v in stacks]
+    assert messages == [reference_physicality_failure(v) for v in stacks]
+    assert messages[0] is None
+    assert {m.split(" (")[0] for m in messages[1:] if m} == {
+        "output spectrum is not finite", "output spectrum is not positive semidefinite"}

@@ -126,6 +126,61 @@ except ParameterError as error:
     print(f"ParameterError: {error}")
 """
 
+# The guards of the witness path through the public API, each with the text
+# of its error: the solve residual (a drift with a pole at omega = 0.3), the
+# Hermitian residue (a complex diffusion) and the physicality check (NaN,
+# infinite and indefinite spectra).
+GUARDS = """\
+from dataclasses import replace
+
+import numpy as np
+from cascaded_fwm import (INEQUALITIES, BasisConsistencyError, NumericalError,
+                          PhysicalityError, QuadratureSpectrum, build_branch_model,
+                          optimize_gains, output_spectra, quadrature_transform,
+                          spectral_matrix)
+from cascaded_fwm.cli import parse_config
+
+
+def show(call):
+    try:
+        result = call()
+    except (NumericalError, BasisConsistencyError, PhysicalityError) as error:
+        print(f"{type(error).__name__}: {error}")
+    else:
+        print(repr(np.asarray(result).tolist()))
+
+
+params = parse_config(%r).system()
+trivial = build_branch_model(params, "trivial")
+""" % (BELOW,)
+GUARD_CASES = {
+    # M + i omega I at omega = 0.3 has a subnormal pivot: X overflows and the
+    # residual is NaN there, while omega = 0.1 and 1.0 in the same stack
+    # solve cleanly.  No clean spectrum is printed: the signs of its zeros
+    # depend on the BLAS kernel.
+    "solve-near-singular": ("m = 0.05 * np.eye(12)\n"
+                            "m[0, 0] = m[1, 1] = 1e-310\n"
+                            "m[0, 1], m[1, 0] = 0.3, -0.3\n"
+                            "model = replace(trivial, m=m, d=np.eye(12))\n"
+                            "show(lambda: output_spectra(model, [0.1, 0.3, 1.0]))\n"
+                            "show(lambda: spectral_matrix(model, 0.3))\n"),
+    # D (1 + i delta): within the residue budget at 1e-9, over it from the
+    # middle of the descending grid at 1.5e-9, everywhere at 1e-6.
+    "hermitian-complex-diffusion": (
+        "grid = np.geomspace(100.0, 0.01, 9) * params.gamma_a\n"
+        "for delta in (1e-9, 1.5e-9, 1e-6):\n"
+        "    model = replace(trivial, d=trivial.d * (1.0 + 1j * delta))\n"
+        "    show(lambda: output_spectra(model, grid))\n"
+        "    show(lambda: quadrature_transform(spectral_matrix(model, 0.3 * params.gamma_a)))\n"),
+    "physical-nan-indefinite": (
+        "for where, bad in (((8, 9), np.nan), ((0, 0), np.inf), ((6, 6), -np.inf),\n"
+        "                   ((0, 0), -1e-6), ((6, 6), -1e-6), ((6, 6), -1e-10)):\n"
+        "    v = np.eye(12)\n"
+        "    v[where] = bad\n"
+        "    spectrum = QuadratureSpectrum(omega=0.03, omega_norm=1.0, v_out=v)\n"
+        "    show(lambda: optimize_gains(INEQUALITIES[0], spectrum).value)\n"),
+}
+
 CLI = ("-m", "cascaded_fwm")
 DEMOS = ("fluctuation_spectra", "monte_carlo_check", "pump_sweep",
          "thresholds_and_branches", "vlf_sweep")
@@ -185,6 +240,7 @@ CASES = (
     + [Case(f"demo-{demo}", (f"{{tree}}/demos/{demo}.py",)) for demo in DEMOS]
     + [Case(f"relax-{name}", ("-c", RELAX + body)) for name, body in RELAX_CASES.items()]
     + [Case("spectra-1x1-model", ("-c", ONE_BY_ONE))]
+    + [Case(f"guard-{name}", ("-c", GUARDS + body)) for name, body in GUARD_CASES.items()]
     # Grids one row either side of a 64-row stack boundary.
     + [Case(f"{verb}-{scale}-{points}", (*CLI, verb, "run.conf"),
             (("run.conf", BETWEEN + f"branch = lower\nomega_scale = {scale}\n"
