@@ -207,6 +207,13 @@ def stationary_covariance(model: FluctuationModel) -> np.ndarray:
     solution is verified.  With the row-major vec, M Sigma is
     (M (x) I) vec Sigma and Sigma M^T is (I (x) M) vec Sigma, so one LU
     solve of the n^2 x n^2 Kronecker sum gives Sigma.
+
+    The residual max|M Sigma + Sigma M^T - D| must be within 1e-10 times
+    the size of the terms it balances, max|D| + 2 max|M| max|Sigma|, with
+    no absolute floor, or ``NumericalError`` is raised (NaN included).  So
+    the verdict does not change with the time unit, which scales M and D
+    alike, and near threshold, where Sigma grows as the margin shrinks, the
+    budget grows with it.
     """
     _require_decaying(model.m, "stationary covariance needs")
     n = model.m.shape[0]
@@ -214,8 +221,9 @@ def stationary_covariance(model: FluctuationModel) -> np.ndarray:
     kron_sum = np.kron(model.m, eye) + np.kron(eye, model.m)
     sigma = np.linalg.solve(kron_sum, model.d.reshape(n * n)).reshape(n, n)
     residual = np.max(np.abs(model.m @ sigma + sigma @ model.m.T - model.d))
-    budget = 1e-10 * max(np.max(np.abs(model.d)), 1e-300)
-    if not residual <= max(budget, 1e-14):  # NaN fails
+    budget = 1e-10 * (np.max(np.abs(model.d))
+                      + 2.0 * np.max(np.abs(model.m)) * np.max(np.abs(sigma)))
+    if not residual <= budget:  # NaN fails
         raise NumericalError(
             f"Lyapunov solve residual {residual:.3e} exceeds budget {budget:.3e}"
         )

@@ -22,10 +22,12 @@ singular.
 Internally every step passes stacked arrays: the checked spectra of
 ``_grid_spectra``, the gain problems of ``_problem_arrays`` and the values
 and gains of ``_gain_solves``, one row per (spectrum, inequality) pair.
-``_sweep_arrays`` is the one frequency scan, in a (frequency, witness)
-layout, for ``sweep_frequency``, the CLI and the coarse grid of
-``minima_over_models``; each of them resolves its witnesses and builds
-their gain problems once, before the scan.  VlfResult objects are made
+``_sweep_arrays`` is the one frequency sweep, in a (frequency, witness)
+layout, for ``sweep_frequency`` and the CLI; ``_coarse_minima`` is the
+coarse scan of ``minima_over_models``, which solves exactly only the
+points that ``screen._exact_mask`` keeps and hands the refine the rows
+that ``_sweep_arrays`` would give, bit for bit.  Each of them resolves its
+witnesses and builds their gain problems once, before the scan.  VlfResult objects are made
 only where a public function returns them.  ``_check_window`` is the one
 check of a frequency window and its scale.  The ``_OMEGA_*`` constants
 state the default grid, and ``_COARSE_POINTS`` and ``_XTOL`` the coarse
@@ -45,6 +47,7 @@ from numpy.linalg import LinAlgError
 from .errors import ParameterError, PhysicalityError
 from .linearization import FluctuationModel, build_fluctuation_model
 from .params import MODE_LABELS, SystemParams
+from .screen import _exact_mask
 from .spectra import (
     QuadratureSpectrum,
     _checked_omegas,
@@ -365,7 +368,7 @@ def _sweep_arrays(model: FluctuationModel, problems: tuple, omega_grid,
                   work: _Workspace | None = None) -> tuple:
     """``sweep_frequency`` as arrays omega, omega_norm (N,), values (N, P), gains (N, P, 4).
 
-    Every frequency scan runs here, on the P gain problems ``problems``
+    Every frequency sweep runs here, on the P gain problems ``problems``
     (the rows of ``_problem_arrays``), which the caller builds once.  One
     workspace serves the whole grid: the caller's ``work``, or one
     ``_output_stack`` makes when it is None.
@@ -483,13 +486,44 @@ def _refine_minima(rows: tuple, problems: tuple, grid: np.ndarray,
     return minima
 
 
+def _coarse_minima(problems: tuple, omega: np.ndarray, omega_norm: np.ndarray,
+                   v: np.ndarray) -> list:
+    """Each search's best coarse index and its point, from one scan's checked spectra.
+
+    ``problems`` holds P rows of ``_problem_arrays``; ``omega``,
+    ``omega_norm`` and ``v`` are a ``_grid_spectra`` scan of N points.
+    ``_gain_solves`` runs only on the points ``screen._exact_mask`` keeps,
+    and the best index of a search is the argmin of its exact values, lowest index
+    first.  So entry p, ``(best, (omega, omega_norm, value, gains))``, is
+    bit for bit the argmin row of column p of ``_gain_solves(*problems,
+    v[:, None])``, the full scan that ``_sweep_arrays`` runs.
+    """
+    exact = _exact_mask(problems, v)
+    searches, points = np.nonzero(exact)
+    values, gains = _gain_solves(*(x[searches] for x in problems), v[points])
+    coarse, start = [], 0
+    for end in np.cumsum(exact.sum(axis=1)).tolist():
+        # One search's exact points, in grid order, so np.argmin keeps the
+        # lowest index of a tie.
+        k = start + int(np.argmin(values[start:end]))
+        i = int(points[k])
+        coarse.append((i, (float(omega[i]), float(omega_norm[i]), float(values[k]), gains[k])))
+        start = end
+    return coarse
+
+
 def minima_over_models(models, inequalities=None, omega_range=_OMEGA_WINDOW,
                        scale: str = _OMEGA_SCALE) -> list:
     """Global minimum of each optimized inequality over a frequency window, per model.
 
-    Scans one coarse grid of ``_COARSE_POINTS`` per model with
-    ``_sweep_arrays``, shared by all inequalities (all inequalities by
-    default), and keeps each inequality's best coarse point.  Then it
+    Scans one coarse grid of ``_COARSE_POINTS`` per model, shared by all
+    inequalities (all inequalities by default), and keeps each
+    inequality's best coarse point.  The scan runs every check of
+    ``_sweep_arrays`` in the same order, model by model, and its screen
+    (``_coarse_minima``) gives the gain solve only to the points that can
+    hold a minimum, so the best point is the full scan's bit for bit; a
+    ``LinAlgError`` of ``dgelsd`` at a skipped point, whose block is finite,
+    PSD-checked and well conditioned, can no longer be raised.  Then it
     refines every (model, inequality) bracket by golden section to
     ``_XTOL`` in omega / gamma_a, all of them in one lockstep with one
     stacked spectral evaluation per step.  A minimum on the window edge is
@@ -520,11 +554,9 @@ def minima_over_models(models, inequalities=None, omega_range=_OMEGA_WINDOW,
     work = _Workspace()
     scanned, coarse = [], []
     for model in models:
-        omega, omega_norm, values, gains = _sweep_arrays(model, problems, grid, work)
+        spectra = _grid_spectra(_model_rows([model]), _checked_omegas(model, grid), work)
         scanned.append(model)
-        for p, best in enumerate(values.argmin(axis=0).tolist()):
-            coarse.append((best, (float(omega[best]), float(omega_norm[best]),
-                                  float(values[best, p]), gains[best, p])))
+        coarse.extend(_coarse_minima(problems, *spectra))
     minima = _refine_minima(_model_rows(scanned), problems, grid, coarse, work)
     n = len(ineqs)
     return [[_result(ineq, *point) for ineq, point in zip(ineqs, minima[i * n:(i + 1) * n])]

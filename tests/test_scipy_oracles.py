@@ -10,6 +10,7 @@ checks whole relaxations against ``solve_ivp``.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,38 @@ def test_kronecker_covariance_equals_scipy_lyapunov():
         sigma = stationary_covariance(model)
         want = solve_continuous_lyapunov(model.m.astype(complex), model.d)
         assert np.max(np.abs(sigma - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("ratio", ["0.999999", "0.9999999"])
+def test_covariance_near_threshold_equals_scipy_lyapunov(ratio):
+    # Sigma grows as 1 / margin here; a residual budget of 1e-10 max|D|
+    # refused these solves (6.2e-12 against 3.75e-12 at 0.999999 eps_th),
+    # which agree with scipy to the conditioning of the problem.
+    config = CRITERION_12.replace("epsilon_ratio = 0.8", f"epsilon_ratio = {ratio}")
+    model = build_branch_model(parse_config(config).system(), "trivial")
+    sigma = stationary_covariance(model)
+    want = solve_continuous_lyapunov(model.m.astype(complex), model.d)
+    assert np.max(np.abs(sigma - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("unit", [1e-6, 1.0, 1e6])
+def test_a_corrupted_covariance_is_refused_in_any_time_unit(unit, monkeypatch):
+    # A time unit scales M and D alike and leaves Sigma as it is; an
+    # absolute floor on the budget once let a Sigma off by 1e-8 of its size
+    # through at unit 1e-6.
+    model = criterion_12_model()
+    model = replace(model, m=model.m * unit, d=model.d * unit)
+    stationary_covariance(model)
+    solve = np.linalg.solve
+
+    def corrupted(a, b):
+        x = solve(a, b)
+        x[0] += 1e-8 * np.max(np.abs(x))
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", corrupted)
+    with pytest.raises(NumericalError, match="Lyapunov solve residual"):
+        stationary_covariance(model)
 
 
 def test_covariance_is_exactly_zero_where_the_ensemble_is():

@@ -25,9 +25,12 @@ from cascaded_fwm import (
     output_spectra,
     sweep_frequency,
 )
-from cascaded_fwm import vlf
+from cascaded_fwm import screen, vlf
 from cascaded_fwm.vlf import (
+    _coarse_minima,
     _gain_solves,
+    _grid_spectra,
+    _model_rows,
     _golden_section,
     _problem_arrays,
     _require_physical,
@@ -864,3 +867,178 @@ def test_finiteness_from_the_row_maxima_keeps_the_reference_verdict_and_message(
     assert messages[0] is None
     assert {m.split(" (")[0] for m in messages[1:] if m} == {
         "output spectrum is not finite", "output spectrum is not positive semidefinite"}
+
+
+# The screen of the coarse scan (cascaded_fwm.screen): only the points that
+# can hold a search's minimum get the exact gain solve, and the row handed
+# to the refine must be the full scan's, bit for bit.
+
+def coarse_grid():
+    return np.geomspace(*vlf._OMEGA_WINDOW, vlf._COARSE_POINTS)
+
+
+def pump_point_models(figure):
+    """The models of the 21 pump points of ``reproduce figure``."""
+    from cascaded_fwm.cli import figure_config
+
+    config = figure_config(figure)
+    th = compute_thresholds(config.params)
+    reference = th.eps_th if config.epsilon_mode == "rel_eps_th" else th.eps_th_prime
+    return [build_branch_model(config.params.with_epsilon(float(ratio) * reference),
+                               config.branch)
+            for ratio in np.geomspace(1.05, config.epsilon_ratio, 21)]
+
+
+def assert_same_coarse_rows(screened, full):
+    assert len(screened) == len(full)
+    for (best, point), (want_best, want_point) in zip(screened, full, strict=True):
+        assert best == want_best
+        assert point[:3] == want_point[:3]
+        assert np.array_equal(point[3], want_point[3])
+
+
+def full_scan_rows(problems, omega, omega_norm, v):
+    """The argmin row of every witness of ``_gain_solves(*problems, v[:, None])``,
+    the unscreened solve of ``_sweep_arrays``."""
+    values, gains = _gain_solves(*problems, v[:, None])
+    return [(best, (float(omega[best]), float(omega_norm[best]), float(values[best, p]),
+                    gains[best, p]))
+            for p, best in enumerate(np.argmin(values, axis=0).tolist())]
+
+
+def assert_screen_keeps_the_sweep_rows(model, grid):
+    """The screened coarse rows of ``model`` on ``grid`` equal the argmin rows of
+    ``_sweep_arrays``; returns the problems and the checked spectra."""
+    problems = _problem_arrays(INEQUALITIES)
+    omega, omega_norm, values, gains = _sweep_arrays(model, problems, grid)
+    spectra = _grid_spectra(_model_rows([model]), grid)
+    assert_same_coarse_rows(
+        _coarse_minima(problems, *spectra),
+        [(best, (float(omega[best]), float(omega_norm[best]), float(values[best, p]),
+                 gains[best, p]))
+         for p, best in enumerate(np.argmin(values, axis=0).tolist())])
+    return problems, spectra
+
+
+def assert_screen_keeps_the_stack_rows(v):
+    """As above, on a synthetic stack at omega = omega_norm = its index."""
+    problems = _problem_arrays(INEQUALITIES)
+    index = np.arange(len(v), dtype=float)
+    screened = _coarse_minima(problems, index, index, v)
+    assert_same_coarse_rows(screened, full_scan_rows(problems, index, index, v))
+    return [best for best, _ in screened]
+
+
+@pytest.mark.parametrize("figure", ["fig8", "fig9"])
+def test_screened_coarse_scan_keeps_the_sweep_rows_at_every_pump_point(figure):
+    for model in pump_point_models(figure):
+        assert_screen_keeps_the_sweep_rows(model, coarse_grid())
+
+
+def test_screened_coarse_scan_keeps_the_sweep_rows_in_every_regime():
+    rng = np.random.default_rng(35)
+    branches = set()
+    for regime in REGIMES:
+        for _ in range(3):
+            params = random_params(rng, regime=regime)
+            for state in analytic_steady_states(params):
+                branches.add(state.branch.value)
+                assert_screen_keeps_the_sweep_rows(build_branch_model(params, state.branch),
+                                                   coarse_grid())
+    assert branches == {"trivial", "lower", "upper"}
+
+
+def test_screen_gate_sends_rank_cut_blocks_to_the_exact_solve():
+    # Down to 1e-7 gamma_a the free blocks of fig9's last pump point grow so
+    # ill-conditioned that dgelsd's rank cut sets their values; the gate
+    # must refuse every such block, and the rows must still be the sweep's.
+    model = pump_point_models("fig9")[-1]
+    problems, (_, _, v) = assert_screen_keeps_the_sweep_rows(
+        model, np.geomspace(1e-7, 100.0, vlf._COARSE_POINTS))
+    _, _, free = problems
+    blocks = v[:, free[:, :, None], free[:, None, :]]
+    singular = np.linalg.svd(blocks, compute_uv=False)
+    rank_cut = singular[..., -1] <= vlf._SINGULAR_RCOND * singular[..., 0]
+    _, _, trace_product = screen._screen_values(problems, v)
+    refused = ~(trace_product.T <= screen._GATE)
+    assert rank_cut.any()
+    assert refused[rank_cut].all()
+    assert screen._exact_mask(problems, v).T[refused].all()
+
+
+def test_screen_keeps_the_lowest_index_of_identical_spectra():
+    _, (_, _, v) = assert_screen_keeps_the_sweep_rows(pump_point_models("fig8")[10],
+                                                      coarse_grid())
+    values, _ = _gain_solves(*_problem_arrays(INEQUALITIES), v[:, None])
+    for p, best in enumerate(np.argmin(values, axis=0).tolist()):
+        for twin in (0, len(v) - 1):
+            stack = v.copy()
+            stack[twin] = v[best]
+            assert assert_screen_keeps_the_stack_rows(stack)[p] == min(twin, best)
+
+
+def test_screen_keeps_the_minimum_among_near_ties():
+    # 64 copies of one spectrum, each entry moved by a few ulps: the
+    # witness values spread over a few to a few thousand ulps, so the order
+    # of the approximate values often differs from that of the exact ones.
+    v = pump_point_models("fig8")[10]
+    v = _grid_spectra(_model_rows([v]), [0.5])[2][0]
+    rng = np.random.default_rng(35)
+    for _ in range(16):
+        noise = rng.integers(-4, 5, size=(64, 12, 12)) * np.spacing(np.abs(v))
+        assert_screen_keeps_the_stack_rows(v + (noise + noise.transpose(0, 2, 1)))
+
+
+def ill_conditioned_point(offset, miss):
+    """A spectrum on which witness i2-p1 has the free block diag(1, 2, 3, 1e-13).
+
+    Its right-hand side lies along the weak axis, so the exact minimum is
+    8 + offset - miss, which the Cholesky solve finds, while dgelsd cuts
+    that axis and returns 8 + offset: the Cholesky value misses the shipped
+    one by ``miss``.  With the weak direction on an axis, the scale s stays
+    near 8, so the margin 1e-9 s cannot cover the miss.
+    """
+    v = 2.0 * np.eye(12)
+    free = 6 + np.array(INEQUALITIES[0].free_modes)
+    v[free, free] = [1.0, 2.0, 3.0, 1e-13]
+    v[free[3], 7] = v[7, free[3]] = math.sqrt(1e-13 * miss)
+    v[1, 1] = v[4, 4] = 2.0 + offset / 2.0
+    return v
+
+
+def test_screen_refuses_blocks_it_cannot_vouch_for():
+    # The true minimum of i2-p1 sits at index 40, on a block of condition
+    # 3e13 whose Cholesky value lies 0.2 below the shipped 7.9; the decoy at
+    # 20 has a value of 8.0 and a Cholesky value of 7.5, and every other
+    # point 9.  Without the gate the decoy's upper bound would skip index 40.
+    v = np.repeat((2.0 * np.eye(12) + np.diag([0.0, 0.5, 0.0, 0.0, 0.5] + [0.0] * 7))[None],
+                  64, axis=0)
+    v[20] = ill_conditioned_point(0.0, 0.5)
+    v[40] = ill_conditioned_point(-0.1, 0.2)
+    problems = _problem_arrays(INEQUALITIES)
+    values, _ = _gain_solves(*problems, v[:, None])
+    approx, _, trace_product = screen._screen_values(problems, v)
+    assert np.argmin(values[:, 0]) == 40
+    assert abs(values[40, 0] - 7.9) < 1e-9 and abs(values[20, 0] - 8.0) < 1e-9
+    assert abs(approx[0, 40] - 7.7) < 1e-9 and abs(approx[0, 20] - 7.5) < 1e-9
+    assert np.all(trace_product[0, [20, 40]] > 1e13)
+    assert assert_screen_keeps_the_stack_rows(v)[0] == 40
+
+
+def test_reproduce_fig8_solves_few_coarse_rows_exactly(tmp_path, capsys, monkeypatch):
+    from cascaded_fwm.cli import main
+
+    masks, exact_mask = [], vlf._exact_mask
+
+    def recorded(problems, v):
+        masks.append(exact_mask(problems, v))
+        return masks[-1]
+
+    monkeypatch.setattr(vlf, "_exact_mask", recorded)
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce", "fig8"]) == 0
+    capsys.readouterr()
+    assert len(masks) == 21
+    assert sum(mask.size for mask in masks) == 4032
+    assert sum(int(mask.sum()) for mask in masks) <= 403
+

@@ -237,6 +237,15 @@ CASES = (
     + [Case(f"mc-validate-seed{seed}-eps{ratio}", (*CLI, "mc-validate", "run.conf"),
             (("run.conf", BELOW.replace("0.8", ratio) + f"branch = trivial\nseed = {seed}\n"),))
        for seed, ratio in ((7, "0.8"), (0, "0.5"))]
+    # fig9 down to 1e-7 gamma_a, where the coarse-scan screen's gate refuses
+    # the ill-conditioned gain blocks of the low frequencies.
+    + [Case("pump-sweep-window-1e-7", (*CLI, "pump-sweep", "run.conf"),
+            (("run.conf", RATES + "epsilon_mode = rel_eps_th_prime\nepsilon_ratio = 30\n"
+              "branch = upper\nomega_min = 1e-7\nout = pump.csv\n"),)),
+       # 0.999999 eps_th: the stationary covariance is valid within its
+       # residual budget, and the Monte-Carlo step budget refuses the run.
+       Case("mc-validate-near-threshold", (*CLI, "mc-validate", "run.conf"),
+            (("run.conf", BELOW.replace("0.8", "0.999999") + "branch = trivial\n"),))]
     + [Case(f"demo-{demo}", (f"{{tree}}/demos/{demo}.py",)) for demo in DEMOS]
     + [Case(f"relax-{name}", ("-c", RELAX + body)) for name, body in RELAX_CASES.items()]
     + [Case("spectra-1x1-model", ("-c", ONE_BY_ONE))]
