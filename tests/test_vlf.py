@@ -1028,13 +1028,13 @@ def test_screen_refuses_blocks_it_cannot_vouch_for():
 def test_reproduce_fig8_solves_few_coarse_rows_exactly(tmp_path, capsys, monkeypatch):
     from cascaded_fwm.cli import main
 
-    masks, exact_mask = [], vlf._exact_mask
+    masks, exact_mask = [], screen._exact_mask
 
     def recorded(problems, v):
         masks.append(exact_mask(problems, v))
         return masks[-1]
 
-    monkeypatch.setattr(vlf, "_exact_mask", recorded)
+    monkeypatch.setattr(screen, "_exact_mask", recorded)
     monkeypatch.chdir(tmp_path)
     assert main(["reproduce", "fig8"]) == 0
     capsys.readouterr()
