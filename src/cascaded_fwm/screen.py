@@ -56,37 +56,47 @@ def _rows(blocks: np.ndarray) -> np.ndarray:
     return blocks.reshape(len(blocks), blocks.shape[1] * blocks.shape[2])
 
 
-@np.errstate(invalid="ignore", divide="ignore", over="ignore")
-def _screen_values(problems: tuple, v: np.ndarray) -> tuple:
-    """A, s and T of the comment above for every (witness, point), each (P, N).
+def _gather_plan(problems: tuple) -> tuple:
+    """Where the screen reads each spectrum for P witnesses, and with what weights.
 
-    ``problems`` holds P rows of ``vlf._problem_arrays`` and ``v`` (N, 12, 12)
-    the checked spectra of one coarse scan.  Every row of ``a`` and ``b0``
-    has two nonzero entries (``VlfInequality`` checks it), so f(g) =
-    a^T v a + b0^T v b0 - 2 g^T r + g^T H g needs 32 entries of each v per
-    witness, gathered at once.  Each step of the Cholesky factorization and
-    the substitutions acts on one (P, N) array, so every free block is
-    factored and solved at once.  A block that does not factor leaves NaN
-    or inf in its T; floating-point flags are ignored.
+    ``problems`` holds P rows of ``vlf._problem_arrays``.  Every row of
+    ``a`` and ``b0`` has two nonzero entries (``VlfInequality`` checks it),
+    so f(g) = a^T v a + b0^T v b0 - 2 g^T r + g^T H g needs 32 entries of
+    v per witness: the 16 of H, v at (free_i, y_k) for r (weight -b0_k),
+    then the 2x2 blocks of a^T v a and b0^T v b0 (weights a_k a_l and
+    b0_k b0_l).  Returns their flat indices into a 12x12 matrix, (32, P),
+    and their weights, (32, P, 1); a minimum search builds it once.
     """
     a, b0, free = problems
-    n, p = len(v), len(a)
+    p = len(a)
     x_pair, y_pair = (np.nonzero(c)[1].reshape(p, 2) for c in (a, b0))
     x_coeffs = np.take_along_axis(a, x_pair, axis=1)
     y_coeffs = np.take_along_axis(b0, y_pair, axis=1)
     ones = np.ones((p, 4))
-    # Per witness, the entries v[i, j] and their weights u_i w_j: the 16 of
-    # H, v at (free_i, y_pair_k) for r, then the 2x2 blocks of a^T v a and
-    # b0^T v b0.
     blocks = ((free, ones, free, ones), (free, ones, y_pair, -y_coeffs),
               (x_pair, x_coeffs, x_pair, x_coeffs), (y_pair, y_coeffs, y_pair, y_coeffs))
     index = np.concatenate([_rows(i[:, :, None] * 12 + j[:, None, :]) for i, _, j, _ in blocks],
                            axis=1)
     weights = np.concatenate([_rows(u[:, :, None] * w[:, None, :]) for _, u, _, w in blocks],
                              axis=1)
-    entries = v.reshape(n, 144).T[index.T]
+    return index.T, weights.T[:, :, None]
+
+
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
+def _screen_values(plan: tuple, v: np.ndarray) -> tuple:
+    """A, s and T of the comment above for every (witness, point), each (P, N).
+
+    ``plan`` is the ``_gather_plan`` of P witnesses and ``v`` (N, 12, 12)
+    the checked spectra of one coarse scan.  Each step of the Cholesky
+    factorization and the substitutions acts on one (P, N) array, so every
+    free block is factored and solved at once.  A block that does not
+    factor leaves NaN or inf in its T; floating-point flags are ignored.
+    """
+    index, weights = plan
+    n, p = len(v), index.shape[1]
+    entries = v.reshape(n, 144).T[index]
     magnitudes = np.abs(entries)
-    entries *= weights.T[:, :, None]
+    entries *= weights
     h, habs = entries[:16].reshape(4, 4, p, n), magnitudes[:16].reshape(4, 4, p, n)
     r = entries[16:24:2] + entries[17:24:2]
     rabs = magnitudes[16:24:2] + magnitudes[17:24:2]
@@ -127,14 +137,14 @@ def _screen_values(problems: tuple, v: np.ndarray) -> tuple:
     return approx, scale, trace_product
 
 
-def _exact_mask(problems: tuple, v: np.ndarray) -> np.ndarray:
+def _exact_mask(plan: tuple, v: np.ndarray) -> np.ndarray:
     """The (P, N) mask of the points that each of P searches must solve exactly.
 
-    ``problems`` and ``v`` are as in ``_screen_values``.  The mask holds
-    every point the gate refuses and every point whose lo reaches its
-    search's threshold.
+    ``plan`` and ``v`` are as in ``_screen_values``.  The mask holds every
+    point the gate refuses and every point whose lo reaches its search's
+    threshold.
     """
-    approx, scale, trace_product = _screen_values(problems, v)
+    approx, scale, trace_product = _screen_values(plan, v)
     # An overflow sends a point to the exact solve.
     gated = (trace_product <= _GATE) & np.isfinite(scale)
     margin = _MARGIN * scale

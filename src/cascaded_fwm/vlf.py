@@ -27,12 +27,12 @@ layout, for ``sweep_frequency`` and the CLI; ``_coarse_minima`` is the
 coarse scan of ``minima_over_models``, which solves exactly only the
 points that ``screen._exact_mask`` keeps and hands the refine the rows
 that ``_sweep_arrays`` would give, bit for bit.  Each of them resolves its
-witnesses and builds their gain problems once, before the scan.  VlfResult objects are made
-only where a public function returns them.  ``_check_window`` is the one
-check of a frequency window and its scale.  The ``_OMEGA_*`` constants
-state the default grid, and ``_COARSE_POINTS`` and ``_XTOL`` the coarse
-grid and golden-section tolerance of every minimum search, which no
-argument overrides.
+witnesses and builds their gain problems once, before the scan.  VlfResult
+objects are made only where a public function returns them.
+``_check_window`` is the one check of a frequency window and its scale.
+The ``_OMEGA_*`` constants state the default grid, and ``_COARSE_POINTS``
+and ``_XTOL`` the coarse grid and golden-section tolerance of every minimum
+search, which no argument overrides.
 """
 
 from __future__ import annotations
@@ -485,24 +485,22 @@ def _refine_minima(rows: tuple, problems: tuple, grid: np.ndarray,
     return minima
 
 
-def _coarse_minima(problems: tuple, omega: np.ndarray, omega_norm: np.ndarray,
-                   v: np.ndarray) -> list:
+def _coarse_minima(problems: tuple, plan: tuple, omega: np.ndarray,
+                   omega_norm: np.ndarray, v: np.ndarray) -> list:
     """Each search's best coarse index and its point, from one scan's checked spectra.
 
-    ``problems`` holds P rows of ``_problem_arrays``; ``omega``,
-    ``omega_norm`` and ``v`` are a ``_grid_spectra`` scan of N points.
-    ``_gain_solves`` runs only on the points ``screen._exact_mask`` keeps,
-    and the best index of a search is the argmin of its exact values, lowest index
-    first.  So entry p, ``(best, (omega, omega_norm, value, gains))``, is
-    bit for bit the argmin row of column p of ``_gain_solves(*problems,
-    v[:, None])``, the full scan that ``_sweep_arrays`` runs.
+    ``problems`` holds P rows of ``_problem_arrays`` and ``plan`` their
+    ``screen._gather_plan``; ``omega``, ``omega_norm`` and ``v`` are a
+    ``_grid_spectra`` scan of N points.  ``_gain_solves`` runs only on the
+    points ``screen._exact_mask`` keeps, and the best index of a search is
+    the argmin of its exact values, lowest index first.  So entry p,
+    ``(best, (omega, omega_norm, value, gains))``, is bit for bit the argmin
+    row of column p of ``_gain_solves(*problems, v[:, None])``, the full
+    scan that ``_sweep_arrays`` runs.
     """
-    # Imported here, so that a process that never searches for a minimum
-    # (a figure sweep) does not load it: loading it raised the peak memory
-    # of a vlf-sweep process by ~0.1 MB.
     from . import screen
 
-    exact = screen._exact_mask(problems, v)
+    exact = screen._exact_mask(plan, v)
     searches, points = np.nonzero(exact)
     values, gains = _gain_solves(*(x[searches] for x in problems), v[points])
     coarse, start = [], 0
@@ -522,7 +520,7 @@ def minima_over_models(models, inequalities=None, omega_range=_OMEGA_WINDOW,
 
     Scans one coarse grid of ``_COARSE_POINTS`` per model, shared by all
     inequalities (all inequalities by default), and keeps each
-    inequality's best coarse point.  The scan runs every check of
+    inequality's best coarse point.  The scan runs the checks and guards of
     ``_sweep_arrays`` in the same order, model by model, and its screen
     (``_coarse_minima``) gives the gain solve only to the points that can
     hold a minimum, so the best point is the full scan's bit for bit; a
@@ -555,12 +553,18 @@ def minima_over_models(models, inequalities=None, omega_range=_OMEGA_WINDOW,
     if lo == 0.0:
         raise ParameterError("a minimum search needs omega_min > 0", key="omega_min")
     grid = _omega_grid(lo, hi, _COARSE_POINTS, scale)
+    # Imported here, so that a process that never searches for a minimum
+    # (a figure sweep) does not load it: loading it raised the peak memory
+    # of a vlf-sweep process by ~0.1 MB.
+    from . import screen
+
+    plan = screen._gather_plan(problems)
     work = _Workspace()
     scanned, coarse = [], []
     for model in models:
         spectra = _grid_spectra(_model_rows([model]), _checked_omegas(model, grid), work)
         scanned.append(model)
-        coarse.extend(_coarse_minima(problems, *spectra))
+        coarse.extend(_coarse_minima(problems, plan, *spectra))
     minima = _refine_minima(_model_rows(scanned), problems, grid, coarse, work)
     n = len(ineqs)
     return [[_result(ineq, *point) for ineq, point in zip(ineqs, minima[i * n:(i + 1) * n])]

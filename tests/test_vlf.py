@@ -913,7 +913,7 @@ def assert_screen_keeps_the_sweep_rows(model, grid):
     omega, omega_norm, values, gains = _sweep_arrays(model, problems, grid)
     spectra = _grid_spectra(_model_rows([model]), grid)
     assert_same_coarse_rows(
-        _coarse_minima(problems, *spectra),
+        _coarse_minima(problems, screen._gather_plan(problems), *spectra),
         [(best, (float(omega[best]), float(omega_norm[best]), float(values[best, p]),
                  gains[best, p]))
          for p, best in enumerate(np.argmin(values, axis=0).tolist())])
@@ -924,7 +924,7 @@ def assert_screen_keeps_the_stack_rows(v):
     """As above, on a synthetic stack at omega = omega_norm = its index."""
     problems = _problem_arrays(INEQUALITIES)
     index = np.arange(len(v), dtype=float)
-    screened = _coarse_minima(problems, index, index, v)
+    screened = _coarse_minima(problems, screen._gather_plan(problems), index, index, v)
     assert_same_coarse_rows(screened, full_scan_rows(problems, index, index, v))
     return [best for best, _ in screened]
 
@@ -959,11 +959,12 @@ def test_screen_gate_sends_rank_cut_blocks_to_the_exact_solve():
     blocks = v[:, free[:, :, None], free[:, None, :]]
     singular = np.linalg.svd(blocks, compute_uv=False)
     rank_cut = singular[..., -1] <= vlf._SINGULAR_RCOND * singular[..., 0]
-    _, _, trace_product = screen._screen_values(problems, v)
+    plan = screen._gather_plan(problems)
+    _, _, trace_product = screen._screen_values(plan, v)
     refused = ~(trace_product.T <= screen._GATE)
     assert rank_cut.any()
     assert refused[rank_cut].all()
-    assert screen._exact_mask(problems, v).T[refused].all()
+    assert screen._exact_mask(plan, v).T[refused].all()
 
 
 def test_screen_keeps_the_lowest_index_of_identical_spectra():
@@ -1017,7 +1018,7 @@ def test_screen_refuses_blocks_it_cannot_vouch_for():
     v[40] = ill_conditioned_point(-0.1, 0.2)
     problems = _problem_arrays(INEQUALITIES)
     values, _ = _gain_solves(*problems, v[:, None])
-    approx, _, trace_product = screen._screen_values(problems, v)
+    approx, _, trace_product = screen._screen_values(screen._gather_plan(problems), v)
     assert np.argmin(values[:, 0]) == 40
     assert abs(values[40, 0] - 7.9) < 1e-9 and abs(values[20, 0] - 8.0) < 1e-9
     assert abs(approx[0, 40] - 7.7) < 1e-9 and abs(approx[0, 20] - 7.5) < 1e-9
@@ -1030,8 +1031,8 @@ def test_reproduce_fig8_solves_few_coarse_rows_exactly(tmp_path, capsys, monkeyp
 
     masks, exact_mask = [], screen._exact_mask
 
-    def recorded(problems, v):
-        masks.append(exact_mask(problems, v))
+    def recorded(plan, v):
+        masks.append(exact_mask(plan, v))
         return masks[-1]
 
     monkeypatch.setattr(screen, "_exact_mask", recorded)
