@@ -897,10 +897,8 @@ def assert_same_coarse_rows(screened, full):
         assert np.array_equal(point[3], want_point[3])
 
 
-def full_scan_rows(problems, omega, omega_norm, v):
-    """The argmin row of every witness of ``_gain_solves(*problems, v[:, None])``,
-    the unscreened solve of ``_sweep_arrays``."""
-    values, gains = _gain_solves(*problems, v[:, None])
+def argmin_rows(omega, omega_norm, values, gains):
+    """The row each witness's search takes from a full scan: its argmin."""
     return [(best, (float(omega[best]), float(omega_norm[best]), float(values[best, p]),
                     gains[best, p]))
             for p, best in enumerate(np.argmin(values, axis=0).tolist())]
@@ -910,22 +908,20 @@ def assert_screen_keeps_the_sweep_rows(model, grid):
     """The screened coarse rows of ``model`` on ``grid`` equal the argmin rows of
     ``_sweep_arrays``; returns the problems and the checked spectra."""
     problems = _problem_arrays(INEQUALITIES)
-    omega, omega_norm, values, gains = _sweep_arrays(model, problems, grid)
     spectra = _grid_spectra(_model_rows([model]), grid)
-    assert_same_coarse_rows(
-        _coarse_minima(problems, screen._gather_plan(problems), *spectra),
-        [(best, (float(omega[best]), float(omega_norm[best]), float(values[best, p]),
-                 gains[best, p]))
-         for p, best in enumerate(np.argmin(values, axis=0).tolist())])
+    assert_same_coarse_rows(_coarse_minima(problems, screen._gather_plan(problems), *spectra),
+                            argmin_rows(*_sweep_arrays(model, problems, grid)))
     return problems, spectra
 
 
 def assert_screen_keeps_the_stack_rows(v):
-    """As above, on a synthetic stack at omega = omega_norm = its index."""
+    """As above, on a synthetic stack at omega = omega_norm = its index, against
+    ``_gain_solves(*problems, v[:, None])``, the unscreened solve of ``_sweep_arrays``."""
     problems = _problem_arrays(INEQUALITIES)
     index = np.arange(len(v), dtype=float)
     screened = _coarse_minima(problems, screen._gather_plan(problems), index, index, v)
-    assert_same_coarse_rows(screened, full_scan_rows(problems, index, index, v))
+    assert_same_coarse_rows(screened,
+                            argmin_rows(index, index, *_gain_solves(*problems, v[:, None])))
     return [best for best, _ in screened]
 
 
